@@ -22,6 +22,7 @@ from .exceptions import (
     CitationParseError,
     DuplicateOntologyError,
     EmptyNameError,
+    EmptyReferenceError,
     MissingFieldError,
     NoOntologyNodeError,
     NotOntologyNodeError,
@@ -82,6 +83,7 @@ __all__ = [
     "DuplicateOntologyError",
     "Edge",
     "EmptyNameError",
+    "EmptyReferenceError",
     "Graph",
     "Iri",
     "KNOWN_FORMAT_LABELS",

@@ -48,6 +48,10 @@ class EmptyNameError(OntociteError, ValueError):
     """A person or group name was blank after trimming."""
 
 
+class EmptyReferenceError(OntociteError, ValueError):
+    """A publication reference text was blank after trimming."""
+
+
 class MissingFieldError(OntociteError):
     """A mandatory citation field is absent from the extracted metadata."""
 

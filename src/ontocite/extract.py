@@ -9,6 +9,7 @@ for any permutation of the input triples.
 
 from __future__ import annotations
 
+import datetime
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -173,17 +174,23 @@ def _preferred_literal(values: Sequence[Literal]) -> Optional[str]:
     return sorted(v.lexical for v in values)[0]
 
 
+def is_calendar_date(value: str) -> bool:
+    """True for a ``YYYY-MM-DD`` string that names a real calendar day."""
+    m = _DATE_RE.match(value)
+    if not m:
+        return False
+    try:
+        datetime.date(*(int(part) for part in m.groups()))
+    except ValueError:
+        return False
+    return True
+
+
 def _normalize_date(value: str) -> Optional[str]:
     text = value.strip()
     if "T" in text:
         text = text.split("T", 1)[0]
-    m = _DATE_RE.match(text)
-    if not m:
-        return None
-    month, day = int(m.group(2)), int(m.group(3))
-    if not (1 <= month <= 12 and 1 <= day <= 31):
-        return None
-    return text
+    return text if is_calendar_date(text) else None
 
 
 def _version_of(prop: Iri, value: str) -> str:

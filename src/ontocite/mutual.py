@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .citation import CitationRecord, render_canonical
-from .exceptions import NotOntologyNodeError
+from .exceptions import EmptyReferenceError, NotOntologyNodeError
 from .model import Graph, Iri, Literal, Triple
 from .vocab import DC_RELATION, DCTERMS_REFERENCES, OWL_ONTOLOGY, RDF_TYPE
 
@@ -41,7 +41,7 @@ def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: Optional[str]) ->
     the graph unchanged; distinct texts accumulate.
     """
     if not ref_text or not ref_text.strip():
-        raise ValueError("reference text is empty")
+        raise EmptyReferenceError("reference text is empty")
     if not g.match(onto, RDF_TYPE, OWL_ONTOLOGY):
         raise NotOntologyNodeError(
             f"<{onto.value}> is not typed <{OWL_ONTOLOGY.value}> in this graph"

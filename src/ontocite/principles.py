@@ -12,14 +12,13 @@ string that does not match the grammar at all.
 
 from __future__ import annotations
 
-import datetime
 import re
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Union
 
 from .citation import CitationRecord, parse_canonical
 from .exceptions import CitationParseError
-from .extract import Agent
+from .extract import Agent, is_calendar_date
 from .model import Iri, is_absolute_iri
 from .vocab import KNOWN_FORMAT_LABELS
 
@@ -53,7 +52,6 @@ DIAGNOSTIC_CODES = (
     W_NAME_FORM,
 )
 
-_DATE_SHAPE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _NAME_STRING_RE = re.compile(r"[^,]+, (.+)")
 
 
@@ -79,17 +77,6 @@ def _as_fields(record: Union[CitationRecord, Mapping]) -> Dict[str, object]:
     if isinstance(record, CitationRecord):
         return {f.name: getattr(record, f.name) for f in dataclass_fields(record)}
     return dict(record)
-
-
-def _valid_date(value: str) -> bool:
-    if not _DATE_SHAPE_RE.match(value):
-        return False
-    year, month, day = (int(part) for part in value.split("-"))
-    try:
-        datetime.date(year, month, day)
-    except ValueError:
-        return False
-    return True
 
 
 def _initials_well_formed(initials: str) -> bool:
@@ -150,7 +137,7 @@ def validate_record(record: Union[CitationRecord, Mapping]) -> List[Diagnostic]:
         out.append(_error(E_CREATOR_MISSING, "no creators given", "creators"))
     if date is None or date == "":
         out.append(_error(E_DATE_MISSING, "no publication date given", "date"))
-    elif not _valid_date(str(date)):
+    elif not is_calendar_date(str(date)):
         out.append(_error(
             E_DATE_FORMAT, f"date {date!r} is not a valid YYYY-MM-DD date", "date"
         ))

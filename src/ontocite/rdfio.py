@@ -6,17 +6,21 @@ blank-node property lists, short and long strings, language tags,
 datatypes, numeric/boolean shorthand). RDF collections ``( ... )`` are
 rejected with a distinct "unsupported construct" error. Parsing is
 all-or-nothing: the first malformed statement aborts with its position.
+
+One scanner serves both syntaxes: each terminal of the W3C grammars is a
+compiled regex matched at the current offset, and line and column are
+worked out only when an error is raised.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import PurePath
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, NoReturn, Optional, Set, Union
 from urllib.parse import urljoin
 
 from .exceptions import ParseError, RdfModelError, UnknownFormatError
-from .model import BlankNode, Graph, Iri, Literal, Term, Triple, nt
+from .model import _SCHEME_RE, BlankNode, Graph, Iri, Literal, Term, Triple, nt
 from .vocab import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -25,222 +29,176 @@ from .vocab import (
     XSD_INTEGER,
 )
 
+#: Deepest nesting of anonymous ``[ ... ]`` nodes that Turtle input may use.
+MAX_NESTING = 128
+
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-_HEX_RE = re.compile(r"[0-9A-Fa-f]")
-_BNODE_CHARS_RE = re.compile(r"[A-Za-z0-9_]")
-_PN_PREFIX_RE = re.compile(r"[A-Za-z0-9_\-]")
-_PN_LOCAL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.%")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
+_UCHAR_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))")
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_INLINE_WS_RE = re.compile(r"[ \t]*")
+_LINE_END_RE = re.compile(r"[ \t]*(?:#[^\n]*)?")
+_IRI_RUN_RE = re.compile(r'[^\x00-\x20<>"{}|^`\\]*')
+_SHORT_RUN_RE = re.compile(r'[^"\\\n\r]*')
+# Quote runs shorter than three are content, and so are the quotes before
+# the last three of a longer run: the run stops at exactly '"""'.
+_LONG_RUN_RE = re.compile(r'(?:[^"\\]+|"{1,2}(?!")|"(?="""))*')
+_BNODE_RE = re.compile(r"_:([A-Za-z0-9_]*)")
+_LANGTAG_RE = re.compile(r"@([A-Za-z][A-Za-z0-9\-]*)")
+_PNAME_NS_RE = re.compile(r"([A-Za-z0-9_\-]*):")
+# A dot belongs to the local name only when another name character follows.
+_PNAME_RE = re.compile(r"([A-Za-z0-9_\-]*):((?:[A-Za-z0-9_\-%]+|\.(?=[A-Za-z0-9_\-.%]))*)")
+_PNAME_START_RE = re.compile(r"[A-Za-z:]")
+_KEYWORD_RE = re.compile(r"(?:a|true|false)(?![A-Za-z0-9_\-:])")
 _NUMBER_RE = re.compile(
     r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)"
 )
-_IRI_FORBIDDEN = set('<"{}|^`')
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
-class _Cursor:
-    """Character cursor with 1-based line/column tracking."""
-
-    __slots__ = ("text", "pos", "line", "col")
+class _Scanner:
+    """The terminals both syntaxes share, read at a string offset, and the
+    N-Triples term forms; :class:`_Turtle` adds the Turtle ones."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
+    def error(self, message: str, pos: Optional[int] = None) -> NoReturn:
+        """Raise a ParseError at ``pos`` (default: the current offset)."""
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        raise ParseError(line, pos - self.text.rfind("\n", 0, pos), message)
 
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+    def peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
 
-    def take(self) -> str:
-        ch = self.text[self.pos]
+    def skip(self, pattern: re.Pattern = _WS_RE) -> None:
+        self.pos = pattern.match(self.text, self.pos).end()
+
+    def expect(self, ch: str, what: str) -> None:
+        if self.peek() != ch:
+            self.error(f"expected {what}")
         self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
 
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
+    def make(self, start: int, factory, *args, **kwargs):
+        """Build a model term; its validation errors point at ``start``."""
+        try:
+            return factory(*args, **kwargs)
+        except RdfModelError as exc:
+            self.error(str(exc), start)
 
-    def advance(self, n: int) -> None:
-        for _ in range(n):
-            self.take()
+    def escape(self, echars: bool) -> str:
+        """Decode the escape at the current offset (a backslash); ``echars``
+        admits the string escapes such as ``\\n`` besides ``\\u``/``\\U``."""
+        start = self.pos
+        m = _UCHAR_RE.match(self.text, start)
+        if m:
+            code = int(m.group(1) or m.group(2), 16)
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                self.error(f"escape does not denote a valid character: U+{code:X}", start)
+            self.pos = m.end()
+            return chr(code)
+        key = self.text[start + 1:start + 2]
+        if not key:
+            self.error("unterminated escape sequence", start)
+        if key in ("u", "U"):
+            self.error(f"\\{key} escape needs {4 if key == 'u' else 8} hex digits", start)
+        if echars and key in _ECHAR:
+            self.pos = start + 2
+            return _ECHAR[key]
+        self.error(f"invalid escape sequence: \\{key}", start)
 
-    def error(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        raise ParseError(line or self.line, col or self.col, message)
-
-    def mark(self) -> Tuple[int, int]:
-        return (self.line, self.col)
-
-
-def _read_escape(cur: _Cursor, allow_echar: bool) -> str:
-    mark = cur.mark()
-    cur.take()  # backslash
-    if cur.eof():
-        cur.error("unterminated escape sequence", *mark)
-    key = cur.take()
-    if key in ("u", "U"):
-        width = 4 if key == "u" else 8
-        digits = []
-        for _ in range(width):
-            if cur.eof() or not _HEX_RE.match(cur.peek()):
-                cur.error(f"\\{key} escape needs {width} hex digits", *mark)
-            digits.append(cur.take())
-        code = int("".join(digits), 16)
-        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-            cur.error(f"escape does not denote a valid character: U+{code:X}", *mark)
-        return chr(code)
-    if allow_echar and key in _ECHAR:
-        return _ECHAR[key]
-    cur.error(f"invalid escape sequence: \\{key}", *mark)
-
-
-def _read_iriref(cur: _Cursor) -> Tuple[str, Tuple[int, int]]:
-    mark = cur.mark()
-    cur.take()  # '<'
-    out = []
-    while True:
-        if cur.eof():
-            cur.error("unterminated IRI", *mark)
-        ch = cur.peek()
-        if ch == ">":
-            cur.take()
-            return "".join(out), mark
-        if ch == "\\":
-            out.append(_read_escape(cur, allow_echar=False))
-            continue
-        if ord(ch) <= 0x20 or ch in _IRI_FORBIDDEN:
-            cur.error(f"character not allowed in IRI: {ch!r}")
-        out.append(cur.take())
-
-
-def _read_bnode_label(cur: _Cursor) -> str:
-    mark = cur.mark()
-    cur.advance(2)  # '_:'
-    out = []
-    while not cur.eof() and _BNODE_CHARS_RE.match(cur.peek()):
-        out.append(cur.take())
-    if not out:
-        cur.error("blank node label is empty", *mark)
-    return "".join(out)
-
-
-def _read_string_body(cur: _Cursor, long_allowed: bool) -> str:
-    mark = cur.mark()
-    if long_allowed and cur.startswith('"""'):
-        cur.advance(3)
-        out = []
+    def iriref(self) -> str:
+        """The decoded text of the IRIREF whose '<' is at the current offset."""
+        text, start = self.text, self.pos
+        pos, parts = start + 1, []
         while True:
-            if cur.eof():
-                cur.error("unterminated long string", *mark)
-            if cur.peek() == '"':
-                run = 0
-                while cur.peek(run) == '"':
-                    run += 1
-                if run >= 3:
-                    # quotes beyond the closing delimiter belong to the content
-                    for _ in range(run - 3):
-                        out.append(cur.take())
-                    cur.advance(3)
-                    return "".join(out)
-                for _ in range(run):
-                    out.append(cur.take())
-                continue
-            if cur.peek() == "\\":
-                out.append(_read_escape(cur, allow_echar=True))
+            m = _IRI_RUN_RE.match(text, pos)
+            parts.append(m.group())
+            pos = m.end()
+            ch = text[pos:pos + 1]
+            if ch == ">":
+                self.pos = pos + 1
+                return "".join(parts)
+            if not ch:
+                self.error("unterminated IRI", start)
+            if ch != "\\":
+                self.error(f"character not allowed in IRI: {ch!r}", pos)
+            self.pos = pos
+            parts.append(self.escape(echars=False))
+            pos = self.pos
+
+    def quoted(self, delimiter: str, run: re.Pattern, unterminated: str) -> str:
+        """The decoded body of the string whose opening ``delimiter`` is at
+        the current offset; ``run`` matches the characters it may hold."""
+        text, start = self.text, self.pos
+        pos, parts = start + len(delimiter), []
+        while True:
+            m = run.match(text, pos)
+            parts.append(m.group())
+            pos = m.end()
+            ch = text[pos:pos + 1]
+            if ch == '"':
+                self.pos = pos + len(delimiter)
+                return "".join(parts)
+            if ch == "\\":
+                self.pos = pos
+                parts.append(self.escape(echars=True))
+                pos = self.pos
+            elif ch:
+                self.error("newline inside string literal", start)
             else:
-                out.append(cur.take())
-    cur.take()  # opening quote
-    out = []
-    while True:
-        if cur.eof():
-            cur.error("unterminated string", *mark)
-        ch = cur.peek()
-        if ch == '"':
-            cur.take()
-            return "".join(out)
-        if ch in ("\n", "\r"):
-            cur.error("newline inside string literal", *mark)
-        if ch == "\\":
-            out.append(_read_escape(cur, allow_echar=True))
-        else:
-            out.append(cur.take())
+                self.error(unterminated, start)
 
+    def string(self) -> str:
+        return self.quoted('"', _SHORT_RUN_RE, "unterminated string")
 
-def _read_langtag(cur: _Cursor) -> str:
-    mark = cur.mark()
-    cur.take()  # '@'
-    out = []
-    if cur.eof() or not cur.peek().isascii() or not cur.peek().isalpha():
-        cur.error("language tag must start with a letter", *mark)
-    while not cur.eof() and (cur.peek().isascii() and (cur.peek().isalnum() or cur.peek() == "-")):
-        out.append(cur.take())
-    return "".join(out)
+    def blank_node(self) -> BlankNode:
+        m = _BNODE_RE.match(self.text, self.pos)
+        if not m.group(1):
+            self.error("blank node label is empty")
+        self.pos = m.end()
+        return BlankNode(m.group(1))
 
+    def literal(self) -> Literal:
+        """A string with its optional ``@lang`` or ``^^datatype``."""
+        start = self.pos
+        lexical = self.string()
+        if self.peek() == "@":
+            m = _LANGTAG_RE.match(self.text, self.pos)
+            if not m:
+                self.error("language tag must start with a letter")
+            self.pos = m.end()
+            return self.make(start, Literal, lexical, lang=m.group(1))
+        if self.text.startswith("^^", self.pos):
+            self.pos += 2
+            return Literal(lexical, datatype=self.datatype())
+        return Literal(lexical)
 
-def _make_literal(cur: _Cursor, lexical: str, lang: Optional[str], datatype: Optional[Iri],
-                  mark: Tuple[int, int]) -> Literal:
-    try:
-        return Literal(lexical, lang=lang, datatype=datatype)
-    except RdfModelError as exc:
-        cur.error(str(exc), *mark)
+    def iri(self) -> Iri:
+        """An IRIREF as written: N-Triples has no relative IRIs."""
+        start = self.pos
+        return self.make(start, Iri, self.iriref())
 
+    def datatype(self) -> Iri:
+        if self.peek() != "<":
+            self.error("datatype must be an IRI")
+        return self.iri()
 
-# --- N-Triples -------------------------------------------------------------
+    def term(self, literals: bool) -> Term:
+        """A subject, or an object when ``literals`` is set."""
+        ch = self.peek()
+        if ch == "<":
+            return self.iri()
+        if self.text.startswith("_:", self.pos):
+            return self.blank_node()
+        if literals and ch == '"':
+            return self.literal()
+        return self.shorthand(literals)
 
-
-def _nt_skip_between(cur: _Cursor) -> None:
-    """Whitespace and comments between statements."""
-    while not cur.eof():
-        ch = cur.peek()
-        if ch in " \t\r\n":
-            cur.take()
-        elif ch == "#":
-            while not cur.eof() and cur.peek() != "\n":
-                cur.take()
-        else:
-            return
-
-
-def _nt_skip_inline(cur: _Cursor) -> None:
-    while not cur.eof() and cur.peek() in " \t":
-        cur.take()
-
-
-def _nt_iri(cur: _Cursor) -> Iri:
-    raw, mark = _read_iriref(cur)
-    try:
-        return Iri(raw)
-    except RdfModelError as exc:
-        cur.error(str(exc), *mark)
-
-
-def _nt_term(cur: _Cursor, role: str) -> Term:
-    ch = cur.peek()
-    if ch == "<":
-        return _nt_iri(cur)
-    if ch == "_" and cur.peek(1) == ":":
-        label = _read_bnode_label(cur)
-        return BlankNode(label)
-    if ch == '"' and role == "object":
-        mark = cur.mark()
-        lexical = _read_string_body(cur, long_allowed=False)
-        if cur.peek() == "@":
-            return _make_literal(cur, lexical, _read_langtag(cur), None, mark)
-        if cur.startswith("^^"):
-            cur.advance(2)
-            if cur.peek() != "<":
-                cur.error("datatype must be an IRI")
-            return _make_literal(cur, lexical, None, _nt_iri(cur), mark)
-        return _make_literal(cur, lexical, None, None, mark)
-    cur.error(f"expected {role}" + (" (IRI, blank node, or literal)" if role == "object" else ""))
+    def shorthand(self, literals: bool) -> Term:
+        """The term forms beyond N-Triples, of which N-Triples has none."""
+        self.error("expected object (IRI, blank node, or literal)" if literals
+                   else "expected subject")
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -249,31 +207,25 @@ def parse_ntriples(text: str) -> Graph:
     Blank node labels are preserved verbatim. Raises :class:`ParseError`
     with the position of the first malformed statement.
     """
-    cur = _Cursor(text)
+    s = _Scanner(text)
     triples: List[Triple] = []
     while True:
-        _nt_skip_between(cur)
-        if cur.eof():
-            break
-        subject = _nt_term(cur, "subject")
-        _nt_skip_inline(cur)
-        if cur.peek() != "<":
-            cur.error("expected predicate IRI")
-        predicate = _nt_iri(cur)
-        _nt_skip_inline(cur)
-        obj = _nt_term(cur, "object")
-        _nt_skip_inline(cur)
-        if cur.peek() != ".":
-            cur.error("expected '.' at end of statement")
-        cur.take()
-        _nt_skip_inline(cur)
-        if cur.peek() == "#":
-            while not cur.eof() and cur.peek() != "\n":
-                cur.take()
-        if not cur.eof() and cur.peek() not in "\r\n":
-            cur.error("expected end of line after statement")
+        s.skip()
+        if s.pos >= len(text):
+            return Graph(triples)
+        subject = s.term(literals=False)
+        s.skip(_INLINE_WS_RE)
+        if s.peek() != "<":
+            s.error("expected predicate IRI")
+        predicate = s.iri()
+        s.skip(_INLINE_WS_RE)
+        obj = s.term(literals=True)
+        s.skip(_INLINE_WS_RE)
+        s.expect(".", "'.' at end of statement")
+        s.skip(_LINE_END_RE)
+        if s.peek() not in ("", "\r", "\n"):
+            s.error("expected end of line after statement")
         triples.append(Triple(subject, predicate, obj))
-    return Graph(triples)
 
 
 def serialize_ntriples(g: Graph) -> str:
@@ -285,9 +237,9 @@ def serialize_ntriples(g: Graph) -> str:
 # --- Turtle subset ----------------------------------------------------------
 
 
-class _TurtleParser:
+class _Turtle(_Scanner):
     def __init__(self, text: str):
-        self.cur = _Cursor(text)
+        super().__init__(text)
         self.prefixes: Dict[str, str] = {}
         self.base: Optional[str] = None
         self.triples: List[Triple] = []
@@ -295,25 +247,7 @@ class _TurtleParser:
         # generated anonymous labels (b1, b2, ...) can never collide.
         self.reserved: Set[str] = set(re.findall(r"_:([A-Za-z0-9_]+)", text))
         self.anon_counter = 0
-
-    # -- lexical helpers
-
-    def skip_ws(self) -> None:
-        cur = self.cur
-        while not cur.eof():
-            ch = cur.peek()
-            if ch in " \t\r\n":
-                cur.take()
-            elif ch == "#":
-                while not cur.eof() and cur.peek() != "\n":
-                    cur.take()
-            else:
-                return
-
-    def expect(self, ch: str, what: str) -> None:
-        if self.cur.peek() != ch:
-            self.cur.error(f"expected {what}")
-        self.cur.take()
+        self.depth = 0
 
     def fresh_bnode(self) -> BlankNode:
         while True:
@@ -322,229 +256,156 @@ class _TurtleParser:
             if label not in self.reserved:
                 return BlankNode(label)
 
-    def make_iri(self, raw: str, mark: Tuple[int, int]) -> Iri:
-        if not _SCHEME_RE.match(raw):
-            if self.base is None:
-                self.cur.error(f"relative IRI without @base: {raw!r}", *mark)
-            raw = urljoin(self.base, raw)
-        try:
-            return Iri(raw)
-        except RdfModelError as exc:
-            self.cur.error(str(exc), *mark)
-
-    def read_pname(self) -> Iri:
-        cur = self.cur
-        mark = cur.mark()
-        prefix_chars = []
-        while not cur.eof() and _PN_PREFIX_RE.match(cur.peek()):
-            prefix_chars.append(cur.take())
-        if cur.peek() != ":":
-            cur.error("expected prefixed name", *mark)
-        cur.take()
-        prefix = "".join(prefix_chars)
-        if prefix not in self.prefixes:
-            cur.error(f"undeclared prefix: {prefix!r}:", *mark)
-        local_chars = []
-        while not cur.eof():
-            ch = cur.peek()
-            if ch not in _PN_LOCAL_CHARS:
-                break
-            if ch == ".":
-                # a dot ends the local name unless another name char follows
-                if cur.peek(1) not in _PN_LOCAL_CHARS:
-                    break
-            local_chars.append(cur.take())
-        raw = self.prefixes[prefix] + "".join(local_chars)
-        try:
-            return Iri(raw)
-        except RdfModelError as exc:
-            cur.error(str(exc), *mark)
-
-    def read_word(self) -> str:
-        m = _WORD_RE.match(self.cur.text, self.cur.pos)
-        if not m:
-            return ""
-        return m.group(0)
-
-    # -- directives
-
-    def directive_prefix(self) -> None:
-        cur = self.cur
-        cur.advance(len("@prefix"))
-        self.skip_ws()
-        mark = cur.mark()
-        prefix_chars = []
-        while not cur.eof() and _PN_PREFIX_RE.match(cur.peek()):
-            prefix_chars.append(cur.take())
-        if cur.peek() != ":":
-            cur.error("expected ':' in @prefix declaration", *mark)
-        cur.take()
-        self.skip_ws()
-        if cur.peek() != "<":
-            cur.error("expected IRI in @prefix declaration")
-        raw, iri_mark = _read_iriref(cur)
-        iri = self.make_iri(raw, iri_mark)
-        self.skip_ws()
-        self.expect(".", "'.' after @prefix declaration")
-        self.prefixes["".join(prefix_chars)] = iri.value
-
-    def directive_base(self) -> None:
-        cur = self.cur
-        cur.advance(len("@base"))
-        self.skip_ws()
-        if cur.peek() != "<":
-            cur.error("expected IRI in @base declaration")
-        raw, iri_mark = _read_iriref(cur)
-        self.base = self.make_iri(raw, iri_mark).value
-        self.skip_ws()
-        self.expect(".", "'.' after @base declaration")
-
     # -- terms
 
-    def parse_subject(self) -> Tuple[Union[Iri, BlankNode], bool]:
-        """Returns (subject, came_from_property_list)."""
-        cur = self.cur
-        ch = cur.peek()
-        if ch == "<":
-            raw, mark = _read_iriref(cur)
-            return self.make_iri(raw, mark), False
-        if ch == "_" and cur.peek(1) == ":":
-            return BlankNode(_read_bnode_label(cur)), False
-        if ch == "[":
-            return self.parse_bnode_property_list(), True
-        if ch == "(":
-            cur.error("unsupported construct: RDF collections are not supported")
-        if _WORD_RE.match(ch or "") or ch == ":":
-            return self.read_pname(), False
-        cur.error("expected subject")
+    def iri(self) -> Iri:
+        """An IRIREF, resolved against ``@base`` when relative."""
+        start = self.pos
+        raw = self.iriref()
+        if not _SCHEME_RE.match(raw):
+            if self.base is None:
+                self.error(f"relative IRI without @base: {raw!r}", start)
+            try:
+                raw = urljoin(self.base, raw)
+            except ValueError as exc:
+                self.error(f"cannot resolve {raw!r} against @base: {exc}", start)
+        return self.make(start, Iri, raw)
 
-    def parse_verb(self) -> Iri:
-        cur = self.cur
-        ch = cur.peek()
-        if ch == "<":
-            raw, mark = _read_iriref(cur)
-            return self.make_iri(raw, mark)
-        word = self.read_word()
-        if word == "a" and cur.peek(len(word)) != ":":
-            cur.advance(1)
+    def pname(self) -> Iri:
+        start = self.pos
+        m = _PNAME_RE.match(self.text, start)
+        if not m:
+            self.error("expected prefixed name")
+        prefix, local = m.groups()
+        if prefix not in self.prefixes:
+            self.error(f"undeclared prefix: {prefix!r}:")
+        self.pos = m.end()
+        return self.make(start, Iri, self.prefixes[prefix] + local)
+
+    def datatype(self) -> Iri:
+        return self.iri() if self.peek() == "<" else self.pname()
+
+    def string(self) -> str:
+        if self.text.startswith('"""', self.pos):
+            return self.quoted('"""', _LONG_RUN_RE, "unterminated long string")
+        return super().string()
+
+    def shorthand(self, literals: bool) -> Term:
+        ch = self.peek()
+        if ch == "[":
+            return self.property_list()
+        if ch == "(":
+            self.error("unsupported construct: RDF collections are not supported")
+        if literals:
+            m = _NUMBER_RE.match(self.text, self.pos)
+            if m:
+                token = m.group()
+                self.pos = m.end()
+                if "e" in token or "E" in token:
+                    return Literal(token, datatype=XSD_DOUBLE)
+                return Literal(token, datatype=XSD_DECIMAL if "." in token else XSD_INTEGER)
+            m = _KEYWORD_RE.match(self.text, self.pos)
+            if m and m.group() != "a":
+                self.pos = m.end()
+                return Literal(m.group(), datatype=XSD_BOOLEAN)
+        if _PNAME_START_RE.match(self.text, self.pos):
+            return self.pname()
+        self.error("expected an RDF term as object" if literals else "expected subject")
+
+    def verb(self) -> Iri:
+        if self.peek() == "<":
+            return self.iri()
+        m = _KEYWORD_RE.match(self.text, self.pos)
+        if m and m.group() == "a":
+            self.pos = m.end()
             return RDF_TYPE
-        if _WORD_RE.match(ch or "") or ch == ":":
-            return self.read_pname()
-        cur.error("expected predicate")
+        if _PNAME_START_RE.match(self.text, self.pos):
+            return self.pname()
+        self.error("expected predicate")
 
-    def parse_object(self) -> Term:
-        cur = self.cur
-        ch = cur.peek()
-        if ch == "<":
-            raw, mark = _read_iriref(cur)
-            return self.make_iri(raw, mark)
-        if ch == "_" and cur.peek(1) == ":":
-            return BlankNode(_read_bnode_label(cur))
-        if ch == "[":
-            return self.parse_bnode_property_list()
-        if ch == "(":
-            cur.error("unsupported construct: RDF collections are not supported")
-        if ch == '"':
-            return self.parse_literal()
-        m = _NUMBER_RE.match(cur.text, cur.pos)
-        if m:
-            token = m.group(0)
-            cur.advance(len(token))
-            if "e" in token or "E" in token:
-                dt = XSD_DOUBLE
-            elif "." in token:
-                dt = XSD_DECIMAL
-            else:
-                dt = XSD_INTEGER
-            return Literal(token, datatype=dt)
-        word = self.read_word()
-        if word in ("true", "false") and cur.peek(len(word)) != ":":
-            cur.advance(len(word))
-            return Literal(word, datatype=XSD_BOOLEAN)
-        if _WORD_RE.match(ch or "") or ch == ":":
-            return self.read_pname()
-        cur.error("expected an RDF term as object")
-
-    def parse_literal(self) -> Literal:
-        cur = self.cur
-        mark = cur.mark()
-        lexical = _read_string_body(cur, long_allowed=True)
-        if cur.peek() == "@":
-            return _make_literal(cur, lexical, _read_langtag(cur), None, mark)
-        if cur.startswith("^^"):
-            cur.advance(2)
-            if cur.peek() == "<":
-                raw, iri_mark = _read_iriref(cur)
-                return _make_literal(cur, lexical, None, self.make_iri(raw, iri_mark), mark)
-            return _make_literal(cur, lexical, None, self.read_pname(), mark)
-        return _make_literal(cur, lexical, None, None, mark)
-
-    def parse_bnode_property_list(self) -> BlankNode:
-        cur = self.cur
-        self.expect("[", "'['")
+    def property_list(self) -> BlankNode:
+        """An anonymous ``[ ... ]`` node; its '[' is at the current offset."""
+        if self.depth == MAX_NESTING:
+            self.error(f"anonymous nodes nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        self.pos += 1
         node = self.fresh_bnode()
-        self.skip_ws()
-        if cur.peek() == "]":
-            cur.take()
-            return node
-        self.parse_predicate_object_list(node, terminators="]")
-        self.skip_ws()
-        self.expect("]", "']' closing anonymous node")
+        self.skip()
+        if self.peek() == "]":
+            self.pos += 1
+        else:
+            self.predicate_objects(node, terminators="]")
+            self.skip()
+            self.expect("]", "']' closing anonymous node")
+        self.depth -= 1
         return node
 
     # -- statements
 
-    def parse_predicate_object_list(self, subject: Union[Iri, BlankNode],
-                                    terminators: str) -> None:
-        cur = self.cur
+    def predicate_objects(self, subject: Union[Iri, BlankNode], terminators: str) -> None:
         while True:
-            self.skip_ws()
-            verb = self.parse_verb()
+            self.skip()
+            verb = self.verb()
             while True:
-                self.skip_ws()
-                obj = self.parse_object()
-                self.triples.append(Triple(subject, verb, obj))
-                self.skip_ws()
-                if cur.peek() == ",":
-                    cur.take()
-                    continue
-                break
-            if cur.peek() == ";":
-                cur.take()
-                self.skip_ws()
-                if cur.peek() in terminators or cur.peek() == ";":
-                    # tolerate trailing / repeated semicolons
-                    while cur.peek() == ";":
-                        cur.take()
-                        self.skip_ws()
-                    return
-                continue
-            return
+                self.skip()
+                self.triples.append(Triple(subject, verb, self.term(literals=True)))
+                self.skip()
+                if self.peek() != ",":
+                    break
+                self.pos += 1
+            if self.peek() != ";":
+                return
+            self.pos += 1
+            self.skip()
+            # tolerate trailing / repeated semicolons; "" (end of input) is
+            # "in" every terminator string, so the caller reports it
+            if self.peek() in terminators or self.peek() == ";":
+                while self.peek() == ";":
+                    self.pos += 1
+                    self.skip()
+                return
 
-    def parse_statement(self) -> None:
-        cur = self.cur
-        subject, from_list = self.parse_subject()
-        self.skip_ws()
-        if from_list and cur.peek() == ".":
-            cur.take()
+    def directive(self) -> None:
+        """An ``@prefix`` or ``@base`` declaration."""
+        name = "prefix" if self.text.startswith("@prefix", self.pos) else "base"
+        self.pos += 1 + len(name)
+        self.skip()
+        if name == "prefix":
+            m = _PNAME_NS_RE.match(self.text, self.pos)
+            if not m:
+                self.error("expected ':' in @prefix declaration")
+            self.pos = m.end()
+            self.skip()
+        if self.peek() != "<":
+            self.error(f"expected IRI in @{name} declaration")
+        value = self.iri().value
+        self.skip()
+        self.expect(".", f"'.' after @{name} declaration")
+        if name == "prefix":
+            self.prefixes[m.group(1)] = value
+        else:
+            self.base = value
+
+    def statement(self) -> None:
+        from_list = self.peek() == "["
+        subject = self.term(literals=False)
+        self.skip()
+        if from_list and self.peek() == ".":
+            self.pos += 1
             return
-        self.parse_predicate_object_list(subject, terminators=".")
-        self.skip_ws()
+        self.predicate_objects(subject, terminators=".")
+        self.skip()
         self.expect(".", "'.' at end of statement")
 
     def run(self) -> Graph:
-        cur = self.cur
         while True:
-            self.skip_ws()
-            if cur.eof():
-                break
-            if cur.startswith("@prefix"):
-                self.directive_prefix()
-            elif cur.startswith("@base"):
-                self.directive_base()
+            self.skip()
+            if self.pos >= len(self.text):
+                return Graph(self.triples)
+            if self.text.startswith(("@prefix", "@base"), self.pos):
+                self.directive()
             else:
-                self.parse_statement()
-        return Graph(self.triples)
+                self.statement()
 
 
 def parse_turtle(text: str) -> Graph:
@@ -552,9 +413,10 @@ def parse_turtle(text: str) -> Graph:
 
     Relative IRIs resolve against ``@base`` when declared and are rejected
     otherwise. Anonymous ``[ ... ]`` nodes receive labels ``b1, b2, ...``
-    in document order; explicit labels are preserved verbatim.
+    in document order; explicit labels are preserved verbatim. Anonymous
+    nodes may nest at most :data:`MAX_NESTING` levels deep.
     """
-    return _TurtleParser(text).run()
+    return _Turtle(text).run()
 
 
 # --- format detection -------------------------------------------------------

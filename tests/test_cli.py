@@ -190,6 +190,46 @@ class TestInject:
         assert code == 2
 
 
+class TestHostileInputs:
+    """Inputs that once escaped as tracebacks end in one error line."""
+
+    @pytest.mark.parametrize("text", [
+        "<http://s> <http://p> " + "[ <http://p> " * 3000 + "<http://o>" + " ]" * 3000 + " .",
+        "@base <http://[> .\n<x> <http://p> <http://o> .\n",
+    ], ids=["deep-nesting", "unresolvable-base"])
+    def test_parse_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "hostile.ttl"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "parse", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_blank_reference_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "inject", PAV_TTL, "--reference", "   ",
+                           "--out", str(tmp_path / "o.nt"))
+        assert code == 2
+        assert err == "error: reference text is empty\n"
+        assert not (tmp_path / "o.nt").exists()
+
+    @pytest.mark.parametrize("date", ["2023-02-31", "2014-13-01"])
+    def test_impossible_date_is_missing_everywhere(self, capsys, tmp_path, date):
+        path = tmp_path / "dated.ttl"
+        path.write_text(
+            "@prefix dcterms: <http://purl.org/dc/terms/> .\n"
+            "<http://example.org/o> a <http://www.w3.org/2002/07/owl#Ontology> ;\n"
+            f'    dcterms:title "Dated" ; dcterms:creator "Ann Author" ;\n'
+            f'    dcterms:issued "{date}" .\n',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "cite", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: missing mandatory citation field: date\n"
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        codes = [line.split("\t")[0] for line in out.splitlines()]
+        assert "E-DATE-MISSING" in codes and "E-DATE-FORMAT" not in codes
+
+
 class TestCheckMutual:
     def test_both_sides_hold(self, capsys, tmp_path):
         injected = tmp_path / "injected.nt"

@@ -155,6 +155,11 @@ class TestExtractMetadata:
         g = header(Triple(ONTO, DCTERMS_ISSUED, Literal("August 2014")))
         assert extract_metadata(g).date is None
 
+    @pytest.mark.parametrize("value", ["2023-02-31", "2014-13-01", "0000-01-01"])
+    def test_impossible_date_stays_absent(self, value):
+        g = header(Triple(ONTO, DCTERMS_ISSUED, Literal(value)))
+        assert extract_metadata(g).date is None
+
     def test_title_ladder_precedence(self):
         g = header(
             Triple(ONTO, DC_TITLE, Literal("Lower Rung")),

@@ -6,6 +6,7 @@ from ontocite import (
     Iri,
     Literal,
     NotOntologyNodeError,
+    OntociteError,
     Triple,
     check_publication_side,
     inject_reference,
@@ -44,6 +45,10 @@ class TestInjectReference:
     def test_empty_text_rejected(self, pav_graph):
         with pytest.raises(ValueError):
             inject_reference(pav_graph, PAV, "   ", "en")
+
+    def test_empty_text_is_an_ontocite_error(self, pav_graph):
+        with pytest.raises(OntociteError):
+            inject_reference(pav_graph, PAV, "", "en")
 
     def test_language_tag_normalized(self, pav_graph):
         g = inject_reference(pav_graph, PAV, "Ref.", "EN")

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontocite import (
     BlankNode,
@@ -14,6 +15,7 @@ from ontocite import (
     parse_turtle,
     serialize_ntriples,
 )
+from ontocite.rdfio import MAX_NESTING
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
 from conftest import HEADERS, NETWORK
@@ -21,6 +23,83 @@ from strategies import graphs
 
 A = "<http://a>"
 P = "<http://p>"
+
+# One input per distinct ParseError text, with the (line, column, message)
+# each must keep.
+ERROR_TABLE = [
+    # N-Triples
+    ("nt", '<http://a> <http://p> "x\\', 1, 25, "unterminated escape sequence"),
+    ("nt", '<http://a> <http://p> "\\u12G4" .', 1, 24, "\\u escape needs 4 hex digits"),
+    ("nt", '<http://a> <http://p> "\\U0000004" .', 1, 24, "\\U escape needs 8 hex digits"),
+    ("nt", '<http://a> <http://p> "\\uDC00" .', 1, 24,
+     "escape does not denote a valid character: U+DC00"),
+    ("nt", '<http://a> <http://p> "\\U00110000" .', 1, 24,
+     "escape does not denote a valid character: U+110000"),
+    ("nt", '<http://a> <http://p> "bad\\q" .', 1, 27, "invalid escape sequence: \\q"),
+    ("nt", "<http://a\\n> <http://p> <http://a> .", 1, 10, "invalid escape sequence: \\n"),
+    ("nt", "<http://a> <http://p> <http://o", 1, 23, "unterminated IRI"),
+    ("nt", "<http://a> <http://p> <http://o o> .", 1, 32, "character not allowed in IRI: ' '"),
+    ("nt", "_: <http://p> <http://a> .", 1, 1, "blank node label is empty"),
+    ("nt", '<http://a> <http://p> "abc', 1, 23, "unterminated string"),
+    ("nt", '<http://a> <http://p> "ab\ncd" .', 1, 23, "newline inside string literal"),
+    ("nt", '<http://a> <http://p> "x"@1a .', 1, 26, "language tag must start with a letter"),
+    ("nt", '<http://a> <http://p> "x"@toolongtag .', 1, 23,
+     "malformed language tag: 'toolongtag'"),
+    ("nt", "<rel> <http://p> <http://a> .", 1, 1, "IRI lacks a scheme: 'rel'"),
+    ("nt", "<http://a> <> <http://a> .", 1, 12, "IRI must be non-empty"),
+    ("nt", "<http://a\\u0020b> <http://p> <http://a> .", 1, 1,
+     "IRI contains forbidden character(s) ' ': 'http://a b'"),
+    ("nt", '"s" <http://p> <http://a> .', 1, 1, "expected subject"),
+    ("nt", "<http://a> <http://p> [] .", 1, 23,
+     "expected object (IRI, blank node, or literal)"),
+    ("nt", '<http://a> <http://p> "x"^^xsd:int .', 1, 28, "datatype must be an IRI"),
+    ("nt", "<http://a> p <http://a> .", 1, 12, "expected predicate IRI"),
+    ("nt", "<http://a> <http://p> <http://a>\n.", 1, 33, "expected '.' at end of statement"),
+    ("nt", "<http://a> <http://p> <http://a> . <http://a> <http://p> <http://a> .", 1, 36,
+     "expected end of line after statement"),
+    ("nt", '<http://a> <http://p> """x""" .', 1, 25, "expected '.' at end of statement"),
+    # Turtle
+    ("ttl", '<http://a> <http://p> """abc""', 1, 23, "unterminated long string"),
+    ("ttl", "@prefix x: <http://x/>\n<http://s> a <http://o> .", 2, 1,
+     "expected '.' after @prefix declaration"),
+    ("ttl", "@base <http://b/> <http://s> a <http://o> .", 1, 19,
+     "expected '.' after @base declaration"),
+    ("ttl", "<http://a> <http://p> [ <http://p> <http://a> .", 1, 47,
+     "expected ']' closing anonymous node"),
+    ("ttl", "<http://a> <http://p> <rel> .", 1, 23, "relative IRI without @base: 'rel'"),
+    ("ttl", "@base <http://b/> .\n<http://s> <p\\u0020q> <o> .", 2, 12,
+     "IRI contains forbidden character(s) ' ': 'http://b/p q'"),
+    ("ttl", "@prefix x: <http://x/> .\n<http://a> x <http://a> .", 2, 12,
+     "expected prefixed name"),
+    ("ttl", "<http://a> y:p <http://a> .", 1, 12, "undeclared prefix: 'y':"),
+    ("ttl", "@prefix x <http://x/> .", 1, 9, "expected ':' in @prefix declaration"),
+    ("ttl", '@prefix x: "http://x/" .', 1, 12, "expected IRI in @prefix declaration"),
+    ("ttl", '@base "http://b/" .', 1, 7, "expected IRI in @base declaration"),
+    ("ttl", "@prefix x: <http://x/> .\n\n  42 <http://p> <http://a> .", 3, 3,
+     "expected subject"),
+    ("ttl", "<http://a> <http://p> ( <http://a> ) .", 1, 23,
+     "unsupported construct: RDF collections are not supported"),
+    ("ttl", '<http://a> "p" <http://a> .', 1, 12, "expected predicate"),
+    ("ttl", "<http://a> <http://p> ;", 1, 23, "expected an RDF term as object"),
+    ("ttl", "<http://a> <http://p> <http://a> ;", 1, 35, "expected '.' at end of statement"),
+    ("ttl", "<http://a> <http://p> <http://a> ;; <http://p> <http://a> .", 1, 37,
+     "expected '.' at end of statement"),
+    ("ttl", '<http://a> <http://p> "x"^^ x:y .', 1, 28, "expected prefixed name"),
+    ("ttl", '<http://a> <http://p> "x"@en-toolongsubtag .', 1, 23,
+     "malformed language tag: 'en-toolongsubtag'"),
+    ("ttl", "@prefixfoo: <http://f/> .\nfoo:s a foo:o . ?", 2, 17, "expected subject"),
+    ("ttl", "@base <http://[> .\n<x> <http://p> <http://o> .", 2, 1,
+     "cannot resolve 'x' against @base: Invalid IPv6 URL"),
+]
+
+# Characters that drive the parsers through their syntax branches.
+SYNTAX_TEXT = st.text(
+    alphabet='<>"\\#@^_:.;,[]()abcpxyzAEUu019+-\n ', max_size=80
+)
+
+
+def nested(depth: int) -> str:
+    return f"{A} {P} " + "[ <http://p> " * depth + A + " ]" * depth + " ."
 
 
 class TestNTriples:
@@ -83,6 +162,24 @@ class TestNTriples:
     def test_relative_iri_rejected(self):
         with pytest.raises(ParseError):
             parse_ntriples("<relative> <http://p> <http://o> .")
+
+
+class TestBothSyntaxes:
+    @pytest.mark.parametrize("kind,text,line,column,message", ERROR_TABLE)
+    def test_error_table(self, kind, text, line, column, message):
+        parse = parse_turtle if kind == "ttl" else parse_ntriples
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
+    @settings(max_examples=300)
+    @given(text=SYNTAX_TEXT)
+    def test_only_graph_or_parse_error(self, text):
+        for parse in (parse_turtle, parse_ntriples):
+            try:
+                assert isinstance(parse(text), Graph)
+            except ParseError:
+                pass
 
 
 class TestSerializer:
@@ -196,6 +293,21 @@ class TestTurtle:
         with pytest.raises(ParseError) as exc:
             parse_turtle(text)
         assert exc.value.line == 3
+
+    def test_nesting_up_to_the_limit(self):
+        assert len(parse_turtle(nested(MAX_NESTING))) == MAX_NESTING + 1
+
+    def test_deep_nesting_rejected_at_the_offending_bracket(self):
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(nested(3000))
+        column = len(f"{A} {P} ") + len("[ <http://p> ") * MAX_NESTING + 1
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert "nested deeper than" in exc.value.message
+
+    def test_unresolvable_base_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_turtle("@base <http://[> .\n<x> <http://p> <http://o> .")
+        assert (exc.value.line, exc.value.column) == (2, 1)
 
     def test_bnode_subject_property_list(self):
         g = parse_turtle('[ <http://p> "x" ] <http://q> "y" .')
