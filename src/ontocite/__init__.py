@@ -19,6 +19,7 @@ from .citation import (
     render_json,
 )
 from .exceptions import (
+    CitationJsonError,
     CitationParseError,
     DuplicateOntologyError,
     EmptyNameError,
@@ -27,6 +28,7 @@ from .exceptions import (
     NoOntologyNodeError,
     NotOntologyNodeError,
     OntociteError,
+    OntociteWarning,
     ParseError,
     RdfModelError,
     UnknownFormatError,
@@ -76,6 +78,7 @@ __all__ = [
     "Agent",
     "BlankNode",
     "CitationGraph",
+    "CitationJsonError",
     "CitationParseError",
     "CitationRecord",
     "DIAGNOSTIC_CODES",
@@ -94,6 +97,7 @@ __all__ = [
     "NotOntologyNodeError",
     "OntologyMetadata",
     "OntociteError",
+    "OntociteWarning",
     "ParseError",
     "RdfModelError",
     "Term",

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exceptions import CitationParseError, MissingFieldError, RdfModelError
-from .extract import Agent, OntologyMetadata
+from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
+from .extract import _DATE_RE, Agent, OntologyMetadata
 from .model import Iri
 
 _DATE_GROUP_RE = re.compile(r"\((\d{4}-\d{2}-\d{2})\)\.(?= |$)")
@@ -210,29 +210,60 @@ def render_json(record: CitationRecord) -> str:
     return json.dumps(record_to_dict(record), ensure_ascii=False, indent=2) + "\n"
 
 
+_JSON_TYPES = {str: "a string", bool: "a boolean", list: "an array"}
+
+
+def _json_field(data: dict, key: str, kind: type, required: bool = False):
+    """``data[key]`` checked to be a ``kind``; None for an absent or null
+    optional key."""
+    value = data.get(key)
+    if value is None and not required:
+        return None
+    if not isinstance(value, kind):
+        problem = f"must be {_JSON_TYPES[kind]}" if key in data else "is missing"
+        raise CitationJsonError(f"citation JSON {key!r} {problem}")
+    return value
+
+
 def record_from_json(text: str) -> CitationRecord:
-    """Inverse of :func:`render_json`."""
-    data = json.loads(text)
-    for required in ("creators", "date", "full_name", "uri"):
-        if required not in data:
-            raise ValueError(f"citation JSON is missing {required!r}")
+    """Inverse of :func:`render_json`.
+
+    Malformed JSON, a non-object, a missing key, an empty creator list, a
+    wrongly typed field or a date not shaped ``YYYY-MM-DD`` raise
+    :class:`CitationJsonError`; a bad URI raises :class:`RdfModelError`.
+    """
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CitationJsonError(f"citation JSON is malformed: {exc}") from None
+    if not isinstance(data, dict):
+        raise CitationJsonError("citation JSON must be an object")
+    entries = _json_field(data, "creators", list, required=True)
+    if not entries or not all(isinstance(entry, dict) for entry in entries):
+        raise CitationJsonError("citation JSON 'creators' must be a non-empty array of objects")
+    formats = _json_field(data, "formats", list) or []
+    if not all(isinstance(label, str) for label in formats):
+        raise CitationJsonError("citation JSON 'formats' must hold only strings")
+    date = _json_field(data, "date", str, required=True)
+    if not _DATE_RE.fullmatch(date):
+        raise CitationJsonError(f"citation JSON 'date' must be YYYY-MM-DD: {date!r}")
     creators = tuple(
         Agent(
-            surname=entry["surname"],
-            initials=entry.get("initials"),
-            organization=bool(entry.get("organization", False)),
+            surname=_json_field(entry, "surname", str, required=True),
+            initials=_json_field(entry, "initials", str),
+            organization=_json_field(entry, "organization", bool) or False,
         )
-        for entry in data["creators"]
+        for entry in entries
     )
     return CitationRecord(
         creators=creators,
-        date=data["date"],
-        full_name=data["full_name"],
-        uri=Iri(data["uri"]),
-        acronym=data.get("acronym"),
-        version=data.get("version"),
-        revision=data.get("revision"),
-        formats=tuple(data.get("formats", ())),
+        date=date,
+        full_name=_json_field(data, "full_name", str, required=True),
+        uri=Iri(_json_field(data, "uri", str, required=True)),
+        acronym=_json_field(data, "acronym", str),
+        version=_json_field(data, "version", str),
+        revision=_json_field(data, "revision", str),
+        formats=tuple(formats),
     )
 
 

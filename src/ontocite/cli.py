@@ -2,9 +2,9 @@
 
 Subcommands: cite, parse, validate, inject, check-mutual, network.
 Standard output is plain, machine-processable text and byte-deterministic
-for fixed inputs; warnings go to standard error. Exit status: 0 success,
-1 validation failure or mutual-citation not satisfied, 2 usage, parse, or
-I/O failure.
+for fixed inputs; warnings go to standard error as ``warning:`` lines,
+before any ``error:`` line. Exit status: 0 success, 1 validation failure
+or mutual-citation not satisfied, 2 usage, parse, or I/O failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from typing import List, Optional, Tuple
 
 from .citation import (
@@ -23,7 +24,7 @@ from .citation import (
     render_canonical,
     render_json,
 )
-from .exceptions import OntociteError
+from .exceptions import OntociteError, OntociteWarning
 from .extract import derive_acronym, extract_metadata, find_ontology_iri
 from .model import Graph, Iri
 from .mutual import (
@@ -41,47 +42,39 @@ _PARSEABLE = {"turtle", "n-triples"}
 _RDF_SUFFIXES = (".ttl", ".nt", ".n3", ".owl", ".rdf", ".obo")
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            return handle.read()
     except OSError as exc:
         raise OntociteError(f"cannot read {path}: {exc}") from None
+
+
+def _decode(path: str, data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise OntociteError(f"{path} is not valid UTF-8: {exc}") from None
 
 
-def _detect(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            prefix = handle.read(2048)
-    except OSError as exc:
-        raise OntociteError(f"cannot read {path}: {exc}") from None
-    return detect_format_label(os.path.basename(path), prefix.decode("utf-8", "replace"))
-
-
 def _load_graph(path: str) -> Tuple[Graph, str]:
-    """Detect, read, and parse a file; returns (graph, format label)."""
-    label = _detect(path)
+    """Read a file once, detect its format from the first 2,048 bytes, and
+    parse it; returns (graph, format label)."""
+    data = _read_bytes(path)
+    label = detect_format_label(os.path.basename(path), data[:2048].decode("utf-8", "replace"))
     if label not in _PARSEABLE:
         raise OntociteError(
             f"{path}: {label} input is not parsed natively; "
             "convert to Turtle or N-Triples first"
         )
-    text = _read_text(path)
+    text = _decode(path, data)
+    del data  # not needed while parsing
     try:
         if label == "turtle":
             return parse_turtle(text), label
         return parse_ntriples(text), label
     except OntociteError as exc:
         raise OntociteError(f"{path}: {exc}") from None
-
-
-def _emit_warnings(warnings: List[str]) -> None:
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
 
 
 def _looks_like_file(argument: str) -> bool:
@@ -99,9 +92,7 @@ def _looks_like_file(argument: str) -> bool:
 
 def _cmd_cite(args: argparse.Namespace) -> int:
     graph, label = _load_graph(args.path)
-    warnings: List[str] = []
-    meta = extract_metadata(graph, fmt=args.format_label or label, warnings=warnings)
-    _emit_warnings(warnings)
+    meta = extract_metadata(graph, fmt=args.format_label or label)
     record = build_record(meta, derive_acronym(meta, graph))
     if args.style == "canonical":
         print(render_canonical(record))
@@ -125,9 +116,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     if _looks_like_file(args.input):
         graph, label = _load_graph(args.input)
-        warnings: List[str] = []
-        meta = extract_metadata(graph, fmt=label, warnings=warnings)
-        _emit_warnings(warnings)
+        meta = extract_metadata(graph, fmt=label)
         split = derive_acronym(meta, graph) if meta.title else None
         diagnostics = validate_record(draft_fields(meta, split))
     else:
@@ -139,10 +128,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     graph, _ = _load_graph(args.path)
-    warnings: List[str] = []
-    onto = find_ontology_iri(graph, warnings)
-    _emit_warnings(warnings)
-    injected = inject_reference(graph, onto, args.reference, args.lang)
+    injected = inject_reference(graph, find_ontology_iri(graph), args.reference, args.lang)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(serialize_ntriples(injected))
@@ -153,13 +139,11 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 def _cmd_check_mutual(args: argparse.Namespace) -> int:
     graph, label = _load_graph(args.onto_path)
-    warnings: List[str] = []
-    meta = extract_metadata(graph, fmt=label, warnings=warnings)
+    meta = extract_metadata(graph, fmt=label)
     record = build_record(meta, derive_acronym(meta, graph))
-    refs = list_references(graph, meta.ontology_iri, include_legacy=True, warnings=warnings)
-    _emit_warnings(warnings)
-    result = check_publication_side(_read_text(args.reflist_path), record,
-                                    threshold=args.threshold)
+    refs = list_references(graph, meta.ontology_iri, include_legacy=True)
+    reflist = _decode(args.reflist_path, _read_bytes(args.reflist_path))
+    result = check_publication_side(reflist, record, threshold=args.threshold)
     ontology_side = bool(refs)
     print(f"ontology-side\t{'true' if ontology_side else 'false'}")
     line = f"publication-side\t{'true' if result.found else 'false'}"
@@ -172,9 +156,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
     corpus: List[Tuple[Graph, Iri]] = []
     for path in args.paths:
         graph, _ = _load_graph(path)
-        warnings: List[str] = []
-        corpus.append((graph, find_ontology_iri(graph, warnings)))
-        _emit_warnings(warnings)
+        corpus.append((graph, find_ontology_iri(graph)))
     unparsed: List[Tuple[Iri, str]] = []
     network = build_network(corpus, unparsed=unparsed)
     if args.dot:
@@ -242,14 +224,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except OntociteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OntociteWarning)
+        try:
+            code, error = args.func(args), None
+        except (OntociteError, OSError) as exc:
+            code, error = 2, exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

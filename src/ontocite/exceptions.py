@@ -7,6 +7,10 @@ class OntociteError(Exception):
     """Base class for every error raised by this package."""
 
 
+class OntociteWarning(UserWarning):
+    """An ambiguous input was read one way of several; the message says how."""
+
+
 class RdfModelError(OntociteError, ValueError):
     """A term, triple, or graph was constructed with invalid structure."""
 
@@ -73,6 +77,10 @@ class CitationParseError(OntociteError):
         self.expected = expected
         self.message = message
         super().__init__(f"at offset {position}: expected {expected}: {message}")
+
+
+class CitationJsonError(OntociteError, ValueError):
+    """Citation JSON does not hold a well-formed citation record."""
 
 
 class DuplicateOntologyError(OntociteError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,6 +20,7 @@ from .exceptions import (
     EmptyNameError,
     MissingFieldError,
     NoOntologyNodeError,
+    OntociteWarning,
     UnresolvableAgentError,
 )
 from .model import BlankNode, Graph, Iri, Literal, Term
@@ -56,11 +58,11 @@ class OntologyMetadata:
     publication_refs: Tuple[str, ...] = ()
 
 
-def find_ontology_iri(g: Graph, warnings: Optional[List[str]] = None) -> Iri:
+def find_ontology_iri(g: Graph) -> Iri:
     """The IRI subject typed as an ontology.
 
-    With several candidates the lexicographically smallest wins and a
-    warning is appended to ``warnings`` (when given).
+    With several candidates the lexicographically smallest wins and an
+    :class:`OntociteWarning` is issued.
     """
     subjects = sorted(
         {t.subject.value for t in g.match(None, vocab.RDF_TYPE, vocab.OWL_ONTOLOGY)
@@ -70,9 +72,10 @@ def find_ontology_iri(g: Graph, warnings: Optional[List[str]] = None) -> Iri:
         raise NoOntologyNodeError(
             f"no subject typed <{vocab.OWL_ONTOLOGY.value}> found in the graph"
         )
-    if len(subjects) > 1 and warnings is not None:
+    if len(subjects) > 1:
         others = ", ".join(f"<{s}>" for s in subjects[1:])
-        warnings.append(f"multiple ontology nodes; using <{subjects[0]}>, ignoring {others}")
+        warnings.warn(f"multiple ontology nodes; using <{subjects[0]}>, ignoring {others}",
+                      OntociteWarning, stacklevel=2)
     return Iri(subjects[0])
 
 
@@ -130,17 +133,13 @@ def resolve_agent_name(g: Graph, t: Term) -> Agent:
 
 
 def _node_name(g: Graph, node: Term) -> Optional[str]:
-    for prop in vocab.AGENT_NAME_LADDER:
-        values = [t.object.lexical for t in g.match(node, prop, None)
-                  if isinstance(t.object, Literal) and t.object.lexical.strip()]
-        if values:
-            return sorted(values)[0]
-    given = [t.object.lexical for t in g.match(node, vocab.FOAF_GIVEN_NAME, None)
-             if isinstance(t.object, Literal) and t.object.lexical.strip()]
-    family = [t.object.lexical for t in g.match(node, vocab.FOAF_FAMILY_NAME, None)
-              if isinstance(t.object, Literal) and t.object.lexical.strip()]
+    _, names = _rung_literals(g, node, vocab.AGENT_NAME_LADDER)
+    if names:
+        return min(v.lexical for v in names)
+    _, given = _rung_literals(g, node, (vocab.FOAF_GIVEN_NAME,))
+    _, family = _rung_literals(g, node, (vocab.FOAF_FAMILY_NAME,))
     if given and family:
-        return f"{sorted(given)[0]} {sorted(family)[0]}"
+        return f"{min(v.lexical for v in given)} {min(v.lexical for v in family)}"
     return None
 
 
@@ -150,14 +149,17 @@ def _is_organization(g: Graph, node: Term) -> bool:
     )
 
 
-def _rung_literals(g: Graph, subject: Iri, ladder: Sequence[Iri]) -> List[Literal]:
-    """Literal values of the first ladder property that has any."""
+def _rung_literals(
+    g: Graph, subject: Term, ladder: Sequence[Iri]
+) -> Tuple[Optional[Iri], List[Literal]]:
+    """The first ladder property with a non-blank literal value, and those
+    values; ``(None, [])`` when no rung has any."""
     for prop in ladder:
         values = [t.object for t in g.match(subject, prop, None)
                   if isinstance(t.object, Literal) and t.object.lexical.strip()]
         if values:
-            return values
-    return []
+            return prop, values
+    return None, []
 
 
 def _preferred_literal(values: Sequence[Literal]) -> Optional[str]:
@@ -204,19 +206,16 @@ def _version_of(prop: Iri, value: str) -> str:
     return text
 
 
-def extract_metadata(
-    g: Graph,
-    fmt: Optional[str] = None,
-    warnings: Optional[List[str]] = None,
-) -> OntologyMetadata:
+def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
     """Extract the bibliographic fields feeding a citation record.
 
     Missing optional fields stay absent; only the ontology node itself is
-    mandatory. Creators are sorted by surname, then initials.
+    mandatory. Creators are sorted by surname, then initials; a creator
+    that cannot be resolved is skipped with an :class:`OntociteWarning`.
     """
-    onto = find_ontology_iri(g, warnings)
+    onto = find_ontology_iri(g)
 
-    title = _preferred_literal(_rung_literals(g, onto, vocab.TITLE_LADDER))
+    title = _preferred_literal(_rung_literals(g, onto, vocab.TITLE_LADDER)[1])
 
     creators: List[Agent] = []
     for prop in vocab.CREATOR_LADDER:
@@ -227,31 +226,18 @@ def extract_metadata(
             try:
                 creators.append(resolve_agent_name(g, obj))
             except (UnresolvableAgentError, EmptyNameError) as exc:
-                if warnings is not None:
-                    warnings.append(f"skipping creator: {exc}")
+                warnings.warn(f"skipping creator: {exc}", OntociteWarning, stacklevel=2)
         break
     creators.sort(key=lambda a: (a.surname, a.initials or ""))
 
-    date: Optional[str] = None
-    date_values = _rung_literals(g, onto, vocab.DATE_LADDER)
-    normalized = sorted(d for d in (_normalize_date(v.lexical) for v in date_values) if d)
-    if normalized:
-        date = normalized[0]
+    _, date_values = _rung_literals(g, onto, vocab.DATE_LADDER)
+    date = min(filter(None, (_normalize_date(v.lexical) for v in date_values)), default=None)
 
-    version: Optional[str] = None
-    version_rung: List[str] = []
-    for prop in vocab.VERSION_LADDER:
-        values = [t.object for t in g.match(onto, prop, None)
-                  if isinstance(t.object, Literal) and t.object.lexical.strip()]
-        if values:
-            version_rung = sorted(_version_of(prop, v.lexical) for v in values)
-            break
-    if version_rung:
-        version = version_rung[0]
+    version_prop, version_values = _rung_literals(g, onto, vocab.VERSION_LADDER)
+    version = min((_version_of(version_prop, v.lexical) for v in version_values), default=None)
 
-    revisions = sorted(t.object.lexical for t in g.match(onto, vocab.ONTOCITE_REVISION, None)
-                       if isinstance(t.object, Literal) and t.object.lexical.strip())
-    revision = revisions[0] if revisions else None
+    _, revisions = _rung_literals(g, onto, (vocab.ONTOCITE_REVISION,))
+    revision = min((v.lexical for v in revisions), default=None)
 
     publication_refs = tuple(
         t.object.lexical for t in g.match(onto, vocab.DCTERMS_REFERENCES, None)
@@ -295,15 +281,11 @@ def derive_acronym(meta: OntologyMetadata, g: Graph) -> Tuple[Optional[str], str
 
 
 def _explicit_acronym(g: Graph, onto: Iri) -> Optional[str]:
-    for prop in vocab.ACRONYM_LADDER:
-        values = sorted(t.object.lexical.strip() for t in g.match(onto, prop, None)
-                        if isinstance(t.object, Literal) and t.object.lexical.strip())
-        if values:
-            value = values[0]
-            if prop == vocab.VANN_PREFERRED_NAMESPACE_PREFIX:
-                value = value.upper()
-            return value
-    return None
+    prop, values = _rung_literals(g, onto, vocab.ACRONYM_LADDER)
+    value = min((v.lexical.strip() for v in values), default=None)
+    if value is not None and prop == vocab.VANN_PREFERRED_NAMESPACE_PREFIX:
+        return value.upper()
+    return value
 
 
 def _split_title(title: str) -> Optional[Tuple[str, str]]:

@@ -87,19 +87,13 @@ class BlankNode:
 
 Term = Union[Iri, Literal, BlankNode]
 
-_LEXICAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_LEXICAL_ESCAPES = {chr(code): f"\\u{code:04X}" for code in (*range(0x20), 0x7F)}
+_LEXICAL_ESCAPES.update({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_LEXICAL_ESCAPE_RE = re.compile(r'[\\"\x00-\x1f\x7f]')
 
 
 def _escape_lexical(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _LEXICAL_ESCAPES:
-            out.append(_LEXICAL_ESCAPES[ch])
-        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _LEXICAL_ESCAPE_RE.sub(lambda m: _LEXICAL_ESCAPES[m.group()], text)
 
 
 def nt(term: Term) -> str:

@@ -11,11 +11,12 @@ house-styled rendering still matches but a different ontology never does.
 from __future__ import annotations
 
 import string
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .citation import CitationRecord, render_canonical
-from .exceptions import EmptyReferenceError, NotOntologyNodeError
+from .exceptions import EmptyReferenceError, NotOntologyNodeError, OntociteWarning
 from .model import Graph, Iri, Literal, Triple
 from .vocab import DC_RELATION, DCTERMS_REFERENCES, OWL_ONTOLOGY, RDF_TYPE
 
@@ -50,16 +51,13 @@ def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: Optional[str]) ->
 
 
 def list_references(
-    g: Graph,
-    onto: Iri,
-    include_legacy: bool = False,
-    warnings: Optional[List[str]] = None,
+    g: Graph, onto: Iri, include_legacy: bool = False
 ) -> List[Tuple[str, Optional[str]]]:
     """All publication references on the ontology node, as (text, lang)
     pairs in graph iteration order.
 
     With ``include_legacy`` set, ``dc:relation`` literal values are
-    appended as candidate references, each with a warning.
+    appended as candidate references, each with an :class:`OntociteWarning`.
     """
     refs = [
         (t.object.lexical, t.object.lang)
@@ -70,11 +68,8 @@ def list_references(
         for t in g.match(onto, DC_RELATION, None):
             if isinstance(t.object, Literal):
                 refs.append((t.object.lexical, t.object.lang))
-                if warnings is not None:
-                    warnings.append(
-                        "treating legacy dc:relation value as a publication "
-                        f"reference: {t.object.lexical[:60]!r}"
-                    )
+                warnings.warn("treating legacy dc:relation value as a publication reference: "
+                              f"{t.object.lexical[:60]!r}", OntociteWarning, stacklevel=2)
     return refs
 
 

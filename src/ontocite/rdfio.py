@@ -48,6 +48,8 @@ _PNAME_NS_RE = re.compile(r"([A-Za-z0-9_\-]*):")
 # A dot belongs to the local name only when another name character follows.
 _PNAME_RE = re.compile(r"([A-Za-z0-9_\-]*):((?:[A-Za-z0-9_\-%]+|\.(?=[A-Za-z0-9_\-.%]))*)")
 _PNAME_START_RE = re.compile(r"[A-Za-z:]")
+# A keyword ends where a LANGTAG would: '@prefixfoo' is neither directive.
+_DIRECTIVE_RE = re.compile(r"@(prefix|base)(?![A-Za-z0-9\-])")
 _KEYWORD_RE = re.compile(r"(?:a|true|false)(?![A-Za-z0-9_\-:])")
 _NUMBER_RE = re.compile(
     r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)"
@@ -355,20 +357,16 @@ class _Turtle(_Scanner):
                 self.pos += 1
             if self.peek() != ";":
                 return
-            self.pos += 1
-            self.skip()
-            # tolerate trailing / repeated semicolons; "" (end of input) is
-            # "in" every terminator string, so the caller reports it
-            if self.peek() in terminators or self.peek() == ";":
-                while self.peek() == ";":
-                    self.pos += 1
-                    self.skip()
+            # any run of ';' may separate pairs or end the list; "" (end of
+            # input) is "in" every terminator string, so the caller reports it
+            while self.peek() == ";":
+                self.pos += 1
+                self.skip()
+            if self.peek() in terminators:
                 return
 
-    def directive(self) -> None:
-        """An ``@prefix`` or ``@base`` declaration."""
-        name = "prefix" if self.text.startswith("@prefix", self.pos) else "base"
-        self.pos += 1 + len(name)
+    def directive(self, name: str) -> None:
+        """An ``@prefix`` or ``@base`` declaration, after its keyword."""
         self.skip()
         if name == "prefix":
             m = _PNAME_NS_RE.match(self.text, self.pos)
@@ -402,8 +400,10 @@ class _Turtle(_Scanner):
             self.skip()
             if self.pos >= len(self.text):
                 return Graph(self.triples)
-            if self.text.startswith(("@prefix", "@base"), self.pos):
-                self.directive()
+            m = _DIRECTIVE_RE.match(self.text, self.pos)
+            if m:
+                self.pos = m.end()
+                self.directive(m.group(1))
             else:
                 self.statement()
 

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from ontocite import (
     Agent,
+    CitationJsonError,
     CitationParseError,
     CitationRecord,
     Iri,
     MissingFieldError,
+    OntociteError,
     OntologyMetadata,
     build_record,
     derive_acronym,
     extract_metadata,
     parse_canonical,
     record_from_json,
+    record_to_dict,
     render_bibtex,
     render_canonical,
     render_json,
@@ -352,3 +355,62 @@ class TestRenderJson:
             formats=tuple(record.formats),
         )
         assert render_json(record) == render_json(clone)
+
+
+_PAV_JSON = record_to_dict(pav_record())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _pav_json(**changes):
+    data = {**_PAV_JSON, **changes}
+    return json.dumps({key: value for key, value in data.items() if value is not None})
+
+
+class TestRecordFromJson:
+    @pytest.mark.parametrize("text", [
+        "1",
+        _pav_json(creators="ab"),
+        "{",
+        _pav_json(creators=[{"initials": "P.", "organization": False}]),
+        _pav_json(date=1),
+    ], ids=["not-an-object", "creators-string", "malformed", "no-surname", "date-number"])
+    def test_defective_json_raises_citation_json_error(self, text):
+        with pytest.raises(CitationJsonError):
+            record_from_json(text)
+
+    def test_missing_key_is_still_a_value_error(self):
+        with pytest.raises(ValueError, match="'uri' is missing"):
+            record_from_json(_pav_json(uri=None))
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("date", "2014", "date"),
+        ("formats", ["turtle", 1], "formats"),
+        ("acronym", ["PAV"], "acronym"),
+        ("creators", [], "creators"),
+        ("creators", [{"surname": "X", "organization": "no"}], "organization"),
+    ])
+    def test_wrongly_typed_fields_rejected(self, field, value, named):
+        with pytest.raises(CitationJsonError, match=named):
+            record_from_json(_pav_json(**{field: value}))
+
+    @given(text=st.text())
+    @settings(max_examples=300)
+    def test_arbitrary_text_is_a_record_or_an_ontocite_error(self, text):
+        try:
+            assert isinstance(record_from_json(text), CitationRecord)
+        except OntociteError:
+            pass
+
+    @given(field=st.sampled_from(sorted(_PAV_JSON)), value=_JSON_VALUES)
+    @settings(max_examples=300)
+    def test_any_field_value_renders_or_raises_an_ontocite_error(self, field, value):
+        try:
+            record = record_from_json(json.dumps({**_PAV_JSON, field: value}))
+        except OntociteError:
+            return
+        render_canonical(record)
+        render_bibtex(record)

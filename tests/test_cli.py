@@ -315,3 +315,131 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+MULTI_TTL = str(HEADERS / "multi.ttl")
+MULTI_WARNING = (
+    "warning: multiple ontology nodes; using <http://example.org/alpha>, "
+    "ignoring <http://example.org/zeta>\n"
+)
+NOBODY_WARNING = (
+    "warning: skipping creator: no name property found on agent node "
+    "Iri(value='http://example.org/nobody')\n"
+)
+ONTO_HEADER = """\
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix dcterms: <http://purl.org/dc/terms/> .
+@prefix dc: <http://purl.org/dc/elements/1.1/> .
+
+<http://example.org/onto> a owl:Ontology ;
+    dcterms:title "Onto Vocabulary" ;
+    dcterms:issued "2020-05-06" ;
+"""
+ONTO_CITATION = "Alpha, A. (2020-05-06). Onto Vocabulary. http://example.org/onto [turtle]\n"
+
+
+def onto_file(tmp_path, name, tail):
+    path = tmp_path / name
+    path.write_text(ONTO_HEADER + tail, encoding="utf-8")
+    return str(path)
+
+
+class TestWarnings:
+    """Warnings go to stderr as ``warning:`` lines, before any ``error:``
+    line; stdout does not change."""
+
+    def test_cite_multiple_ontology_nodes(self, capsys):
+        assert run(capsys, "cite", MULTI_TTL) == (
+            0,
+            "Example, A. (2020-05-06). Alpha Vocabulary. http://example.org/alpha [turtle]\n",
+            MULTI_WARNING,
+        )
+
+    def test_validate_multiple_ontology_nodes(self, capsys):
+        assert run(capsys, "validate", MULTI_TTL) == (
+            0, "W-VERSION-MISSING\twarning\tno version given\n", MULTI_WARNING,
+        )
+
+    def test_inject_multiple_ontology_nodes(self, capsys, tmp_path):
+        out = tmp_path / "out.nt"
+        assert run(capsys, "inject", MULTI_TTL, "--reference", "Ref.", "--out", str(out)) == (
+            0, "", MULTI_WARNING,
+        )
+        assert '<http://example.org/alpha> <http://purl.org/dc/terms/references> "Ref."@en .' \
+            in out.read_text("utf-8")
+
+    def test_network_warns_per_file_before_the_error(self, capsys):
+        code, out, err = run(capsys, "network", MULTI_TTL, str(HEADERS / "multi.nt"), "--dot")
+        assert (code, out) == (2, "")
+        assert err == (
+            MULTI_WARNING + MULTI_WARNING
+            + "error: ontology appears twice in the corpus: <http://example.org/alpha>\n"
+        )
+
+    def test_network_counts_multiple_ontology_nodes(self, capsys):
+        code, out, err = run(capsys, "network", MULTI_TTL, NET_PATHS[0], "--counts")
+        assert code == 0
+        assert "http://example.org/alpha" in json.loads(out)["counts"]
+        assert err == MULTI_WARNING
+
+    def test_unresolvable_creator(self, capsys, tmp_path):
+        path = onto_file(tmp_path, "nobody.ttl",
+                         '    dcterms:creator <http://example.org/nobody>, "Ann Alpha" .\n')
+        assert run(capsys, "cite", path) == (0, ONTO_CITATION, NOBODY_WARNING)
+
+    def test_unresolvable_sole_creator_warns_then_errors(self, capsys, tmp_path):
+        path = onto_file(tmp_path, "nobody.ttl",
+                         "    dcterms:creator <http://example.org/nobody> .\n")
+        assert run(capsys, "cite", path) == (
+            2, "", NOBODY_WARNING + "error: missing mandatory citation field: creator\n",
+        )
+
+    def test_check_mutual_legacy_relation(self, capsys, tmp_path):
+        path = onto_file(tmp_path, "legacy.ttl", (
+            '    dcterms:creator "Ann Alpha" ;\n'
+            '    dc:relation "Alpha, A. (2019). A paper about the Onto Vocabulary. '
+            'Journal of Examples, 1, 2." .\n'
+        ))
+        refs = tmp_path / "refs.txt"
+        refs.write_text(ONTO_CITATION, encoding="utf-8")
+        assert run(capsys, "check-mutual", path, str(refs)) == (
+            0,
+            "ontology-side\ttrue\npublication-side\ttrue\tsimilarity=1.000\n",
+            "warning: treating legacy dc:relation value as a publication reference: "
+            "'Alpha, A. (2019). A paper about the Onto Vocabulary. Journal'\n",
+        )
+
+    def test_check_mutual_warns_before_a_missing_field_error(self, capsys, tmp_path):
+        path = onto_file(tmp_path, "nobody.ttl",
+                         "    dcterms:creator <http://example.org/nobody> .\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_text(ONTO_CITATION, encoding="utf-8")
+        assert run(capsys, "check-mutual", path, str(refs)) == (
+            2, "", NOBODY_WARNING + "error: missing mandatory citation field: creator\n",
+        )
+
+
+class TestInputFiles:
+    def test_non_utf8_rdfxml_is_refused_as_rdfxml(self, capsys, tmp_path):
+        path = tmp_path / "onto.rdf"
+        path.write_bytes(b'<?xml version="1.0"?>\n<rdf:RDF>\xff\xfe</rdf:RDF>\n')
+        code, out, err = run(capsys, "cite", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: rdf/xml input is not parsed natively; "
+                       "convert to Turtle or N-Triples first\n")
+
+    def test_non_utf8_turtle_is_refused_as_undecodable(self, capsys, tmp_path):
+        path = tmp_path / "onto.ttl"
+        path.write_bytes(b'<http://s> <http://p> "\xff" .\n')
+        code, out, err = run(capsys, "cite", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid UTF-8: ")
+
+    def test_each_file_is_opened_once(self, capsys, monkeypatch):
+        import builtins
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda path, *a, **k: opened.append(path) or real_open(path, *a, **k))
+        assert run(capsys, "cite", PAV_TTL)[0] == 0
+        assert opened == [PAV_TTL]

@@ -10,6 +10,7 @@ from ontocite import (
     Literal,
     MissingFieldError,
     NoOntologyNodeError,
+    OntociteWarning,
     Triple,
     UnresolvableAgentError,
     derive_acronym,
@@ -53,9 +54,9 @@ class TestFindOntologyIri:
             Triple(Iri("http://b"), RDF_TYPE, OWL_ONTOLOGY),
             Triple(Iri("http://a"), RDF_TYPE, OWL_ONTOLOGY),
         ])
-        warnings = []
-        assert find_ontology_iri(g, warnings) == Iri("http://a")
-        assert len(warnings) == 1
+        with pytest.warns(OntociteWarning, match="multiple ontology nodes") as caught:
+            assert find_ontology_iri(g) == Iri("http://a")
+        assert len(caught) == 1
 
     def test_blank_node_subjects_ignored(self):
         g = Graph([Triple(BlankNode("b"), RDF_TYPE, OWL_ONTOLOGY)])
@@ -200,10 +201,10 @@ class TestExtractMetadata:
             Triple(ONTO, DCTERMS_CREATOR, Iri("http://example.org/nobody")),
             Triple(ONTO, DCTERMS_CREATOR, Literal("Ann Alpha")),
         )
-        warnings = []
-        meta = extract_metadata(g, warnings=warnings)
+        with pytest.warns(OntociteWarning, match="skipping creator") as caught:
+            meta = extract_metadata(g)
         assert [a.surname for a in meta.creators] == ["Alpha"]
-        assert len(warnings) == 1
+        assert len(caught) == 1
 
     def test_version_info_token_split(self):
         g = parse_turtle((HEADERS / "go.ttl").read_text("utf-8"))

@@ -7,6 +7,7 @@ from ontocite import (
     Literal,
     NotOntologyNodeError,
     OntociteError,
+    OntociteWarning,
     Triple,
     check_publication_side,
     inject_reference,
@@ -82,10 +83,10 @@ class TestListReferences:
     def test_legacy_relation_read_with_warning(self, pav_graph):
         g = pav_graph.insert(Triple(PAV, DC_RELATION, Literal("Legacy ref.")))
         assert list_references(g, PAV) == []
-        warnings = []
-        refs = list_references(g, PAV, include_legacy=True, warnings=warnings)
+        with pytest.warns(OntociteWarning, match="legacy dc:relation") as caught:
+            refs = list_references(g, PAV, include_legacy=True)
         assert ("Legacy ref.", None) in refs
-        assert len(warnings) == 1
+        assert len(caught) == 1
 
 
 class TestCheckPublicationSide:

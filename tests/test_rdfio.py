@@ -82,12 +82,10 @@ ERROR_TABLE = [
     ("ttl", '<http://a> "p" <http://a> .', 1, 12, "expected predicate"),
     ("ttl", "<http://a> <http://p> ;", 1, 23, "expected an RDF term as object"),
     ("ttl", "<http://a> <http://p> <http://a> ;", 1, 35, "expected '.' at end of statement"),
-    ("ttl", "<http://a> <http://p> <http://a> ;; <http://p> <http://a> .", 1, 37,
-     "expected '.' at end of statement"),
     ("ttl", '<http://a> <http://p> "x"^^ x:y .', 1, 28, "expected prefixed name"),
     ("ttl", '<http://a> <http://p> "x"@en-toolongsubtag .', 1, 23,
      "malformed language tag: 'en-toolongsubtag'"),
-    ("ttl", "@prefixfoo: <http://f/> .\nfoo:s a foo:o . ?", 2, 17, "expected subject"),
+    ("ttl", "@prefixfoo: <http://f/> .\nfoo:s a foo:o . ?", 1, 1, "expected subject"),
     ("ttl", "@base <http://[> .\n<x> <http://p> <http://o> .", 2, 1,
      "cannot resolve 'x' against @base: Invalid IPv6 URL"),
 ]
@@ -191,6 +189,14 @@ class TestSerializer:
         text = serialize_ntriples(g)
         assert text == '<http://a> <http://p> "x" .\n'
 
+    def test_escaped_bytes(self):
+        lit = Literal('\\ " \n \r \t \x00 \x07 \x1f \x7f é')
+        g = Graph([Triple(Iri("http://a"), Iri("http://p"), lit)])
+        assert serialize_ntriples(g).encode("utf-8") == (
+            b'<http://a> <http://p> "\\\\ \\" \\n \\r \\t \\u0000 \\u0007 \\u001F \\u007F '
+            b'\xc3\xa9" .\n'
+        )
+
     def test_escapes_round_trip(self):
         lit = Literal('tab\t quote" back\\ newline\n bell\x07')
         g = Graph([Triple(Iri("http://a"), Iri("http://p"), lit)])
@@ -229,6 +235,23 @@ class TestTurtle:
     def test_trailing_semicolon(self):
         g = parse_turtle("<http://s> <http://p> <http://o> ; .")
         assert len(g) == 1
+
+    @pytest.mark.parametrize("text,twin", [
+        ("<http://a> <http://p> <http://a> ;; <http://p> <http://a> .",
+         "<http://a> <http://p> <http://a> .\n"),
+        ("<http://s> <http://p> <http://o> ; ;\n ; <http://q> <http://r> ;; .",
+         "<http://s> <http://p> <http://o> .\n<http://s> <http://q> <http://r> .\n"),
+        ("<http://s> <http://p> [ <http://q> <http://r> ;; <http://x> <http://y> ; ] .",
+         "<http://s> <http://p> _:b1 .\n_:b1 <http://q> <http://r> .\n"
+         "_:b1 <http://x> <http://y> .\n"),
+    ])
+    def test_repeated_semicolons(self, text, twin):
+        assert parse_turtle(text) == parse_ntriples(twin)
+
+    @pytest.mark.parametrize("text", ["@prefix:<http://x/>.:s :p :o .",
+                                      "@base<http://x/>.<s> <p> <o> ."])
+    def test_directive_keyword_needs_no_space(self, text):
+        assert parse_turtle(text) == parse_ntriples("<http://x/s> <http://x/p> <http://x/o> .")
 
     def test_anonymous_node_labels_in_document_order(self):
         g = parse_turtle(
