@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
-from .extract import _DATE_RE, Agent, OntologyMetadata
+from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_initials
 from .model import Iri
 
-_DATE_GROUP_RE = re.compile(r"\((\d{4}-\d{2}-\d{2})\)\.(?= |$)")
-_INITIALS_RE = re.compile(r"[A-Z]\.(?: [A-Z]\.)*")
+_DATE_GROUP_RE = re.compile(rf"\(({DATE_SHAPE})\)\.(?= |$)")
+_DATE_SHAPE_ANYWHERE_RE = re.compile(rf"\({DATE_SHAPE}\)\.")
 _VERSION_TOKEN_RE = re.compile(r"([^\s()]+?)(?:\(([^\s()]+)\))?")
 
 
@@ -60,17 +60,7 @@ def build_record(
         raise MissingFieldError("date")
     if not meta.title:
         raise MissingFieldError("title")
-    acronym, full_name = acronym_split
-    return CitationRecord(
-        creators=tuple(meta.creators),
-        date=meta.date,
-        full_name=full_name,
-        uri=meta.ontology_iri,
-        acronym=acronym,
-        version=meta.version,
-        revision=meta.revision if meta.version else None,
-        formats=(meta.format_label,) if meta.format_label else (),
-    )
+    return CitationRecord(**draft_fields(meta, acronym_split))
 
 
 def draft_fields(
@@ -146,21 +136,15 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-").lower()
 
 
-def _bibtex_author(agent: Agent) -> str:
-    if agent.organization:
-        return "{" + agent.surname + "}"
-    if agent.initials:
-        return f"{agent.surname}, {agent.initials}"
-    return agent.surname
-
-
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
     double-braced so reference managers do not split them."""
     key = (record.acronym or _slug(record.full_name)) + record.date[:4]
     year, month, day = record.date.split("-")
+    authors = ("{" + a.surname + "}" if a.organization else _render_agent(a)
+               for a in record.creators)
     fields = [
-        ("author", " and ".join(_bibtex_author(a) for a in record.creators)),
+        ("author", " and ".join(authors)),
         ("title", _title_text(record)),
         ("year", year),
         ("month", month),
@@ -245,7 +229,7 @@ def record_from_json(text: str) -> CitationRecord:
     if not all(isinstance(label, str) for label in formats):
         raise CitationJsonError("citation JSON 'formats' must hold only strings")
     date = _json_field(data, "date", str, required=True)
-    if not _DATE_RE.fullmatch(date):
+    if not re.fullmatch(DATE_SHAPE, date):
         raise CitationJsonError(f"citation JSON 'date' must be YYYY-MM-DD: {date!r}")
     creators = tuple(
         Agent(
@@ -277,19 +261,16 @@ def _parse_creator_cells(cells: List[str], position: int) -> List[Agent]:
         cell = cells[i]
         if not cell:
             raise CitationParseError(position, "creators", "empty creator name")
-        if i + 1 < len(cells) and _INITIALS_RE.fullmatch(cells[i + 1]):
-            agents.append(Agent(surname=cell, initials=cells[i + 1], raw=f"{cell}, {cells[i + 1]}"))
+        if i + 1 < len(cells) and is_initials(cells[i + 1]):
+            agents.append(Agent(surname=cell, initials=cells[i + 1]))
             i += 2
         elif " " in cell:
-            agents.append(Agent(surname=cell, organization=True, raw=cell))
+            agents.append(Agent(surname=cell, organization=True))
             i += 1
         else:
-            agents.append(Agent(surname=cell, raw=cell))
+            agents.append(Agent(surname=cell))
             i += 1
     return agents
-
-
-_DATE_SHAPE_ANYWHERE_RE = re.compile(r"\(\d{4}-\d{2}-\d{2}\)\.")
 
 
 def _parse_creators(section: str, position: int) -> Tuple[Agent, ...]:

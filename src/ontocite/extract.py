@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import vocab
@@ -25,7 +25,11 @@ from .exceptions import (
 )
 from .model import BlankNode, Graph, Iri, Literal, Term
 
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
+#: The one date shape, ``YYYY-MM-DD`` in ASCII digits. The canonical
+#: grammar and the JSON reader check only this shape; the calendar is
+#: checked by :func:`is_calendar_date`.
+DATE_SHAPE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_DATE_RE = re.compile(DATE_SHAPE)
 _DOTTED_VERSION_RE = re.compile(r"^v?\d+(\.\d+)*$")
 
 
@@ -33,15 +37,11 @@ _DOTTED_VERSION_RE = re.compile(r"^v?\d+(\.\d+)*$")
 class Agent:
     """One creator: a person (surname plus optional initials) or an
     organization (``surname`` holds the full group name).
-
-    ``raw`` keeps the original name string for reporting; it is excluded
-    from equality.
     """
 
     surname: str
     initials: Optional[str] = None
     organization: bool = False
-    raw: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,9 @@ def normalize_person_name(raw: str) -> Agent:
         surname = surname.strip()
         if not surname:
             raise EmptyNameError(f"name has no surname part: {raw!r}")
-        return Agent(surname=surname, initials=_initials_of(given) or None, raw=raw)
+        return Agent(surname=surname, initials=_initials_of(given) or None)
     tokens = name.split(" ")
-    return Agent(
-        surname=tokens[-1],
-        initials=_initials_of(" ".join(tokens[:-1])) or None,
-        raw=raw,
-    )
+    return Agent(surname=tokens[-1], initials=_initials_of(" ".join(tokens[:-1])) or None)
 
 
 def _initials_of(given: str) -> str:
@@ -109,8 +105,20 @@ def _initials_of(given: str) -> str:
     for token in given.split():
         ch = token[0]
         if ch.isalpha():
-            parts.append(ch.upper() + ".")
+            # one character per initial: "ß" upper-cases to "SS" and gives "S."
+            parts.append(ch.upper()[0] + ".")
     return " ".join(parts)
+
+
+def is_initials(text: str) -> bool:
+    """True for initials in ``I.`` form: one or more chunks joined by
+    single spaces, each a letter that upper-casing leaves unchanged (an
+    upper-case or caseless letter of any script) followed by ``.``."""
+    return all(
+        len(chunk) == 2 and chunk[1] == "." and chunk[0].isalpha()
+        and chunk[0].upper()[0] == chunk[0]
+        for chunk in text.split(" ")
+    )
 
 
 def resolve_agent_name(g: Graph, t: Term) -> Agent:
@@ -127,7 +135,7 @@ def resolve_agent_name(g: Graph, t: Term) -> Agent:
         if name is None:
             raise UnresolvableAgentError(t)
         if _is_organization(g, t):
-            return Agent(surname=name, organization=True, raw=name)
+            return Agent(surname=name, organization=True)
         return normalize_person_name(name)
     raise UnresolvableAgentError(t, f"creator object is not a resolvable term: {t!r}")
 
@@ -178,11 +186,10 @@ def _preferred_literal(values: Sequence[Literal]) -> Optional[str]:
 
 def is_calendar_date(value: str) -> bool:
     """True for a ``YYYY-MM-DD`` string that names a real calendar day."""
-    m = _DATE_RE.match(value)
-    if not m:
+    if not _DATE_RE.fullmatch(value):
         return False
     try:
-        datetime.date(*(int(part) for part in m.groups()))
+        datetime.date.fromisoformat(value)
     except ValueError:
         return False
     return True

@@ -12,13 +12,12 @@ string that does not match the grammar at all.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Union
 
 from .citation import CitationRecord, parse_canonical
 from .exceptions import CitationParseError
-from .extract import Agent, is_calendar_date
+from .extract import Agent, is_calendar_date, is_initials
 from .model import Iri, is_absolute_iri
 from .vocab import KNOWN_FORMAT_LABELS
 
@@ -52,9 +51,6 @@ DIAGNOSTIC_CODES = (
     W_NAME_FORM,
 )
 
-_NAME_STRING_RE = re.compile(r"[^,]+, (.+)")
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """One validation finding."""
@@ -79,44 +75,32 @@ def _as_fields(record: Union[CitationRecord, Mapping]) -> Dict[str, object]:
     return dict(record)
 
 
-def _initials_well_formed(initials: str) -> bool:
-    for chunk in initials.split(" "):
-        if len(chunk) != 2 or chunk[1] != ".":
-            return False
-        if not (chunk[0].isalpha() and chunk[0].isupper()):
-            return False
-    return True
-
-
-def _name_form_problem(creator: object) -> Optional[str]:
-    """A description of the defect, or None when the name form is fine."""
+def _as_agent(creator: object) -> Agent:
+    """A creator as an :class:`Agent`: a mapping by its keys, a string
+    ``"Surname, I."`` split at its comma, any other string as a surname."""
     if isinstance(creator, Agent):
-        if creator.organization:
-            return None
-        if not creator.surname:
-            return "person has an empty surname"
-        if creator.initials is not None and not _initials_well_formed(creator.initials):
+        return creator
+    if isinstance(creator, Mapping):
+        return Agent(str(creator.get("surname") or ""), creator.get("initials"),
+                     bool(creator.get("organization")))
+    surname, comma, initials = str(creator).strip().partition(", ")
+    return Agent(surname, initials) if comma else Agent(surname)
+
+
+def _name_form_problem(creator: Agent) -> Optional[str]:
+    """A description of the defect, or None when the name form is fine."""
+    if creator.organization:
+        return None
+    if not creator.surname:
+        return "person has an empty surname"
+    if creator.initials is not None:
+        if not is_initials(creator.initials):
             return f"initials {creator.initials!r} are not in 'I.' form"
         return None
-    if isinstance(creator, Mapping):
-        if creator.get("organization"):
-            return None
-        surname = creator.get("surname", "")
-        if not surname:
-            return "person has an empty surname"
-        initials = creator.get("initials")
-        if initials is not None and not _initials_well_formed(initials):
-            return f"initials {initials!r} are not in 'I.' form"
-        return None
-    name = str(creator).strip()
-    if not name:
-        return "creator name is empty"
-    if " " not in name and "," not in name:
-        return None  # single token: a mononym or bare group name
-    m = _NAME_STRING_RE.fullmatch(name)
-    if m and _initials_well_formed(m.group(1)):
-        return None
-    return f"{name!r} is not in 'Surname, I.' form"
+    if " " in creator.surname or "," in creator.surname:
+        # the grammar reads a person without initials like this as an organization
+        return f"{creator.surname!r} is not in 'Surname, I.' form"
+    return None
 
 
 def validate_record(record: Union[CitationRecord, Mapping]) -> List[Diagnostic]:
@@ -176,7 +160,7 @@ def validate_record(record: Union[CitationRecord, Mapping]) -> List[Diagnostic]:
             "acronym",
         ))
     for index, creator in enumerate(creators):
-        problem = _name_form_problem(creator)
+        problem = _name_form_problem(_as_agent(creator))
         if problem:
             out.append(_warning(W_NAME_FORM, problem, f"creators[{index}]"))
 

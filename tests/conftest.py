@@ -16,6 +16,14 @@ PAV_CITATION = (
     "PAV: Provenance, Authoring and Versioning. 2.3.1. http://purl.org/pav/ [rdf/xml]"
 )
 
+# Citation strings in several shapes, used as seeds for mutated input.
+SAMPLE_CITATIONS = [
+    PAV_CITATION,
+    "Gene Ontology Consortium (2024-06-01). GO: Gene Ontology. 2024-06-01(r3). "
+    "<http://purl.obolibrary.org/obo/go.owl> [owl/xml, obo]",
+    "Müller, Ö., Plato and 王, 小. (2014-08-28). Example Ontology. 1.0, http://example.org/o",
+]
+
 # The journal article describing the PAV ontology; used as the publication
 # reference injected into the ontology header.
 PUBLICATION_REF = (

@@ -4,7 +4,9 @@ Citation records are drawn from the unambiguous domain of the plain-text
 grammar (see docs/grammar.abnf): organizations are at least two words and
 carry no ", "/" and " separators, titles contain no ". " and no colon,
 and versions contain a digit. Rendering is injective on this domain, so
-the round-trip properties are exact.
+the round-trip properties are exact. Initials are letters of any script
+that upper-casing leaves unchanged (upper-case, modifier and other
+caseless letters).
 """
 
 import string
@@ -55,7 +57,8 @@ _surnames = st.one_of(
     _word(1, 11),
     st.tuples(_word(1, 7), _word(1, 7)).map("-".join),
 )
-_initials = st.lists(st.sampled_from(_UPPER), min_size=1, max_size=3).map(
+_initial_letters = st.characters(categories=("Lu", "Lm", "Lo"))
+_initials = st.lists(_initial_letters, min_size=1, max_size=3).map(
     lambda chars: " ".join(ch + "." for ch in chars)
 )
 
@@ -108,3 +111,17 @@ def citation_records(draw):
         revision=revision,
         formats=tuple(draw(_format_lists)),
     )
+
+
+# --- hostile text ------------------------------------------------------------
+
+
+@st.composite
+def mutations(draw, sources):
+    """One of ``sources`` with up to four slices replaced by arbitrary text."""
+    text = draw(st.sampled_from(sources))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        end = draw(st.integers(min_value=start, max_value=min(len(text), start + 40)))
+        text = text[:start] + draw(st.text(max_size=12)) + text[end:]
+    return text

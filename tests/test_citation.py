@@ -27,8 +27,8 @@ from ontocite import (
     render_json,
 )
 
-from conftest import PAV_CITATION, pav_record
-from strategies import citation_records
+from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
+from strategies import citation_records, mutations
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "citation.schema.json").read_text("utf-8")
@@ -187,6 +187,26 @@ class TestParseCanonical:
     def test_single_word_creator_is_mononym(self):
         record = parse_canonical("Plato (0380-01-01). Forms. http://example.org/forms")
         assert record.creators == (Agent(surname="Plato"),)
+
+    @pytest.mark.parametrize("surname,initials", [
+        ("Müller", "Ö."), ("王", "小."), ("Ivanov", "Я. А."), ("Papadopoulos", "Ω."),
+    ])
+    def test_initials_of_any_script(self, surname, initials):
+        record = parse_canonical(f"{surname}, {initials} (2020-01-01). Title. http://example.org/x")
+        assert record.creators == (Agent(surname=surname, initials=initials),)
+
+    def test_date_with_non_ascii_digits_is_no_date(self):
+        with pytest.raises(CitationParseError) as exc:
+            parse_canonical("Doe, J. (２０２０-０１-０１). Title. http://example.org/x")
+        assert exc.value.expected == "date"
+
+    @given(text=st.one_of(st.text(), mutations(SAMPLE_CITATIONS)))
+    @settings(max_examples=500)
+    def test_arbitrary_text_is_a_record_or_an_ontocite_error(self, text):
+        try:
+            assert isinstance(parse_canonical(text), CitationRecord)
+        except OntociteError:
+            pass
 
     def test_duplicate_formats_collapse(self):
         record = parse_canonical(
@@ -392,6 +412,7 @@ class TestRecordFromJson:
         ("acronym", ["PAV"], "acronym"),
         ("creators", [], "creators"),
         ("creators", [{"surname": "X", "organization": "no"}], "organization"),
+        ("date", "２０１４-０８-２８", "date"),
     ])
     def test_wrongly_typed_fields_rejected(self, field, value, named):
         with pytest.raises(CitationJsonError, match=named):

@@ -1,15 +1,34 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ontocite
 from ontocite import parse_ntriples
 from ontocite.cli import main
 
-from conftest import HEADERS, MISC, NETWORK, PAV_CITATION, PUBLICATION_REF, REFLISTS
+from conftest import (
+    HEADERS,
+    MISC,
+    NETWORK,
+    PAV_CITATION,
+    PUBLICATION_REF,
+    REFLISTS,
+    SAMPLE_CITATIONS,
+)
+from strategies import mutations
 
 PAV_TTL = str(HEADERS / "pav.ttl")
+_SEED_FILE_TEXTS = [
+    p.read_text("utf-8") for p in sorted([*HEADERS.iterdir(), *REFLISTS.iterdir()])
+]
 NET_PATHS = [str(p) for p in sorted(NETWORK.glob("*.ttl"))]
 
 
@@ -82,10 +101,13 @@ class TestCite:
         assert "multiple ontology nodes" in err
 
     def test_module_entry_point(self):
+        # the child process imports the same ontocite package, installed or not
+        package_parent = os.path.dirname(os.path.dirname(ontocite.__file__))
+        path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "ontocite", "cite", PAV_TTL,
              "--style", "canonical", "--format-label", "rdf/xml"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout == PAV_CITATION + "\n"
@@ -211,7 +233,7 @@ class TestHostileInputs:
         assert err == "error: reference text is empty\n"
         assert not (tmp_path / "o.nt").exists()
 
-    @pytest.mark.parametrize("date", ["2023-02-31", "2014-13-01"])
+    @pytest.mark.parametrize("date", ["2023-02-31", "2014-13-01", "２０１４-０８-２８"])
     def test_impossible_date_is_missing_everywhere(self, capsys, tmp_path, date):
         path = tmp_path / "dated.ttl"
         path.write_text(
@@ -228,6 +250,59 @@ class TestHostileInputs:
         assert code == 1
         codes = [line.split("\t")[0] for line in out.splitlines()]
         assert "E-DATE-MISSING" in codes and "E-DATE-FORMAT" not in codes
+
+    def test_initials_of_any_script_pass_validate_and_parse_back(self, capsys, tmp_path):
+        path = tmp_path / "names.ttl"
+        path.write_text(
+            "@prefix dcterms: <http://purl.org/dc/terms/> .\n"
+            "<http://example.org/o> a <http://www.w3.org/2002/07/owl#Ontology> ;\n"
+            '    dcterms:title "Names" ; dcterms:issued "2014-08-28" ;\n'
+            '    <http://www.w3.org/2002/07/owl#versionInfo> "1.0" ;\n'
+            '    dcterms:creator "Özgür Müller", "小明 王", "ßtraße Weiß" .\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "cite", str(path))
+        assert (code, out) == (
+            0, "Müller, Ö., Weiß, S. and 王, 小. (2014-08-28). Names. 1.0. "
+               "http://example.org/o [turtle]\n",
+        )
+        assert run(capsys, "validate", str(path)) == (0, "", "")
+        code, parsed, _ = run(capsys, "parse", out.strip())
+        assert code == 0
+        assert json.loads(parsed)["creators"] == [
+            {"surname": "Müller", "initials": "Ö.", "organization": False},
+            {"surname": "Weiß", "initials": "S.", "organization": False},
+            {"surname": "王", "initials": "小.", "organization": False},
+        ]
+
+    @given(
+        content=st.one_of(st.binary(max_size=300), mutations(_SEED_FILE_TEXTS)),
+        suffix=st.sampled_from([".ttl", ".nt", ".owl", ".txt"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_file_content_exits_0_1_or_2(self, content, suffix):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input" + suffix)
+            if isinstance(content, bytes):
+                with open(path, "wb") as handle:
+                    handle.write(content)
+            else:
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(content)
+            for argv in (
+                ["cite", path], ["cite", path, "--style", "bibtex"], ["validate", path],
+                ["parse", path], ["network", "--counts", path],
+                ["check-mutual", path, path], ["check-mutual", PAV_TTL, path],
+            ):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    assert main(argv) in (0, 1, 2), argv
+
+    @given(text=st.one_of(st.text(), mutations(SAMPLE_CITATIONS)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_citation_argument_exits_0_1_or_2(self, text):
+        for command in ("validate", "parse"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main([command, "--", text]) in (0, 1, 2), command
 
 
 class TestCheckMutual:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ontocite import (
     BlankNode,
+    CitationRecord,
     EmptyNameError,
     Graph,
     Iri,
@@ -17,8 +18,11 @@ from ontocite import (
     extract_metadata,
     find_ontology_iri,
     normalize_person_name,
+    parse_canonical,
     parse_turtle,
+    render_canonical,
     resolve_agent_name,
+    validate_record,
 )
 from ontocite.vocab import (
     DCTERMS_CREATOR,
@@ -34,6 +38,7 @@ from ontocite.vocab import (
 from conftest import HEADERS
 
 ONTO = Iri("http://example.org/onto")
+_ANY_SCRIPT_WORD = st.text(alphabet=st.characters(categories=("L",)), min_size=1, max_size=8)
 
 
 def header(*extra):
@@ -76,6 +81,10 @@ class TestNormalizePersonName:
             ("Soiland-Reyes, S.", "Soiland-Reyes", "S."),
             ("  Jane   Q.  Public ", "Public", "J. Q."),
             ("Della Santina, Cosimo", "Della Santina", "C."),
+            ("Özgür Müller", "Müller", "Ö."),
+            ("小明 王", "王", "小."),
+            ("ßtraße Müller", "Müller", "S."),
+            ("ﬁona Smith", "Smith", "F."),
         ],
     )
     def test_forms(self, raw, surname, initials):
@@ -104,6 +113,18 @@ class TestNormalizePersonName:
             f"{agent.surname}, {agent.initials}" if agent.initials else agent.surname
         )
         assert normalize_person_name(rendered) == agent
+
+    @given(names=st.lists(
+        st.tuples(st.lists(_ANY_SCRIPT_WORD, max_size=3), _ANY_SCRIPT_WORD),
+        min_size=1, max_size=3,
+    ))
+    def test_names_of_any_script_keep_their_form(self, names):
+        creators = tuple(normalize_person_name(" ".join([*given, surname]))
+                         for given, surname in names)
+        record = CitationRecord(creators=creators, date="2014-08-28",
+                                full_name="Example Ontology", uri=ONTO)
+        assert "W-NAME-FORM" not in {d.code for d in validate_record(record)}
+        assert parse_canonical(render_canonical(record)).creators == creators
 
 
 class TestResolveAgentName:
@@ -156,7 +177,7 @@ class TestExtractMetadata:
         g = header(Triple(ONTO, DCTERMS_ISSUED, Literal("August 2014")))
         assert extract_metadata(g).date is None
 
-    @pytest.mark.parametrize("value", ["2023-02-31", "2014-13-01", "0000-01-01"])
+    @pytest.mark.parametrize("value", ["2023-02-31", "2014-13-01", "0000-01-01", "２０１４-０８-２８"])
     def test_impossible_date_stays_absent(self, value):
         g = header(Triple(ONTO, DCTERMS_ISSUED, Literal(value)))
         assert extract_metadata(g).date is None

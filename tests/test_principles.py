@@ -1,16 +1,20 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontocite import (
     Agent,
+    Diagnostic,
     Iri,
+    OntociteError,
+    normalize_person_name,
     validate_citation_string,
     validate_record,
 )
 from ontocite.principles import DIAGNOSTIC_CODES, E_PARSE
 
-from conftest import PAV_CITATION, pav_record
-from strategies import citation_records
+from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
+from strategies import citation_records, mutations
 
 
 def base_fields():
@@ -86,7 +90,8 @@ class TestValidateRecord:
         assert [d.code for d in diagnostics] == ["W-VERSION-MISSING"]
 
     @pytest.mark.parametrize(
-        "bad_date", ["2014-13-01", "2014-02-30", "2015-02-29", "14-08-28", "2014-8-28"]
+        "bad_date", ["2014-13-01", "2014-02-30", "2015-02-29", "14-08-28", "2014-8-28",
+                     "2014-08-28\n", "２０１４-０８-２８"]
     )
     def test_calendar_validity(self, bad_date):
         diagnostics = validate_record(with_value(base_fields(), "date", bad_date))
@@ -110,6 +115,32 @@ class TestValidateRecord:
             base_fields(), "creators", [Agent(surname="Doe", initials="Jay")]
         )
         assert [d.code for d in validate_record(fields)] == ["W-NAME-FORM"]
+
+    @pytest.mark.parametrize("creator,flagged", [
+        (Agent(surname="Paolo Ciccarese"), True),
+        (Agent(surname="Doe,J."), True),
+        (Agent(surname=""), True),
+        (Agent(surname="Plato"), False),
+        (Agent(surname="Gene Ontology Consortium", organization=True), False),
+        ({"surname": "van der Berg"}, True),
+        ({"surname": "van der Berg", "initials": "J."}, False),
+        ({"surname": "Doe", "initials": "Jay"}, True),
+        ({"surname": "Gene Ontology Consortium", "organization": True}, False),
+        ({"initials": "J."}, True),
+        ("Doe, J.", False),
+        ("Doe, Jay", True),
+        ("Doe,J.", True),
+        ("Plato", False),
+        ("", True),
+    ])
+    def test_each_creator_form_is_read_as_an_agent(self, creator, flagged):
+        fields = with_value(base_fields(), "creators", [creator])
+        assert [d.code for d in validate_record(fields)] == (["W-NAME-FORM"] if flagged else [])
+
+    @pytest.mark.parametrize("name", ["ßtraße Müller", "ﬁona Smith", "小明 王", "Özgür Müller"])
+    def test_normalized_names_pass_the_name_form_rule(self, name):
+        fields = with_value(base_fields(), "creators", [normalize_person_name(name)])
+        assert validate_record(fields) == []
 
     def test_monotonicity_adding_fields_never_adds_errors(self):
         partial = {"uri": Iri("http://purl.org/pav/")}
@@ -155,6 +186,15 @@ class TestValidateCitationString:
         )
         codes = [d.code for d in diagnostics]
         assert codes == ["W-FORMAT-MISSING", "W-VERSION-MISSING"]
+
+    @given(text=st.one_of(st.text(), mutations(SAMPLE_CITATIONS)))
+    @settings(max_examples=500)
+    def test_arbitrary_text_gives_diagnostics_or_an_ontocite_error(self, text):
+        try:
+            diagnostics = validate_citation_string(text)
+        except OntociteError:
+            return
+        assert all(isinstance(d, Diagnostic) for d in diagnostics)
 
     def test_code_vocabulary_is_frozen(self):
         assert DIAGNOSTIC_CODES == (
