@@ -349,7 +349,7 @@ def parse_canonical(text: str) -> CitationRecord:
     left, sep, tail = body.rpartition(". ")
     if sep and tail:
         vm = _VERSION_TOKEN_RE.fullmatch(tail)
-        if vm and any(ch.isdigit() for ch in vm.group(1)):
+        if vm and re.search("[0-9]", vm.group(1)):
             version, revision = vm.group(1), vm.group(2)
             body = left
 

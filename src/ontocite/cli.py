@@ -93,7 +93,7 @@ def _looks_like_file(argument: str) -> bool:
 def _cmd_cite(args: argparse.Namespace) -> int:
     graph, label = _load_graph(args.path)
     meta = extract_metadata(graph, fmt=args.format_label or label)
-    record = build_record(meta, derive_acronym(meta, graph))
+    record = build_record(meta, derive_acronym(meta))
     if args.style == "canonical":
         print(render_canonical(record))
     elif args.style == "bibtex":
@@ -117,7 +117,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if _looks_like_file(args.input):
         graph, label = _load_graph(args.input)
         meta = extract_metadata(graph, fmt=label)
-        split = derive_acronym(meta, graph) if meta.title else None
+        split = derive_acronym(meta) if meta.title else None
         diagnostics = validate_record(draft_fields(meta, split))
     else:
         diagnostics = validate_citation_string(args.input)
@@ -140,7 +140,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 def _cmd_check_mutual(args: argparse.Namespace) -> int:
     graph, label = _load_graph(args.onto_path)
     meta = extract_metadata(graph, fmt=label)
-    record = build_record(meta, derive_acronym(meta, graph))
+    record = build_record(meta, derive_acronym(meta))
     refs = list_references(graph, meta.ontology_iri, include_legacy=True)
     reflist = _decode(args.reflist_path, _read_bytes(args.reflist_path))
     result = check_publication_side(reflist, record, threshold=args.threshold)

@@ -30,7 +30,7 @@ from .model import BlankNode, Graph, Iri, Literal, Term
 #: checked by :func:`is_calendar_date`.
 DATE_SHAPE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _DATE_RE = re.compile(DATE_SHAPE)
-_DOTTED_VERSION_RE = re.compile(r"^v?\d+(\.\d+)*$")
+_DOTTED_VERSION_RE = re.compile(r"^v?[0-9]+(\.[0-9]+)*$")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class OntologyMetadata:
     version: Optional[str] = None
     revision: Optional[str] = None
     format_label: Optional[str] = None
-    publication_refs: Tuple[str, ...] = ()
+    acronym: Optional[str] = None
 
 
 def find_ontology_iri(g: Graph) -> Iri:
@@ -246,10 +246,10 @@ def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
     _, revisions = _rung_literals(g, onto, (vocab.ONTOCITE_REVISION,))
     revision = min((v.lexical for v in revisions), default=None)
 
-    publication_refs = tuple(
-        t.object.lexical for t in g.match(onto, vocab.DCTERMS_REFERENCES, None)
-        if isinstance(t.object, Literal)
-    )
+    acronym_prop, acronyms = _rung_literals(g, onto, vocab.ACRONYM_LADDER)
+    acronym = min((v.lexical.strip() for v in acronyms), default=None)
+    if acronym is not None and acronym_prop == vocab.VANN_PREFERRED_NAMESPACE_PREFIX:
+        acronym = acronym.upper()
 
     return OntologyMetadata(
         ontology_iri=onto,
@@ -259,40 +259,32 @@ def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
         version=version,
         revision=revision,
         format_label=fmt,
-        publication_refs=publication_refs,
+        acronym=acronym,
     )
 
 
 _ACRONYM_SEPARATORS = "-–:"
 
 
-def derive_acronym(meta: OntologyMetadata, g: Graph) -> Tuple[Optional[str], str]:
+def derive_acronym(meta: OntologyMetadata) -> Tuple[Optional[str], str]:
     """Split the title into (acronym, full name).
 
-    An explicit acronym property wins; otherwise a short leading token
-    separated by a dash, en-dash, or colon is treated as the acronym;
-    otherwise there is no acronym and the full title is the name.
+    An explicit acronym property (``meta.acronym``) wins; otherwise a
+    short leading token separated by a dash, en-dash, or colon is treated
+    as the acronym; otherwise there is no acronym and the full title is
+    the name.
     """
     if not meta.title:
         raise MissingFieldError("title")
     title = meta.title
     split = _split_title(title)
-    explicit = _explicit_acronym(g, meta.ontology_iri)
-    if explicit:
-        if split and split[0].casefold() == explicit.casefold():
-            return explicit, split[1]
-        return explicit, title
+    if meta.acronym:
+        if split and split[0].casefold() == meta.acronym.casefold():
+            return meta.acronym, split[1]
+        return meta.acronym, title
     if split:
         return split
     return None, title
-
-
-def _explicit_acronym(g: Graph, onto: Iri) -> Optional[str]:
-    prop, values = _rung_literals(g, onto, vocab.ACRONYM_LADDER)
-    value = min((v.lexical.strip() for v in values), default=None)
-    if value is not None and prop == vocab.VANN_PREFERRED_NAMESPACE_PREFIX:
-        return value.upper()
-    return value
 
 
 def _split_title(title: str) -> Optional[Tuple[str, str]]:

@@ -144,21 +144,21 @@ def _triple_key(t: Triple) -> Tuple[str, str, str]:
 class Graph:
     """An immutable set of triples with deterministic iteration order.
 
-    Duplicate triples collapse silently (set semantics). ``insert``
-    returns a new graph; for bulk construction pass an iterable to the
-    constructor.
+    Duplicate triples collapse silently (set semantics). The triples are
+    stored once, unordered; iteration and ``match`` results are sorted
+    by :func:`nt` of subject, predicate and object when asked for.
+    ``insert`` returns a new graph; for bulk construction pass an
+    iterable to the constructor.
     """
 
-    __slots__ = ("_triples", "_ordered")
+    __slots__ = ("_triples",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
         items = tuple(triples)
         for t in items:
             if not isinstance(t, Triple):
                 raise RdfModelError(f"graph elements must be triples, got {type(t).__name__}")
-        tset = frozenset(items)
-        self._triples = tset
-        self._ordered = tuple(sorted(tset, key=_triple_key))
+        self._triples = frozenset(items)
 
     def insert(self, t: Triple) -> "Graph":
         if not isinstance(t, Triple):
@@ -177,20 +177,19 @@ class Graph:
 
         Absent arguments are wildcards; results follow graph iteration order.
         """
-        return [
+        hits = [
             t
-            for t in self._ordered
+            for t in self._triples
             if (s is None or t.subject == s)
             and (p is None or t.predicate == p)
             and (o is None or t.object == o)
         ]
-
-    @property
-    def triples(self) -> frozenset:
-        return self._triples
+        if len(hits) > 1:
+            hits.sort(key=_triple_key)
+        return hits
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._ordered)
+        return iter(sorted(self._triples, key=_triple_key))
 
     def __len__(self) -> int:
         return len(self._triples)

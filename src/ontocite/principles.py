@@ -69,6 +69,13 @@ def _warning(code: str, message: str, field: Optional[str] = None) -> Diagnostic
     return Diagnostic(code, "warning", message, field)
 
 
+_URI_ONLY = _error(
+    E_URI_ONLY,
+    "citation is a mere link: a URI reveals neither creators, title, date, nor version",
+    "uri",
+)
+
+
 def _as_fields(record: Union[CitationRecord, Mapping]) -> Dict[str, object]:
     if isinstance(record, CitationRecord):
         return {f.name: getattr(record, f.name) for f in dataclass_fields(record)}
@@ -81,7 +88,9 @@ def _as_agent(creator: object) -> Agent:
     if isinstance(creator, Agent):
         return creator
     if isinstance(creator, Mapping):
-        return Agent(str(creator.get("surname") or ""), creator.get("initials"),
+        initials = creator.get("initials")
+        return Agent(str(creator.get("surname") or ""),
+                     None if initials is None else str(initials),
                      bool(creator.get("organization")))
     surname, comma, initials = str(creator).strip().partition(", ")
     return Agent(surname, initials) if comma else Agent(surname)
@@ -136,12 +145,7 @@ def validate_record(record: Union[CitationRecord, Mapping]) -> List[Diagnostic]:
             E_URI_RELATIVE, f"URI {uri_value!r} is not absolute", "uri"
         ))
     if uri_value and not creators and not date and not title:
-        out.append(_error(
-            E_URI_ONLY,
-            "citation is a mere link: a URI reveals neither creators, title, "
-            "date, nor version",
-            "uri",
-        ))
+        out.append(_URI_ONLY)
 
     if not version:
         out.append(_warning(W_VERSION_MISSING, "no version given", "version"))
@@ -188,11 +192,6 @@ def validate_citation_string(text: str) -> List[Diagnostic]:
         record = parse_canonical(text)
     except CitationParseError as exc:
         if _bare_iri(text):
-            return [_error(
-                E_URI_ONLY,
-                "citation is a mere link: a URI reveals neither creators, "
-                "title, date, nor version",
-                "uri",
-            )]
+            return [_URI_ONLY]
         return [_error(E_PARSE, f"citation string does not parse: {exc}")]
     return validate_record(record)

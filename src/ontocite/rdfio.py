@@ -52,7 +52,8 @@ _PNAME_START_RE = re.compile(r"[A-Za-z:]")
 _DIRECTIVE_RE = re.compile(r"@(prefix|base)(?![A-Za-z0-9\-])")
 _KEYWORD_RE = re.compile(r"(?:a|true|false)(?![A-Za-z0-9_\-:])")
 _NUMBER_RE = re.compile(
-    r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)"
+    r"[+-]?(?:[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+[eE][+-]?[0-9]+|[0-9]+)"
 )
 
 

@@ -51,7 +51,7 @@ def _parse_bibtex_fields(entry: str) -> dict:
 class TestBuildRecord:
     def test_pav_metadata(self, pav_graph):
         meta = extract_metadata(pav_graph, fmt="rdf/xml")
-        record = build_record(meta, derive_acronym(meta, pav_graph))
+        record = build_record(meta, derive_acronym(meta))
         assert record == pav_record()
 
     def test_missing_date(self):
@@ -195,6 +195,12 @@ class TestParseCanonical:
         record = parse_canonical(f"{surname}, {initials} (2020-01-01). Title. http://example.org/x")
         assert record.creators == (Agent(surname=surname, initials=initials),)
 
+    @pytest.mark.parametrize("element,version", [("1.0", "1.0"), ("１.０", None), ("v٢", None)])
+    def test_version_needs_an_ascii_digit(self, element, version):
+        record = parse_canonical(f"Doe, J. (2020-01-01). Title. {element}. http://example.org/x")
+        assert record.version == version
+        assert record.full_name == ("Title" if version else f"Title. {element}")
+
     def test_date_with_non_ascii_digits_is_no_date(self):
         with pytest.raises(CitationParseError) as exc:
             parse_canonical("Doe, J. (２０２０-０１-０１). Title. http://example.org/x")
@@ -253,7 +259,7 @@ class TestRenderBibtex:
 
         g = parse_turtle((HEADERS / "go.ttl").read_text("utf-8"))
         meta = extract_metadata(g, fmt="obo")
-        record = build_record(meta, derive_acronym(meta, g))
+        record = build_record(meta, derive_acronym(meta))
         golden = (Path(__file__).parent / "fixtures" / "golden" / "go.bib").read_text("utf-8")
         assert render_bibtex(record) == golden
 

@@ -31,8 +31,12 @@ from ontocite.vocab import (
     DC_TITLE,
     FOAF_NAME,
     FOAF_ORGANIZATION,
+    IDOT_PREFERRED_PREFIX,
+    OMV_ACRONYM,
     OWL_ONTOLOGY,
+    OWL_VERSION_INFO,
     RDF_TYPE,
+    VANN_PREFERRED_NAMESPACE_PREFIX,
 )
 
 from conftest import HEADERS
@@ -231,12 +235,22 @@ class TestExtractMetadata:
         g = parse_turtle((HEADERS / "go.ttl").read_text("utf-8"))
         assert extract_metadata(g).version == "1.4.2"
 
-    def test_publication_refs_collected(self):
-        g = header(
-            Triple(ONTO, Iri("http://purl.org/dc/terms/references"), Literal("Ref B")),
-            Triple(ONTO, Iri("http://purl.org/dc/terms/references"), Literal("Ref A")),
-        )
-        assert extract_metadata(g).publication_refs == ("Ref A", "Ref B")
+    @pytest.mark.parametrize("value,version", [
+        ("release 2.3 of 2020", "2.3"),
+        ("release ２.３ of 2020", "2020"),
+        ("release v١.٢", "release v١.٢"),
+    ])
+    def test_version_info_token_needs_ascii_digits(self, value, version):
+        g = header(Triple(ONTO, OWL_VERSION_INFO, Literal(value)))
+        assert extract_metadata(g).version == version
+
+    @pytest.mark.parametrize("prop,value,acronym", [
+        (OMV_ACRONYM, " MOD ", "MOD"),
+        (IDOT_PREFERRED_PREFIX, "go", "go"),
+        (VANN_PREFERRED_NAMESPACE_PREFIX, "bfo", "BFO"),
+    ])
+    def test_acronym_rungs(self, prop, value, acronym):
+        assert extract_metadata(header(Triple(ONTO, prop, Literal(value)))).acronym == acronym
 
     @given(seed=st.randoms())
     @settings(max_examples=30)
@@ -256,7 +270,7 @@ class TestExtractMetadata:
 class TestDeriveAcronym:
     def test_pav_title_split(self, pav_graph):
         meta = extract_metadata(pav_graph)
-        assert derive_acronym(meta, pav_graph) == (
+        assert derive_acronym(meta) == (
             "PAV",
             "Provenance, Authoring and Versioning",
         )
@@ -264,29 +278,39 @@ class TestDeriveAcronym:
     def test_vann_prefix_uppercased(self):
         g = parse_turtle((HEADERS / "bfo.ttl").read_text("utf-8"))
         meta = extract_metadata(g)
-        assert derive_acronym(meta, g) == ("BFO", "Basic Formal Ontology")
+        assert derive_acronym(meta) == ("BFO", "Basic Formal Ontology")
 
     def test_explicit_acronym_property(self):
         g = parse_turtle((HEADERS / "skos.ttl").read_text("utf-8"))
         meta = extract_metadata(g)
-        assert derive_acronym(meta, g) == ("MOD", "Metadata for Ontology Description")
+        assert derive_acronym(meta) == ("MOD", "Metadata for Ontology Description")
+
+    def test_vann_prefix_smallest_value_before_upper_casing(self):
+        g = header(
+            Triple(ONTO, DCTERMS_TITLE, Literal("Some Ontology")),
+            Triple(ONTO, VANN_PREFERRED_NAMESPACE_PREFIX, Literal("a")),
+            Triple(ONTO, VANN_PREFERRED_NAMESPACE_PREFIX, Literal("B")),
+        )
+        meta = extract_metadata(g)
+        assert meta.acronym == "B"
+        assert derive_acronym(meta) == ("B", "Some Ontology")
 
     def test_no_rule_fires(self):
         g = parse_turtle((HEADERS / "wqo.ttl").read_text("utf-8"))
         meta = extract_metadata(g)
-        assert derive_acronym(meta, g) == (None, "Water Quality Ontology")
+        assert derive_acronym(meta) == (None, "Water Quality Ontology")
 
     def test_lowercase_only_token_not_an_acronym(self):
         g = header(Triple(ONTO, DCTERMS_TITLE, Literal("e-commerce vocabulary")))
         meta = extract_metadata(g)
-        assert derive_acronym(meta, g) == (None, "e-commerce vocabulary")
+        assert derive_acronym(meta) == (None, "e-commerce vocabulary")
 
     def test_colon_separator(self):
         g = header(Triple(ONTO, DCTERMS_TITLE, Literal("SUMO: Suggested Upper Merged Ontology")))
         meta = extract_metadata(g)
-        assert derive_acronym(meta, g) == ("SUMO", "Suggested Upper Merged Ontology")
+        assert derive_acronym(meta) == ("SUMO", "Suggested Upper Merged Ontology")
 
     def test_missing_title(self):
         meta = extract_metadata(header())
         with pytest.raises(MissingFieldError):
-            derive_acronym(meta, header())
+            derive_acronym(meta)

@@ -70,7 +70,7 @@ class TestValidateRecord:
         from ontocite import build_record, derive_acronym, extract_metadata
 
         meta = extract_metadata(pav_graph, fmt="rdf/xml")
-        record = build_record(meta, derive_acronym(meta, pav_graph))
+        record = build_record(meta, derive_acronym(meta))
         assert validate_record(record) == []
 
     @pytest.mark.parametrize("code,mutate", SINGLE_DEFECT_FIXTURES,
@@ -132,6 +132,7 @@ class TestValidateRecord:
         ("Doe,J.", True),
         ("Plato", False),
         ("", True),
+        ({"surname": "Doe", "initials": 5}, True),
     ])
     def test_each_creator_form_is_read_as_an_agent(self, creator, flagged):
         fields = with_value(base_fields(), "creators", [creator])

@@ -81,6 +81,7 @@ ERROR_TABLE = [
      "unsupported construct: RDF collections are not supported"),
     ("ttl", '<http://a> "p" <http://a> .', 1, 12, "expected predicate"),
     ("ttl", "<http://a> <http://p> ;", 1, 23, "expected an RDF term as object"),
+    ("ttl", "<http://a> <http://p> ٣ .", 1, 23, "expected an RDF term as object"),
     ("ttl", "<http://a> <http://p> <http://a> ;", 1, 35, "expected '.' at end of statement"),
     ("ttl", '<http://a> <http://p> "x"^^ x:y .', 1, 28, "expected prefixed name"),
     ("ttl", '<http://a> <http://p> "x"@en-toolongsubtag .', 1, 23,
