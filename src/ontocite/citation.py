@@ -254,13 +254,13 @@ def record_from_json(text: str) -> CitationRecord:
 # --- parsing -----------------------------------------------------------------
 
 
-def _parse_creator_cells(cells: List[str], position: int) -> List[Agent]:
+def _parse_creator_cells(cells: List[str]) -> List[Agent]:
     agents: List[Agent] = []
     i = 0
     while i < len(cells):
         cell = cells[i]
         if not cell:
-            raise CitationParseError(position, "creators", "empty creator name")
+            raise CitationParseError(0, "creators", "empty creator name")
         if i + 1 < len(cells) and is_initials(cells[i + 1]):
             agents.append(Agent(surname=cell, initials=cells[i + 1]))
             i += 2
@@ -273,20 +273,20 @@ def _parse_creator_cells(cells: List[str], position: int) -> List[Agent]:
     return agents
 
 
-def _parse_creators(section: str, position: int) -> Tuple[Agent, ...]:
+def _parse_creators(section: str) -> Tuple[Agent, ...]:
     if not section:
-        raise CitationParseError(position, "creators", "no creators before the date")
+        raise CitationParseError(0, "creators", "no creators before the date")
     if _DATE_SHAPE_ANYWHERE_RE.search(section):
         # a date element inside a creator name would shift the split point
         # on re-parse; no real name looks like this
         raise CitationParseError(
-            position, "creators", "creator names may not contain a date element"
+            0, "creators", "creator names may not contain a date element"
         )
     head, sep, tail = section.rpartition(" and ")
     groups = [head, tail] if sep else [section]
     agents: List[Agent] = []
     for group in groups:
-        agents.extend(_parse_creator_cells(group.split(", "), position))
+        agents.extend(_parse_creator_cells(group.split(", ")))
     return tuple(agents)
 
 
@@ -301,7 +301,7 @@ def parse_canonical(text: str) -> CitationRecord:
     m = _DATE_GROUP_RE.search(s)
     if not m:
         raise CitationParseError(0, "date", "no '(YYYY-MM-DD).' element found")
-    creators = _parse_creators(s[: m.start()].rstrip(), 0)
+    creators = _parse_creators(s[: m.start()].rstrip())
     date = m.group(1)
 
     rest_start = m.end() + 1 if m.end() < len(s) else m.end()
@@ -320,8 +320,6 @@ def parse_canonical(text: str) -> CitationRecord:
                     seen.append(label)
             formats = tuple(seen)
             rest = rest[:bracket].rstrip()
-    if not rest:
-        raise CitationParseError(len(s), "source", "no URI before the format list")
 
     space = rest.rfind(" ")
     uri_token = rest[space + 1 :]

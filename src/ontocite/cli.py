@@ -36,10 +36,9 @@ from .mutual import (
 from .network import build_network, export_dot, render_counts_report
 from .principles import validate_citation_string, validate_record
 from .rdfio import detect_format_label, parse_ntriples, parse_turtle, serialize_ntriples
-from .vocab import KNOWN_FORMAT_LABELS
+from .vocab import EXTENSION_LABELS, KNOWN_FORMAT_LABELS
 
 _PARSEABLE = {"turtle", "n-triples"}
-_RDF_SUFFIXES = (".ttl", ".nt", ".n3", ".owl", ".rdf", ".obo")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -87,7 +86,7 @@ def _looks_like_file(argument: str) -> bool:
         return False
     if re.match(r"[A-Za-z][A-Za-z0-9+.\-]*://", argument):
         return False
-    return argument.lower().endswith(_RDF_SUFFIXES)
+    return argument.lower().endswith(tuple(EXTENSION_LABELS))
 
 
 def _cmd_cite(args: argparse.Namespace) -> int:

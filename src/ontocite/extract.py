@@ -243,7 +243,7 @@ def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
     version_prop, version_values = _rung_literals(g, onto, vocab.VERSION_LADDER)
     version = min((_version_of(version_prop, v.lexical) for v in version_values), default=None)
 
-    _, revisions = _rung_literals(g, onto, (vocab.ONTOCITE_REVISION,))
+    _, revisions = _rung_literals(g, onto, vocab.REVISION_LADDER)
     revision = min((v.lexical for v in revisions), default=None)
 
     acronym_prop, acronyms = _rung_literals(g, onto, vocab.ACRONYM_LADDER)

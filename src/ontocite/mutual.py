@@ -135,8 +135,6 @@ def check_publication_side(
 
     for raw_line in _reference_lines(reference_list_text):
         line = " ".join(raw_line.split())
-        if not line:
-            continue
         if line == canonical:
             return MatchResult(found=True, similarity=1.0, matched_line=line)
         similarity = _jaccard(_similarity_tokens(line), canonical_tokens)

@@ -22,6 +22,7 @@ from urllib.parse import urljoin
 from .exceptions import ParseError, RdfModelError, UnknownFormatError
 from .model import _SCHEME_RE, BlankNode, Graph, Iri, Literal, Term, Triple, nt
 from .vocab import (
+    EXTENSION_LABELS,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -422,15 +423,6 @@ def parse_turtle(text: str) -> Graph:
 
 # --- format detection -------------------------------------------------------
 
-_EXTENSION_LABELS = {
-    ".nt": "n-triples",
-    ".ttl": "turtle",
-    ".n3": "n3",
-    ".owl": "rdf/xml",
-    ".rdf": "rdf/xml",
-    ".obo": "obo",
-}
-
 _OWL_XML_NS = "http://www.w3.org/2002/07/owl#"
 
 
@@ -449,6 +441,6 @@ def detect_format_label(filename: str, content_prefix: str) -> str:
     if head.lstrip().startswith("format-version:"):
         return "obo"
     suffix = PurePath(filename).suffix.lower()
-    if suffix in _EXTENSION_LABELS:
-        return _EXTENSION_LABELS[suffix]
+    if suffix in EXTENSION_LABELS:
+        return EXTENSION_LABELS[suffix]
     raise UnknownFormatError(f"unknown format: no detection rule matched {filename!r}")

@@ -1,8 +1,9 @@
 """Vocabulary constants: property IRIs, precedence ladders, format labels.
 
-The ladders below are the published extraction contract; a frozen copy
-ships as ``data/ladders.json`` so external tooling (and the test suite)
-can pin the exact property IRIs without importing this module.
+The precedence ladders are the published extraction contract. They are
+read from the shipped ``data/ladders.json`` at import, so that file is
+their only definition and external tooling can pin the exact property
+IRIs without importing this module.
 """
 
 from __future__ import annotations
@@ -13,21 +14,16 @@ from importlib import resources
 from .model import Iri
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 DCTERMS_NS = "http://purl.org/dc/terms/"
 DC_NS = "http://purl.org/dc/elements/1.1/"
 FOAF_NS = "http://xmlns.com/foaf/0.1/"
-PAV_NS = "http://purl.org/pav/"
-SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
-SCHEMA_NS = "http://schema.org/"
 OMV_NS = "http://omv.ontoware.org/2005/05/ontology#"
 IDOT_NS = "http://identifiers.org/idot/"
 VANN_NS = "http://purl.org/vocab/vann/"
 
 RDF_TYPE = Iri(RDF_NS + "type")
-RDFS_LABEL = Iri(RDFS_NS + "label")
 
 OWL_ONTOLOGY = Iri(OWL_NS + "Ontology")
 OWL_IMPORTS = Iri(OWL_NS + "imports")
@@ -40,32 +36,16 @@ XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 
 DCTERMS_TITLE = Iri(DCTERMS_NS + "title")
 DCTERMS_CREATOR = Iri(DCTERMS_NS + "creator")
-DCTERMS_CONTRIBUTOR = Iri(DCTERMS_NS + "contributor")
 DCTERMS_ISSUED = Iri(DCTERMS_NS + "issued")
-DCTERMS_CREATED = Iri(DCTERMS_NS + "created")
-DCTERMS_MODIFIED = Iri(DCTERMS_NS + "modified")
 DCTERMS_REFERENCES = Iri(DCTERMS_NS + "references")
 
 DC_TITLE = Iri(DC_NS + "title")
-DC_CREATOR = Iri(DC_NS + "creator")
 DC_RELATION = Iri(DC_NS + "relation")
 
 FOAF_NAME = Iri(FOAF_NS + "name")
 FOAF_GIVEN_NAME = Iri(FOAF_NS + "givenName")
 FOAF_FAMILY_NAME = Iri(FOAF_NS + "familyName")
-FOAF_MAKER = Iri(FOAF_NS + "maker")
 FOAF_ORGANIZATION = Iri(FOAF_NS + "Organization")
-
-PAV_CREATED_BY = Iri(PAV_NS + "createdBy")
-PAV_CREATED_ON = Iri(PAV_NS + "createdOn")
-PAV_LAST_UPDATE_ON = Iri(PAV_NS + "lastUpdateOn")
-PAV_VERSION = Iri(PAV_NS + "version")
-
-SKOS_PREF_LABEL = Iri(SKOS_NS + "prefLabel")
-
-SCHEMA_CREATOR = Iri(SCHEMA_NS + "creator")
-SCHEMA_VERSION = Iri(SCHEMA_NS + "version")
-SCHEMA_ORGANIZATION = Iri(SCHEMA_NS + "Organization")
 
 OMV_ACRONYM = Iri(OMV_NS + "acronym")
 IDOT_PREFERRED_PREFIX = Iri(IDOT_NS + "preferredPrefix")
@@ -75,36 +55,34 @@ VANN_PREFERRED_NAMESPACE_PREFIX = Iri(VANN_NS + "preferredNamespacePrefix")
 # publishes one.
 ONTOCITE_REVISION = Iri("http://purl.org/ontocite/revision")
 
-# Extraction precedence ladders: the first property with a usable value wins,
-# later rungs never override it.
-TITLE_LADDER = (DCTERMS_TITLE, DC_TITLE, RDFS_LABEL, SKOS_PREF_LABEL)
-CREATOR_LADDER = (DCTERMS_CREATOR, DC_CREATOR, PAV_CREATED_BY, FOAF_MAKER, SCHEMA_CREATOR)
-DATE_LADDER = (DCTERMS_ISSUED, PAV_CREATED_ON, DCTERMS_CREATED, PAV_LAST_UPDATE_ON, DCTERMS_MODIFIED)
-VERSION_LADDER = (OWL_VERSION_INFO, PAV_VERSION, SCHEMA_VERSION)
-ACRONYM_LADDER = (OMV_ACRONYM, IDOT_PREFERRED_PREFIX, VANN_PREFERRED_NAMESPACE_PREFIX)
-
-AGENT_NAME_LADDER = (FOAF_NAME, RDFS_LABEL)
-ORGANIZATION_TYPES = (FOAF_ORGANIZATION, SCHEMA_ORGANIZATION)
-
 # Serialization labels used in the citation's bracketed format element.
 KNOWN_FORMAT_LABELS = ("rdf/xml", "owl/xml", "obo", "n3", "turtle", "n-triples")
 
-
-def ladders_as_dict() -> dict:
-    """The precedence ladders keyed by field, as plain IRI strings."""
-    return {
-        "title": [p.value for p in TITLE_LADDER],
-        "creators": [p.value for p in CREATOR_LADDER],
-        "date": [p.value for p in DATE_LADDER],
-        "version": [p.value for p in VERSION_LADDER],
-        "acronym": [p.value for p in ACRONYM_LADDER],
-        "revision": [ONTOCITE_REVISION.value],
-        "agent_name": [p.value for p in AGENT_NAME_LADDER],
-        "organization_types": [p.value for p in ORGANIZATION_TYPES],
-    }
+# The format label each file extension implies when content sniffing is silent.
+EXTENSION_LABELS = {
+    ".nt": "n-triples",
+    ".ttl": "turtle",
+    ".n3": "n3",
+    ".owl": "rdf/xml",
+    ".rdf": "rdf/xml",
+    ".obo": "obo",
+}
 
 
 def shipped_ladders() -> dict:
-    """The frozen ladder table shipped with the package."""
+    """The ladder table shipped with the package, as plain IRI strings."""
     text = resources.files("ontocite").joinpath("data/ladders.json").read_text("utf-8")
     return json.loads(text)
+
+
+# Extraction precedence ladders: the first property with a usable value wins,
+# later rungs never override it.
+_LADDERS = {field: tuple(map(Iri, iris)) for field, iris in shipped_ladders().items()}
+TITLE_LADDER = _LADDERS["title"]
+CREATOR_LADDER = _LADDERS["creators"]
+DATE_LADDER = _LADDERS["date"]
+VERSION_LADDER = _LADDERS["version"]
+ACRONYM_LADDER = _LADDERS["acronym"]
+REVISION_LADDER = _LADDERS["revision"]
+AGENT_NAME_LADDER = _LADDERS["agent_name"]
+ORGANIZATION_TYPES = _LADDERS["organization_types"]

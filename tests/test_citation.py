@@ -176,6 +176,20 @@ class TestParseCanonical:
             parse_canonical("Doe, J. (2020-01-01). Title. not-absolute")
         assert exc.value.expected == "source"
 
+    @pytest.mark.parametrize("text,expected,message", [
+        ("Doe, J., , Roe, R. (2020-01-01). T. http://example.org/o",
+         "creators", "empty creator name"),
+        ("Doe (2020-01-01).x (2021-01-01). T. http://example.org/o",
+         "creators", "may not contain a date element"),
+        ("Doe, J. (2020-01-01).", "title", "nothing follows the date"),
+        ("Doe, J. (2020-01-01). . http://example.org/o", "title", "empty title"),
+    ])
+    def test_error_names_element_and_reason(self, text, expected, message):
+        with pytest.raises(CitationParseError) as exc:
+            parse_canonical(text)
+        assert exc.value.expected == expected
+        assert message in exc.value.message
+
     def test_multi_word_creator_without_initials_is_organization(self):
         record = parse_canonical(
             "Gene Ontology Consortium (2024-06-01). Gene Ontology. http://example.org/go/"

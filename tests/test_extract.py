@@ -12,6 +12,7 @@ from ontocite import (
     MissingFieldError,
     NoOntologyNodeError,
     OntociteWarning,
+    OntologyMetadata,
     Triple,
     UnresolvableAgentError,
     derive_acronym,
@@ -99,6 +100,10 @@ class TestNormalizePersonName:
     def test_empty_rejected(self):
         with pytest.raises(EmptyNameError):
             normalize_person_name("   ")
+
+    def test_missing_surname_rejected(self):
+        with pytest.raises(EmptyNameError, match="no surname part"):
+            normalize_person_name(", John")
 
     def test_idempotent_on_rendered_form(self):
         first = normalize_person_name("Stian Soiland-Reyes")
@@ -274,6 +279,10 @@ class TestDeriveAcronym:
             "PAV",
             "Provenance, Authoring and Versioning",
         )
+
+    def test_leading_title_token_equal_to_acronym_dropped(self):
+        meta = OntologyMetadata(Iri("http://x.org/o"), title="Pav - Provenance", acronym="PAV")
+        assert derive_acronym(meta) == ("PAV", "Provenance")
 
     def test_vann_prefix_uppercased(self):
         g = parse_turtle((HEADERS / "bfo.ttl").read_text("utf-8"))

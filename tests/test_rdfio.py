@@ -245,6 +245,8 @@ class TestTurtle:
         ("<http://s> <http://p> [ <http://q> <http://r> ;; <http://x> <http://y> ; ] .",
          "<http://s> <http://p> _:b1 .\n_:b1 <http://q> <http://r> .\n"
          "_:b1 <http://x> <http://y> .\n"),
+        ("<http://a> <http://p> [] .", "<http://a> <http://p> _:b1 .\n"),
+        ("[ <http://p> <http://o> ] .", "_:b1 <http://p> <http://o> .\n"),
     ])
     def test_repeated_semicolons(self, text, twin):
         assert parse_turtle(text) == parse_ntriples(twin)

@@ -1,11 +1,13 @@
-"""Pin the published extraction vocabulary: the module constants, the
-shipped machine-readable table, and the documented IRIs must all agree."""
+"""Pin the published extraction vocabulary: the ladders read from the
+shipped machine-readable table, and the documented IRIs must agree."""
+
+from pathlib import Path
+
+import pytest
 
 from ontocite import vocab
 
-
-def test_shipped_table_matches_module():
-    assert vocab.shipped_ladders() == vocab.ladders_as_dict()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_title_ladder_pinned():
@@ -55,6 +57,21 @@ def test_acronym_ladder_pinned():
 
 def test_revision_property_pinned():
     assert vocab.ONTOCITE_REVISION.value == "http://purl.org/ontocite/revision"
+    assert vocab.REVISION_LADDER == (vocab.ONTOCITE_REVISION,)
+
+
+def test_agent_name_ladder_pinned():
+    assert [p.value for p in vocab.AGENT_NAME_LADDER] == [
+        "http://xmlns.com/foaf/0.1/name",
+        "http://www.w3.org/2000/01/rdf-schema#label",
+    ]
+
+
+def test_organization_types_pinned():
+    assert [p.value for p in vocab.ORGANIZATION_TYPES] == [
+        "http://xmlns.com/foaf/0.1/Organization",
+        "http://schema.org/Organization",
+    ]
 
 
 def test_reference_property_pinned():
@@ -66,3 +83,17 @@ def test_format_label_vocabulary_closed():
         "rdf/xml", "owl/xml", "obo", "n3", "turtle", "n-triples",
     )
     assert all(label == label.lower() for label in vocab.KNOWN_FORMAT_LABELS)
+    assert set(vocab.EXTENSION_LABELS.values()) <= set(vocab.KNOWN_FORMAT_LABELS)
+
+
+def test_package_data_globs_cover_data_directory():
+    # vocab reads data/ladders.json at import, so an install that omits a
+    # data file leaves the package unimportable.
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["ontocite"]
+    package = ROOT / "src" / "ontocite"
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    data_files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert data_files
+    assert data_files <= shipped
