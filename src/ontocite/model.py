@@ -4,14 +4,15 @@ The model is deliberately small: just enough to hold ontology header
 triples. Graphs are value objects; iteration order is deterministic
 (sorted by the canonical string form of subject, predicate, object), so
 everything downstream of a graph is reproducible regardless of source
-file ordering.
+file ordering. A graph indexes its triples by subject and by predicate
+on its first ``match``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .exceptions import RdfModelError
 
@@ -146,12 +147,13 @@ class Graph:
 
     Duplicate triples collapse silently (set semantics). The triples are
     stored once, unordered; iteration and ``match`` results are sorted
-    by :func:`nt` of subject, predicate and object when asked for.
+    by :func:`nt` of subject, predicate and object when asked for. The
+    first ``match`` indexes the triples by subject and by predicate.
     ``insert`` returns a new graph; for bulk construction pass an
     iterable to the constructor.
     """
 
-    __slots__ = ("_triples",)
+    __slots__ = ("_triples", "_index")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         items = tuple(triples)
@@ -159,6 +161,7 @@ class Graph:
             if not isinstance(t, Triple):
                 raise RdfModelError(f"graph elements must be triples, got {type(t).__name__}")
         self._triples = frozenset(items)
+        self._index: Optional[Tuple[Dict[Term, List[Triple]], Dict[Iri, List[Triple]]]] = None
 
     def insert(self, t: Triple) -> "Graph":
         if not isinstance(t, Triple):
@@ -177,9 +180,20 @@ class Graph:
 
         Absent arguments are wildcards; results follow graph iteration order.
         """
+        if self._index is None:
+            self._index = ({}, {})
+            for t in self._triples:
+                self._index[0].setdefault(t.subject, []).append(t)
+                self._index[1].setdefault(t.predicate, []).append(t)
+        if s is not None:
+            candidates = self._index[0].get(s, ())
+        elif p is not None:
+            candidates = self._index[1].get(p, ())
+        else:
+            candidates = self._triples
         hits = [
             t
-            for t in self._triples
+            for t in candidates
             if (s is None or t.subject == s)
             and (p is None or t.predicate == p)
             and (o is None or t.object == o)

@@ -9,7 +9,8 @@ all-or-nothing: the first malformed statement aborts with its position.
 
 One scanner serves both syntaxes: each terminal of the W3C grammars is a
 compiled regex matched at the current offset, and line and column are
-worked out only when an error is raised.
+worked out only when an error is raised. Each distinct IRI is validated
+once per document; its later occurrences reuse the same :class:`Iri`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.iris: Dict[str, Iri] = {}
 
     def error(self, message: str, pos: Optional[int] = None) -> NoReturn:
         """Raise a ParseError at ``pos`` (default: the current offset)."""
@@ -89,6 +91,14 @@ class _Scanner:
             return factory(*args, **kwargs)
         except RdfModelError as exc:
             self.error(str(exc), start)
+
+    def intern(self, start: int, value: str) -> Iri:
+        """The document's one :class:`Iri` for ``value``, validated when
+        first seen; its validation errors point at ``start``."""
+        iri = self.iris.get(value)
+        if iri is None:
+            iri = self.iris[value] = self.make(start, Iri, value)
+        return iri
 
     def escape(self, echars: bool) -> str:
         """Decode the escape at the current offset (a backslash); ``echars``
@@ -181,7 +191,7 @@ class _Scanner:
     def iri(self) -> Iri:
         """An IRIREF as written: N-Triples has no relative IRIs."""
         start = self.pos
-        return self.make(start, Iri, self.iriref())
+        return self.intern(start, self.iriref())
 
     def datatype(self) -> Iri:
         if self.peek() != "<":
@@ -234,8 +244,12 @@ def parse_ntriples(text: str) -> Graph:
 
 def serialize_ntriples(g: Graph) -> str:
     """Serialize a graph as N-Triples, one statement per line in graph
-    iteration order. Output is bit-deterministic and reparses to ``g``."""
-    return "".join(f"{nt(t.subject)} {nt(t.predicate)} {nt(t.object)} .\n" for t in g)
+    iteration order. Output is bit-deterministic and reparses to ``g``.
+    Sorting the lines gives that order: an IRI token ends in '>', and a
+    blank node or literal token is followed by a space, which sorts below
+    every character that could continue it."""
+    lines = [f"{nt(t.subject)} {nt(t.predicate)} {nt(t.object)} .\n" for t in g._triples]
+    return "".join(sorted(lines))
 
 
 # --- Turtle subset ----------------------------------------------------------
@@ -273,7 +287,7 @@ class _Turtle(_Scanner):
                 raw = urljoin(self.base, raw)
             except ValueError as exc:
                 self.error(f"cannot resolve {raw!r} against @base: {exc}", start)
-        return self.make(start, Iri, raw)
+        return self.intern(start, raw)
 
     def pname(self) -> Iri:
         start = self.pos
@@ -284,7 +298,7 @@ class _Turtle(_Scanner):
         if prefix not in self.prefixes:
             self.error(f"undeclared prefix: {prefix!r}:")
         self.pos = m.end()
-        return self.make(start, Iri, self.prefixes[prefix] + local)
+        return self.intern(start, self.prefixes[prefix] + local)
 
     def datatype(self) -> Iri:
         return self.iri() if self.peek() == "<" else self.pname()

@@ -1,3 +1,5 @@
+from operator import attrgetter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,17 +105,38 @@ class TestGraph:
         once = g.insert(extra)
         assert len(once.insert(extra)) == len(once)
 
-    @given(g=graphs, s=st.none() | triples.map(lambda x: x.subject),
-           p=st.none() | triples.map(lambda x: x.predicate),
-           o=st.none() | triples.map(lambda x: x.object))
-    def test_match_equals_brute_force(self, g, s, p, o):
-        brute = [
-            x for x in g
-            if (s is None or x.subject == s)
-            and (p is None or x.predicate == p)
-            and (o is None or x.object == o)
-        ]
-        assert g.match(s, p, o) == brute
+    @given(g=graphs, data=st.data())
+    def test_match_equals_brute_force(self, g, data):
+        members = list(g)
+        before = hash(g)
+
+        def position(base, name):
+            # mostly a term of a triple of g, so that patterns hit
+            own = st.just(getattr(base, name))
+            return st.one_of(own, own, st.none(), triples.map(attrgetter(name)))
+
+        def brute(graph, s, p, o):
+            return [
+                x for x in graph
+                if (s is None or x.subject == s)
+                and (p is None or x.predicate == p)
+                and (o is None or x.object == o)
+            ]
+
+        for _ in range(5):  # one graph object, so later patterns reuse its index
+            base = data.draw(st.sampled_from(members) if members else triples)
+            s, p, o = (data.draw(position(base, n)) for n in ("subject", "predicate", "object"))
+            assert g.match(s, p, o) == brute(g, s, p, o)
+        assert hash(g) == before
+        assert g == Graph(members)
+        assert hash(Graph(members)) == hash(g)
+
+        extra = data.draw(st.sampled_from(members) | triples if members else triples)
+        grown = g.insert(extra)
+        assert extra in grown.match(extra.subject, extra.predicate, extra.object)
+        assert grown.match(extra.subject) == brute(grown, extra.subject, None, None)
+        assert grown.match(None, extra.predicate) == brute(grown, None, extra.predicate, None)
+        assert (extra in g.match(extra.subject)) == (extra in members)
 
     @given(g=graphs)
     def test_iteration_deterministic_across_orderings(self, g):

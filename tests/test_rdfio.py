@@ -15,6 +15,7 @@ from ontocite import (
     parse_turtle,
     serialize_ntriples,
 )
+from ontocite.model import nt
 from ontocite.rdfio import MAX_NESTING
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
@@ -95,6 +96,49 @@ ERROR_TABLE = [
 SYNTAX_TEXT = st.text(
     alphabet='<>"\\#@^_:.;,[]()abcpxyzAEUu019+-\n ', max_size=80
 )
+
+
+def graph_order_lines(g: Graph) -> str:
+    """The N-Triples text of ``g`` written in graph iteration order."""
+    return "".join(f"{nt(t.subject)} {nt(t.predicate)} {nt(t.object)} .\n" for t in g)
+
+
+# Graphs whose tokens are prefixes of one another, or hold characters that
+# escape below or encode above a space: sorting the serialized lines must
+# still give graph iteration order.
+SERIALIZER_ORDER_ROWS = {
+    "bnode-label-prefix": [
+        Triple(BlankNode("b12"), Iri("http://p"), Iri("http://a")),
+        Triple(BlankNode("b1"), Iri("http://p"), Iri("http://z")),
+        Triple(Iri("http://s"), Iri("http://p"), BlankNode("b12")),
+        Triple(Iri("http://s"), Iri("http://p"), BlankNode("b1")),
+    ],
+    "literal-lang-datatype": [
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a", datatype=Iri("http://x/dt"))),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a", lang="en")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a b")),
+    ],
+    "iri-prefix": [
+        Triple(Iri("http://a/b"), Iri("http://p"), Iri("http://a")),
+        Triple(Iri("http://a"), Iri("http://p/q"), Iri("http://a/b")),
+        Triple(Iri("http://a"), Iri("http://p"), Iri("http://a/b")),
+        Triple(Iri("http://a"), Iri("http://p"), Iri("http://a")),
+    ],
+    "escaped-below-space": [
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a\tb")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a\x01")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a b")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("a!")),
+    ],
+    "non-ascii": [
+        Triple(Iri("http://s"), Iri("http://p"), Literal("é")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("e")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("éa")),
+        Triple(Iri("http://s"), Iri("http://p"), Literal("z")),
+    ],
+}
 
 
 def nested(depth: int) -> str:
@@ -207,6 +251,65 @@ class TestSerializer:
     @given(g=graphs)
     def test_round_trip_property(self, g):
         assert parse_ntriples(serialize_ntriples(g)) == g
+
+    @settings(max_examples=200)
+    @given(g=graphs)
+    def test_lines_follow_graph_order(self, g):
+        assert serialize_ntriples(g) == graph_order_lines(g)
+
+    @pytest.mark.parametrize("name", SERIALIZER_ORDER_ROWS)
+    def test_order_at_token_prefixes(self, name):
+        g = Graph(SERIALIZER_ORDER_ROWS[name])
+        assert serialize_ntriples(g) == graph_order_lines(g)
+
+
+class TestInterning:
+    TEXT = "<http://a> <http://p> <http://a> .\n<http://b> <http://p> <http://a> .\n"
+
+    @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+    def test_repeated_iri_is_one_object(self, parse):
+        (first, second) = list(parse(self.TEXT))
+        assert first.subject is first.object is second.object
+        assert first.predicate is second.predicate
+
+    def test_prefixed_and_full_forms_share_one_object(self):
+        g = parse_turtle(
+            "@prefix ex: <http://ex.org/> .\n"
+            'ex:a ex:p <http://ex.org/a>, "x"^^ex:dt .\n'
+            '<http://ex.org/a> <http://ex.org/p> "y"^^<http://ex.org/dt> .\n'
+        )
+        assert len(g) == 3
+        assert len({id(t.subject) for t in g}
+                   | {id(t.object) for t in g if isinstance(t.object, Iri)}) == 1
+        assert len({id(t.predicate) for t in g}) == 1
+        assert len({id(t.object.datatype) for t in g if isinstance(t.object, Literal)}) == 1
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_ntriples, "<http://a> <http://p> <bad> .\n", "IRI lacks a scheme: 'bad'"),
+        (parse_ntriples, "<http://a> <http://p> <http://a\\u0020b> .\n",
+         "IRI contains forbidden character(s) ' ': 'http://a b'"),
+        (parse_turtle, "<http://a> <http://p> <http://a\\u0020b> .\n",
+         "IRI contains forbidden character(s) ' ': 'http://a b'"),
+    ])
+    def test_repeated_invalid_iri_reports_its_first_occurrence(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text * 2)
+        assert str(exc.value) == f"line 1, column 23: {message}"
+
+    @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+    def test_each_distinct_iri_is_validated_once(self, parse, monkeypatch):
+        validated = []
+        post_init = Iri.__post_init__
+
+        def counting(iri):
+            validated.append(iri.value)
+            post_init(iri)
+
+        text = "".join(f'<http://s> <http://p> "{i}"^^<http://dt> .\n' for i in range(200))
+        monkeypatch.setattr(Iri, "__post_init__", counting)
+        g = parse(text)
+        assert len(g) == 200
+        assert sorted(validated) == ["http://dt", "http://p", "http://s"]
 
 
 class TestTurtle:
