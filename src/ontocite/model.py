@@ -168,7 +168,10 @@ class Graph:
             raise RdfModelError(f"cannot insert {type(t).__name__} into a graph")
         if t in self._triples:
             return self
-        return Graph(self._triples | {t})
+        # the stored triples are checked already, and the union reuses their hashes
+        g = Graph.__new__(Graph)
+        g._triples, g._index = self._triples | {t}, None
+        return g
 
     def match(
         self,
@@ -185,18 +188,17 @@ class Graph:
             for t in self._triples:
                 self._index[0].setdefault(t.subject, []).append(t)
                 self._index[1].setdefault(t.predicate, []).append(t)
+        # a triple listed under a key equals the pattern on that key
         if s is not None:
             candidates = self._index[0].get(s, ())
         elif p is not None:
-            candidates = self._index[1].get(p, ())
+            candidates, p = self._index[1].get(p, ()), None
         else:
             candidates = self._triples
         hits = [
             t
             for t in candidates
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
-            and (o is None or t.object == o)
+            if (p is None or t.predicate == p) and (o is None or t.object == o)
         ]
         if len(hits) > 1:
             hits.sort(key=_triple_key)

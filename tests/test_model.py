@@ -78,6 +78,23 @@ class TestGraph:
         with pytest.raises(RdfModelError):
             Graph().insert("not a triple")
 
+    def test_insert_hashes_only_the_new_triple(self, monkeypatch):
+        g = Graph(Triple(A, P, Literal(str(i))) for i in range(200))
+        hashed = []
+        triple_hash = Triple.__hash__
+
+        def counting(triple):
+            hashed.append(triple)
+            return triple_hash(triple)
+
+        extra = t(Literal("new"))
+        monkeypatch.setattr(Triple, "__hash__", counting)
+        grown = g.insert(extra)
+        assert all(x is extra for x in hashed) and len(hashed) <= 2
+        monkeypatch.undo()
+        assert len(grown) == 201 and extra in grown
+        assert set(grown) == set(g) | {extra}
+
     def test_match_full_wildcard(self, pav_graph):
         assert pav_graph.match() == list(pav_graph)
 

@@ -1,3 +1,8 @@
+import re
+import string
+from itertools import groupby
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +25,7 @@ from ontocite.rdfio import MAX_NESTING
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
 from conftest import HEADERS, NETWORK
-from strategies import graphs
+from strategies import bnodes, graphs, iris
 
 A = "<http://a>"
 P = "<http://p>"
@@ -143,6 +148,123 @@ SERIALIZER_ORDER_ROWS = {
 
 def nested(depth: int) -> str:
     return f"{A} {P} " + "[ <http://p> " * depth + A + " ]" * depth + " ."
+
+
+# --- a Turtle writer with free layout ----------------------------------------
+
+# Literals the writer may spell as numbers or booleans, and prefix names
+# that read like the keywords.
+SHORTHAND = {
+    XSD_INTEGER: re.compile(r"[+-]?[0-9]+"),
+    XSD_DECIMAL: re.compile(r"[+-]?[0-9]*\.[0-9]+"),
+    XSD_DOUBLE: re.compile(r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+"),
+    XSD_BOOLEAN: re.compile("true|false"),
+}
+SHORTHAND_LITERALS = [
+    Literal(lexical, datatype=datatype)
+    for datatype, lexicals in [
+        (XSD_BOOLEAN, ["true", "false"]),
+        (XSD_INTEGER, ["42", "-7", "+0"]),
+        (XSD_DECIMAL, ["1.5", ".5", "-0.25"]),
+        (XSD_DOUBLE, ["1e3", "+.5E-2", "2.5e+1"]),
+    ]
+    for lexical in lexicals
+]
+PREFIX_NAMES = ["", "a", "true", "false", "ex", "x-1", "t_"]
+# Separators between tokens; a comment runs to the end of its line.
+SPACES = [" ", "\n", "\t ", "\r\n", " # a comment\n", "#\n"]
+NAME_CHARS = set(string.ascii_letters + string.digits + "_-%:")
+LOCAL_NAME = re.compile(r"[A-Za-z0-9_\-]*")
+
+
+@st.composite
+def layout_graphs(draw):
+    """``strategies.graphs`` examples in which some triples share one
+    subject, some predicates become rdf:type, some objects number or
+    boolean literals, and some language tags spell a directive keyword."""
+    shared = draw(st.one_of(iris, bnodes))
+
+    def vary(t):
+        if draw(st.booleans()):
+            t = Triple(shared, t.predicate, t.object)
+        choice = draw(st.integers(min_value=0, max_value=5))
+        if choice == 0:
+            return Triple(t.subject, RDF_TYPE, t.object)
+        if choice == 1:
+            return Triple(t.subject, t.predicate, draw(st.sampled_from(SHORTHAND_LITERALS)))
+        if choice == 2 and isinstance(t.object, Literal):
+            lang = draw(st.sampled_from(["prefix", "base", "en-prefix"]))
+            return Triple(t.subject, t.predicate, Literal(t.object.lexical, lang=lang))
+        return t
+
+    return Graph(vary(t) for t in draw(graphs))
+
+
+@st.composite
+def turtle_layouts(draw, g):
+    """A Turtle document for ``g``: '@prefix' declarations, prefixed names
+    where the local part allows them, 'a', ';' and ',' lists, numbers,
+    booleans and long strings, with comments or random whitespace between
+    tokens, and none wherever the tokens stay apart without it."""
+    prefixes = {}
+
+    def iri(value):
+        namespace = value[:max(value.rfind("/"), value.rfind("#")) + 1]
+        local = value[len(namespace):]
+        if not LOCAL_NAME.fullmatch(local) or not draw(st.booleans()):
+            return f"<{value}>"
+        if namespace not in prefixes:
+            k = len(prefixes)
+            prefixes[namespace] = PREFIX_NAMES[k] if k < len(PREFIX_NAMES) else f"p{k}"
+        return f"{prefixes[namespace]}:{local}"
+
+    def literal(lit):
+        shorthand = SHORTHAND.get(lit.datatype)
+        if shorthand and shorthand.fullmatch(lit.lexical) and draw(st.booleans()):
+            return lit.lexical
+        if '"""' in lit.lexical or draw(st.booleans()):
+            body = nt(Literal(lit.lexical))
+        else:
+            body = '"""' + lit.lexical.replace("\\", "\\\\") + '"""'
+        if lit.lang is not None:
+            return f"{body}@{lit.lang}"
+        if lit.datatype is not None:
+            return f"{body}^^{iri(lit.datatype.value)}"
+        return body
+
+    def term(x):
+        if isinstance(x, Iri):
+            return iri(x.value)
+        if isinstance(x, BlankNode):
+            return f"_:{x.label}"
+        return literal(x)
+
+    tokens = []
+    for subject, group in groupby(g, key=attrgetter("subject")):
+        tokens.append(term(subject))
+        pairs = groupby(group, key=attrgetter("predicate"))
+        for i, (predicate, ts) in enumerate(pairs):
+            objects = [t.object for t in ts]
+            if i:
+                tokens += [";"] * draw(st.integers(min_value=1, max_value=2))
+            tokens.append("a" if predicate == RDF_TYPE and draw(st.booleans()) else term(predicate))
+            for k, obj in enumerate(objects):
+                tokens += [","] * (k > 0) + [term(obj)]
+        tokens += [";"] * draw(st.integers(min_value=0, max_value=2)) + ["."]
+    tokens = [tok for namespace, name in prefixes.items()
+              for tok in ("@prefix", f"{name}:", f"<{namespace}>", ".")] + tokens
+
+    out = []
+    for prev, tok in zip([""] + tokens, tokens):
+        # a name next to a name or a '.' would run into it; a number or a
+        # boolean ends before a '.'
+        apart = not (prev and prev[-1] in NAME_CHARS and (
+            tok[0] in NAME_CHARS
+            or tok[0] == "." and not (
+                tok == "." and any(p.fullmatch(prev) for p in SHORTHAND.values()))))
+        out.append(draw(st.sampled_from([""] * 3 + SPACES if apart else SPACES)))
+        out.append(tok)
+    return "".join(out)
 
 
 class TestNTriples:
@@ -441,6 +563,32 @@ class TestTurtle:
     def test_bnode_subject_property_list(self):
         g = parse_turtle('[ <http://p> "x" ] <http://q> "y" .')
         assert len(g) == 2
+
+    # Where one token ends decides where a malformed statement is reported.
+    @pytest.mark.parametrize("text,column,message", [
+        ("<http://a> <http://p> <http://o> .5 .", 35, "expected subject"),
+        ("<http://a> <http://p> <http://o> ; .5 .", 37, "expected subject"),
+        ("<http://a> ab <http://o> .", 12, "expected prefixed name"),
+        ("<http://a> a_ <http://o> .", 12, "expected prefixed name"),
+        ("<http://a> <http://p> truex .", 23, "expected prefixed name"),
+        ('<http://a> <http://p> "x"@prefix:y .', 33, "expected '.' at end of statement"),
+        ("@prefixx: <http://x/> .", 1, "expected subject"),
+    ])
+    def test_token_boundaries_in_errors(self, text, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, column, message)
+
+    @settings(max_examples=200)
+    @given(g=graphs)
+    def test_ntriples_is_turtle(self, g):
+        assert parse_turtle(serialize_ntriples(g)) == g
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_any_layout_parses_to_the_graph(self, data):
+        g = data.draw(layout_graphs())
+        assert parse_turtle(data.draw(turtle_layouts(g))) == g
 
     @pytest.mark.parametrize("stem", [p.stem for p in sorted(HEADERS.glob("*.ttl"))])
     def test_header_twins_parse_equal(self, stem):
