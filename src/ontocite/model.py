@@ -18,6 +18,9 @@ from .exceptions import RdfModelError
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _FORBIDDEN_IRI_CHARS = set(' \t\n\r\x0b\x0c<>"')
+# What an IRIREF cannot hold as it is: the forbidden characters above, and
+# the rest, which an N-Triples token writes as \u00XX.
+_IRIREF_ESCAPE_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _LANG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _BNODE_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -38,17 +41,23 @@ class Iri:
     present and whitespace, angle brackets, and quotes are rejected."""
 
     value: str
+    # The N-Triples token of an IRI that holds a character IRIREF forbids;
+    # None for any other IRI, whose token is its value in angle brackets.
+    _token = None
 
     def __post_init__(self):
         if not self.value:
             raise RdfModelError("IRI must be non-empty")
         if not _SCHEME_RE.match(self.value):
             raise RdfModelError(f"IRI lacks a scheme: {self.value!r}")
-        bad = _FORBIDDEN_IRI_CHARS.intersection(self.value)
-        if bad:
-            raise RdfModelError(
-                f"IRI contains forbidden character(s) {''.join(sorted(bad))!r}: {self.value!r}"
-            )
+        if _IRIREF_ESCAPE_RE.search(self.value):
+            bad = _FORBIDDEN_IRI_CHARS.intersection(self.value)
+            if bad:
+                raise RdfModelError(
+                    f"IRI contains forbidden character(s) {''.join(sorted(bad))!r}: {self.value!r}"
+                )
+            token = _IRIREF_ESCAPE_RE.sub(lambda m: f"\\u{ord(m.group()):04X}", self.value)
+            object.__setattr__(self, "_token", f"<{token}>")
 
     def __str__(self) -> str:
         return self.value
@@ -104,7 +113,7 @@ def nt(term: Term) -> str:
     serializer's term formatter, so order and output can never drift apart.
     """
     if isinstance(term, Iri):
-        return f"<{term.value}>"
+        return term._token or f"<{term.value}>"
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     if isinstance(term, Literal):
@@ -112,7 +121,7 @@ def nt(term: Term) -> str:
         if term.lang is not None:
             return f"{body}@{term.lang}"
         if term.datatype is not None:
-            return f"{body}^^<{term.datatype.value}>"
+            return f"{body}^^{nt(term.datatype)}"
         return body
     raise RdfModelError(f"not an RDF term: {term!r}")
 

@@ -7,17 +7,20 @@ datatypes, numeric/boolean shorthand). RDF collections ``( ... )`` are
 rejected with a distinct "unsupported construct" error. Parsing is
 all-or-nothing: the first malformed statement aborts with its position.
 
-Each syntax has one compiled regex for its common case. An N-Triples
-statement is one ``_NT_STATEMENT_RE`` match, from the whitespace and
-comments before it to its end of line. Turtle is read one ``_TOKEN_RE``
-match at a time: an alternation of every Turtle terminal with the
-whitespace and comment skip folded in, dispatched on the group that
-matched. Where that regex rejects the input (a token holding a backslash
-escape, a relative IRI, an undeclared prefix, a malformed statement),
-the term readers of :class:`_Scanner` take over at that offset: they
-decode escapes and raise every :class:`ParseError`, and line and column
-are worked out only then. Each distinct IRI is validated once per
-document; its later occurrences reuse the same :class:`Iri`.
+Every well-formed term is read by one regex match. An N-Triples statement
+without escapes is one ``_NT_STATEMENT_RE`` match, from the whitespace and
+comments before it to its end of line; any other statement is read term
+by term. Turtle is read one ``_TOKEN_RE`` match at a time: an alternation
+of every Turtle terminal with the whitespace and comment skip folded in,
+dispatched on the group that matched. Each kind of term is built in one
+place (:meth:`_Scanner.iri`, :meth:`_Scanner.token_literal`,
+:meth:`_Turtle.pname`), which decodes escapes, resolves relative IRIs and
+raises the errors of well-formed tokens, such as an undeclared prefix.
+Input that the regexes reject goes to one error finder,
+:meth:`_Scanner.fail`, which names what broke the term there and builds
+none; line and column are worked out only then. Each distinct IRI is
+validated once per document; its later occurrences reuse the same
+:class:`Iri`.
 """
 
 from __future__ import annotations
@@ -41,39 +44,44 @@ from .vocab import (
 #: Deepest nesting of anonymous ``[ ... ]`` nodes that Turtle input may use.
 MAX_NESTING = 128
 
-# The terminals, each written once and shared by the statement and token
-# regexes and by the term readers.
+# The terminals, each written once and shared by the regexes below. A body
+# that may hold escapes is a run of plain characters with a well-formed
+# escape between two runs.
 _IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\]'
 _SHORT_CHAR = r'[^"\\\n\r]'
+_UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
+_ESCAPE = rf"""\\(?:[tbnrf"'\\]|{_UCHAR})"""
+_IRI = rf"{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*"
+_SHORT = rf"{_SHORT_CHAR}*(?:{_ESCAPE}{_SHORT_CHAR}*)*"
 # Quote runs shorter than three are content, and so are the quotes before
 # the last three of a longer run: the run stops at exactly '"""'.
 _LONG_RUN = r'[^"\\]*(?:(?:"{1,2}(?!")|"(?="""))[^"\\]*)*'
+_LONG = rf"{_LONG_RUN}(?:{_ESCAPE}{_LONG_RUN})*"
 _LABEL = r"[A-Za-z0-9_]"
 _LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
-_PN_PREFIX = r"[A-Za-z0-9_\-]*"
+# A prefix is empty or starts with a letter, as W3C PN_PREFIX does.
+_PN_PREFIX = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?"
 # A dot belongs to the local name only when another name character follows.
 _PN_LOCAL = r"(?:[A-Za-z0-9_\-%]+|\.(?=[A-Za-z0-9_\-.%]))*"
 # A keyword ends where a prefixed name would not: 'a:b' is a name.
 _KEYWORD_END = r"(?![A-Za-z0-9_\-:])"
-_NUMBER = r"[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMBER = r"(?P<number>[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 # Whitespace and whole comment lines. A comment that ends the input without
 # a newline is left to _WS_RE, so that the skip never backtracks into itself.
 _SKIP = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
 
+# What only escapes, statements with escapes and malformed input need is
+# compiled on first use, from re's cache.
+_DECODE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))"
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-_UCHAR_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))")
+# One N-Triples term and the spaces after it; a literal is no term when an
+# '@' or '^^' follows that does not start its language tag or datatype.
+_NT_TERM = (rf'(?:<(?P<iri>{_IRI})>|_:(?P<bnode>{_LABEL}+)|"(?P<short>{_SHORT})"'
+            rf"(?:@(?P<lang>{_LANGTAG})|\^\^<(?P<dt>{_IRI})>|(?!@|\^\^)))[ \t]*")
+# What may follow the '.' of an N-Triples statement on its line.
+_LINE_END = r"[ \t]*(?:#[^\n]*)?"
+
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-_INLINE_WS_RE = re.compile(r"[ \t]*")
-_LINE_END_RE = re.compile(r"[ \t]*(?:#[^\n]*)?")
-_IRI_RUN_RE = re.compile(_IRI_CHAR + "*")
-_SHORT_RUN_RE = re.compile(_SHORT_CHAR + "*")
-_LONG_RUN_RE = re.compile(_LONG_RUN)
-_BNODE_RE = re.compile(f"_:({_LABEL}*)")
-_LANGTAG_RE = re.compile(f"@({_LANGTAG})")
-_PNAME_NS_RE = re.compile(f"({_PN_PREFIX}):")
-_PNAME_RE = re.compile(f"({_PN_PREFIX}):({_PN_LOCAL})")
-_PNAME_START_RE = re.compile(r"[A-Za-z:]")
-_NUMBER_RE = re.compile(_NUMBER)
 
 # One N-Triples statement without escapes. Groups: 1 subject IRI, 2 subject
 # label, 3 predicate, 4 object IRI, 5 object label, 6 lexical form,
@@ -84,66 +92,60 @@ _NT_STATEMENT_RE = re.compile(
     + rf"<({_IRI_CHAR}*)>[ \t]*"
     + rf'(?:<({_IRI_CHAR}*)>|_:({_LABEL}+)|"({_SHORT_CHAR}*)"'
     + rf"(?:@({_LANGTAG})|\^\^<({_IRI_CHAR}*)>)?)[ \t]*"
-    + r"\.[ \t]*(?:#[^\n]*)?(?![^\r\n])"
+    + rf"\.{_LINE_END}(?![^\r\n])"
 )
 
-# One Turtle token without escapes; ``lastgroup`` names its kind. A literal
-# carries its language tag or datatype, and is no token when an '@' or '^'
-# follows that does not start one. '.' is tried before a number, so that
-# '.5' is a number only where the grammar wants a term. A directive keyword
-# ends where a language tag would: '@prefixfoo' is neither directive.
+# One Turtle token; ``lastgroup`` names its kind. A literal carries its
+# language tag or datatype, and is no token when an '@' or '^^' follows
+# that does not start one. '.' is tried before a number, so that '.5' is
+# a number only where the grammar wants a term. A directive keyword ends
+# where a language tag would: '@prefixfoo' is neither directive.
 _TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join([
-    rf"(?P<pfx>(?:[A-Za-z]{_PN_PREFIX})?):(?P<local>{_PN_LOCAL})",
+    rf"(?P<pfx>{_PN_PREFIX}):(?P<local>{_PN_LOCAL})",
     r"(?P<semi>;)",
     r"(?P<dot>\.)",
     r"(?P<comma>,)",
     r"(?P<open>\[)",
     r"(?P<close>\])",
-    rf'(?:"""(?P<long>{_LONG_RUN})"""|"(?!"")(?P<short>{_SHORT_CHAR}*)")'
-    rf"(?:@(?P<lang>{_LANGTAG})|\^\^(?:<(?P<dt>{_IRI_CHAR}*)>"
-    rf"|(?P<dtpfx>{_PN_PREFIX}):(?P<dtlocal>{_PN_LOCAL}))|(?![@^]))",
-    rf"<(?P<iri>{_IRI_CHAR}*)>",
+    rf'(?:"""(?P<long>{_LONG})"""|"(?!"")(?P<short>{_SHORT})")'
+    rf"(?:@(?P<lang>{_LANGTAG})|\^\^(?:<(?P<dt>{_IRI})>"
+    rf"|(?P<dtpfx>{_PN_PREFIX}):(?P<dtlocal>{_PN_LOCAL}))|(?!@|\^\^))",
+    rf"<(?P<iri>{_IRI})>",
     "(?:(?P<a>a)|(?P<bool>true|false))" + _KEYWORD_END,
     rf"_:(?P<bnode>{_LABEL}+)",
-    rf"(?P<number>{_NUMBER})",
+    _NUMBER,
     r"@(?P<directive>prefix|base)(?![A-Za-z0-9\-])",
 ]) + ")")
 
 
 class _Scanner:
-    """The terminals both syntaxes share, read at a string offset, and the
-    N-Triples term forms; :class:`_Turtle` adds the Turtle ones. These
-    readers decode what the statement and token regexes leave to them, and
-    raise every parse error."""
+    """The term builders both syntaxes share, the N-Triples statement read
+    term by term, and the error finder; :class:`_Turtle` adds the Turtle
+    forms."""
+
+    #: What the error finder reports where no more specific error applies.
+    EXPECTED = {
+        "subject": "expected subject",
+        "predicate": "expected predicate IRI",
+        "object": "expected object (IRI, blank node, or literal)",
+        "datatype": "datatype must be an IRI",
+    }
+    #: Whether long strings, prefixed names and collections are syntax.
+    turtle = False
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.iris: Dict[str, Iri] = {}
 
-    def error(self, message: str, pos: Optional[int] = None) -> NoReturn:
-        """Raise a ParseError at ``pos`` (default: the current offset)."""
-        pos = self.pos if pos is None else pos
+    def error(self, message: str, pos: int) -> NoReturn:
+        """Raise a ParseError at offset ``pos``."""
         line = self.text.count("\n", 0, pos) + 1
         raise ParseError(line, pos - self.text.rfind("\n", 0, pos), message)
 
-    def peek(self) -> str:
-        return self.text[self.pos:self.pos + 1]
-
-    def skip(self, pattern: re.Pattern = _WS_RE) -> None:
-        self.pos = pattern.match(self.text, self.pos).end()
-
-    def skip_from(self, pos: int) -> int:
-        """Move to the first offset at or after ``pos`` that is not
-        whitespace or comment, and return it."""
-        self.pos = pos
-        self.skip()
-        return self.pos
-
-    def expect(self, ch: str, what: str) -> None:
-        if self.peek() != ch:
-            self.error(f"expected {what}")
-        self.pos += 1
+    def skip(self, pos: int) -> int:
+        """The first offset at or after ``pos`` that is not whitespace or
+        comment."""
+        return _WS_RE.match(self.text, pos).end()
 
     def make(self, start: int, factory, *args, **kwargs):
         """Build a model term; its validation errors point at ``start``."""
@@ -160,139 +162,139 @@ class _Scanner:
             iri = self.iris[value] = self.make(start, Iri, value)
         return iri
 
-    def escape(self, echars: bool) -> str:
-        """Decode the escape at the current offset (a backslash); ``echars``
-        admits the string escapes such as ``\\n`` besides ``\\u``/``\\U``."""
-        start = self.pos
-        m = _UCHAR_RE.match(self.text, start)
-        if m:
+    # -- term builders
+
+    def unescape(self, start: int, end: int) -> str:
+        """The text between two offsets with its escapes, all well formed,
+        decoded. The only check that an escape denotes a character."""
+        def char(m: re.Match) -> str:
+            if m.group(3):
+                return _ECHAR[m.group(3)]
             code = int(m.group(1) or m.group(2), 16)
             if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                self.error(f"escape does not denote a valid character: U+{code:X}", start)
-            self.pos = m.end()
+                self.error(f"escape does not denote a valid character: U+{code:X}",
+                           start + m.start())
             return chr(code)
-        key = self.text[start + 1:start + 2]
-        if not key:
-            self.error("unterminated escape sequence", start)
-        if key in ("u", "U"):
-            self.error(f"\\{key} escape needs {4 if key == 'u' else 8} hex digits", start)
-        if echars and key in _ECHAR:
-            self.pos = start + 2
-            return _ECHAR[key]
-        self.error(f"invalid escape sequence: \\{key}", start)
 
-    def iriref(self) -> str:
-        """The decoded text of the IRIREF whose '<' is at the current offset."""
-        text, start = self.text, self.pos
-        pos, parts = start + 1, []
-        while True:
-            m = _IRI_RUN_RE.match(text, pos)
-            parts.append(m.group())
-            pos = m.end()
-            ch = text[pos:pos + 1]
-            if ch == ">":
-                self.pos = pos + 1
-                return "".join(parts)
-            if not ch:
-                self.error("unterminated IRI", start)
-            if ch != "\\":
-                self.error(f"character not allowed in IRI: {ch!r}", pos)
-            self.pos = pos
-            parts.append(self.escape(echars=False))
-            pos = self.pos
+        return re.sub(_DECODE, char, self.text[start:end])
 
-    def quoted(self, delimiter: str, run: re.Pattern, unterminated: str) -> str:
-        """The decoded body of the string whose opening ``delimiter`` is at
-        the current offset; ``run`` matches the characters it may hold."""
-        text, start = self.text, self.pos
-        pos, parts = start + len(delimiter), []
-        while True:
-            m = run.match(text, pos)
-            parts.append(m.group())
-            pos = m.end()
-            ch = text[pos:pos + 1]
-            if ch == '"':
-                self.pos = pos + len(delimiter)
-                return "".join(parts)
-            if ch == "\\":
-                self.pos = pos
-                parts.append(self.escape(echars=True))
-                pos = self.pos
-            elif ch:
-                self.error("newline inside string literal", start)
-            else:
-                self.error(unterminated, start)
+    def resolve(self, value: str, start: int) -> str:
+        """``value`` as an absolute IRI: N-Triples has no relative IRIs, and
+        :class:`Iri` rejects them."""
+        return value
 
-    def string(self) -> str:
-        return self.quoted('"', _SHORT_RUN_RE, "unterminated string")
+    def iri(self, start: int, end: int) -> Iri:
+        """The IRI of the IRIREF whose body lies between two offsets:
+        decoded, then resolved, then looked up."""
+        value = self.text[start:end]
+        if "\\" in value:
+            value = self.unescape(start, end)
+        return self.iris.get(value) or self.intern(start - 1, self.resolve(value, start - 1))
 
-    def blank_node(self) -> BlankNode:
-        m = _BNODE_RE.match(self.text, self.pos)
-        if not m.group(1):
-            self.error("blank node label is empty")
-        self.pos = m.end()
-        return BlankNode(m.group(1))
-
-    def literal(self) -> Literal:
-        """A string with its optional ``@lang`` or ``^^datatype``."""
-        start = self.pos
-        lexical = self.string()
-        if self.peek() == "@":
-            m = _LANGTAG_RE.match(self.text, self.pos)
-            if not m:
-                self.error("language tag must start with a letter")
-            self.pos = m.end()
-            return self.make(start, Literal, lexical, lang=m.group(1))
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            return Literal(lexical, datatype=self.datatype())
+    def token_literal(self, m: re.Match, kind: str) -> Literal:
+        """The literal of the token ``m`` whose last group is ``kind``."""
+        lexical, body = m.group("short"), "short"
+        if lexical is None:
+            lexical, body = m.group("long"), "long"
+        if "\\" in lexical:
+            lexical = self.unescape(*m.span(body))
+        if kind == "lang":
+            quote = m.start(body) - (1 if body == "short" else 3)
+            return self.make(quote, Literal, lexical, lang=m.group("lang"))
+        if kind == "dt":
+            return Literal(lexical, datatype=self.iri(*m.span("dt")))
+        if kind == "dtlocal":
+            return Literal(lexical, datatype=self.pname(m, "dtpfx", "dtlocal"))
         return Literal(lexical)
 
-    def iri(self) -> Iri:
-        """An IRIREF as written: N-Triples has no relative IRIs."""
-        start = self.pos
-        return self.intern(start, self.iriref())
+    def token_term(self, m: re.Match, kind: Optional[str]) -> Optional[Term]:
+        """The term that the token ``m`` of ``kind`` denotes; None for a
+        token that is no term. N-Triples matches only have the kinds iri,
+        bnode, short, lang and dt."""
+        if kind == "local":
+            return self.pname(m, "pfx", "local")
+        if kind == "iri":
+            return self.iri(*m.span(kind))
+        if kind == "bnode":
+            return BlankNode(m.group(kind))
+        if kind in ("short", "long", "lang", "dt", "dtlocal"):
+            return self.token_literal(m, kind)
+        if kind == "number":
+            token = m.group(kind)
+            if "e" in token or "E" in token:
+                return Literal(token, datatype=XSD_DOUBLE)
+            return Literal(token, datatype=XSD_DECIMAL if "." in token else XSD_INTEGER)
+        if kind == "bool":
+            return Literal(m.group(kind), datatype=XSD_BOOLEAN)
+        return None
 
-    def datatype(self) -> Iri:
-        if self.peek() != "<":
-            self.error("datatype must be an IRI")
-        return self.iri()
+    # -- errors
 
-    def term(self, literals: bool) -> Term:
-        """A subject, or an object when ``literals`` is set."""
-        ch = self.peek()
-        if ch == "<":
-            return self.iri()
-        if self.text.startswith("_:", self.pos):
-            return self.blank_node()
-        if literals and ch == '"':
-            return self.literal()
-        return self.shorthand(literals)
+    def fail(self, pos: int, role: str) -> NoReturn:
+        """Raise the error of the input at ``pos``, which the regexes
+        rejected where the grammar wants a ``role`` (a key of EXPECTED).
+        Builds no term: the valid start of a broken IRI or string is only
+        decoded, so that an escape that denotes no character and comes
+        first is reported first."""
+        text = self.text
+        ch = text[pos:pos + 1]
+        if ch == "<" or ch == '"' and role == "object":
+            long = ch == '"' and self.turtle and text.startswith('"""', pos)
+            start = pos + (3 if long else 1)
+            body = _IRI if ch == "<" else _LONG if long else _SHORT
+            end = re.compile(body).match(text, start).end()
+            self.unescape(start, end)
+            stop = text[end:end + 1]
+            if stop == "\\":
+                key = text[end + 1:end + 2]
+                if not key:
+                    self.error("unterminated escape sequence", end)
+                if key in ("u", "U"):
+                    self.error(f"\\{key} escape needs {4 if key == 'u' else 8} hex digits", end)
+                self.error(f"invalid escape sequence: \\{key}", end)
+            if ch == "<":
+                if not stop:
+                    self.error("unterminated IRI", pos)
+                self.error(f"character not allowed in IRI: {stop!r}", end)
+            if stop != '"':
+                self.error("newline inside string literal" if stop
+                           else f"unterminated {'long ' if long else ''}string", pos)
+            end += 3 if long else 1
+            if text.startswith("^^", end):
+                self.fail(end + 2, "datatype")
+            self.error("language tag must start with a letter", end)
+        if role in ("subject", "object") and text.startswith("_:", pos):
+            self.error("blank node label is empty", pos)
+        if self.turtle and role in ("subject", "predicate", "object"):
+            if ch == "(" and role != "predicate":
+                self.error("unsupported construct: RDF collections are not supported", pos)
+            if ch.isascii() and ch.isalpha() or ch == ":":
+                self.error("expected prefixed name", pos)
+        self.error(self.EXPECTED[role], pos)
 
-    def shorthand(self, literals: bool) -> Term:
-        """The term forms beyond N-Triples, of which N-Triples has none."""
-        self.error("expected object (IRI, blank node, or literal)" if literals
-                   else "expected subject")
+    # -- N-Triples
 
-    def triple(self) -> Optional[Triple]:
-        """The N-Triples statement after the current offset, read term by
-        term; None at the end of the input."""
-        self.skip()
-        if self.pos >= len(self.text):
-            return None
-        subject = self.term(literals=False)
-        self.skip(_INLINE_WS_RE)
-        if self.peek() != "<":
-            self.error("expected predicate IRI")
-        predicate = self.iri()
-        self.skip(_INLINE_WS_RE)
-        obj = self.term(literals=True)
-        self.skip(_INLINE_WS_RE)
-        self.expect(".", "'.' at end of statement")
-        self.skip(_LINE_END_RE)
-        if self.peek() not in ("", "\r", "\n"):
-            self.error("expected end of line after statement")
-        return Triple(subject, predicate, obj)
+    def triple(self, pos: int) -> Tuple[Optional[Triple], int]:
+        """The N-Triples statement after ``pos``, read term by term, and the
+        offset after it; None at the end of the input."""
+        text = self.text
+        pos = self.skip(pos)
+        if pos == len(text):
+            return None, pos
+        term, terms = re.compile(_NT_TERM).match, []
+        for role, kinds in (("subject", ("iri", "bnode")), ("predicate", ("iri",)),
+                            ("object", None)):
+            m = term(text, pos)
+            if not m or kinds and m.lastgroup not in kinds:
+                self.fail(pos, role)
+            terms.append(self.token_term(m, m.lastgroup))
+            pos = m.end()
+        if text[pos:pos + 1] != ".":
+            self.error("expected '.' at end of statement", pos)
+        pos = re.compile(_LINE_END).match(text, pos + 1).end()
+        if text[pos:pos + 1] not in ("", "\r", "\n"):
+            self.error("expected end of line after statement", pos)
+        return Triple(*terms), pos
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -310,13 +312,12 @@ def parse_ntriples(text: str) -> Graph:
         m = statement(text, pos)
         if m is None:
             # an escape, a malformed statement or the end of the input
-            s.pos = pos
-            triple = s.triple()
+            triple, pos = s.triple(pos)
             if triple is None:
                 return Graph(triples)
             triples.append(triple)
-            pos = s.pos
             continue
+        # the statement holds no escape, and N-Triples resolves no IRI
         subject, label, predicate, obj, obj_label, lexical, lang, datatype = m.groups()
         if subject is None:
             subject = BlankNode(label)
@@ -340,9 +341,9 @@ def parse_ntriples(text: str) -> Graph:
 def serialize_ntriples(g: Graph) -> str:
     """Serialize a graph as N-Triples, one statement per line in graph
     iteration order. Output is bit-deterministic and reparses to ``g``.
-    Sorting the lines gives that order: an IRI token ends in '>', and a
-    blank node or literal token is followed by a space, which sorts below
-    every character that could continue it."""
+    Sorting the lines gives that order: an IRI token ends in '>', which
+    never occurs inside one, and a blank node or literal token is followed
+    by a space, which sorts below every character that could continue it."""
     lines = [f"{nt(t.subject)} {nt(t.predicate)} {nt(t.object)} .\n" for t in g._triples]
     return "".join(sorted(lines))
 
@@ -353,6 +354,16 @@ _CLOSING = {"dot": "'.' at end of statement", "close": "']' closing anonymous no
 
 
 class _Turtle(_Scanner):
+    EXPECTED = {
+        "subject": "expected subject",
+        "predicate": "expected predicate",
+        "object": "expected an RDF term as object",
+        "datatype": "expected prefixed name",
+        "@prefix": "expected IRI in @prefix declaration",
+        "@base": "expected IRI in @base declaration",
+    }
+    turtle = True
+
     def __init__(self, text: str):
         super().__init__(text)
         self.prefixes: Dict[str, str] = {}
@@ -360,7 +371,7 @@ class _Turtle(_Scanner):
         self.triples: List[Triple] = []
         # Explicit _:labels anywhere in the document are reserved so that
         # generated anonymous labels (b1, b2, ...) can never collide.
-        self.reserved: Set[str] = set(_BNODE_RE.findall(text))
+        self.reserved: Set[str] = set(re.findall(f"_:({_LABEL}+)", text))
         self.anon_counter = 0
         self.depth = 0
 
@@ -371,130 +382,48 @@ class _Turtle(_Scanner):
             if label not in self.reserved:
                 return BlankNode(label)
 
-    # -- term readers
+    def resolve(self, value: str, start: int) -> str:
+        """``value`` resolved against ``@base`` when relative."""
+        if _SCHEME_RE.match(value):
+            return value
+        if self.base is None:
+            self.error(f"relative IRI without @base: {value!r}", start)
+        try:
+            return urljoin(self.base, value)
+        except ValueError as exc:
+            self.error(f"cannot resolve {value!r} against @base: {exc}", start)
 
-    def iri(self) -> Iri:
-        """An IRIREF, resolved against ``@base`` when relative."""
-        start = self.pos
-        raw = self.iriref()
-        if not _SCHEME_RE.match(raw):
-            if self.base is None:
-                self.error(f"relative IRI without @base: {raw!r}", start)
-            try:
-                raw = urljoin(self.base, raw)
-            except ValueError as exc:
-                self.error(f"cannot resolve {raw!r} against @base: {exc}", start)
-        return self.intern(start, raw)
+    def pname(self, m: re.Match, prefix: str, local: str) -> Iri:
+        """The IRI of the prefixed name in groups ``prefix`` and ``local``
+        of the token ``m``."""
+        start, name = m.start(prefix), m.group(prefix)
+        namespace = self.prefixes.get(name)
+        if namespace is None:
+            self.error(f"undeclared prefix: {name!r}:", start)
+        return self.intern(start, namespace + m.group(local))
 
-    def pname(self) -> Iri:
-        start = self.pos
-        m = _PNAME_RE.match(self.text, start)
-        if not m:
-            self.error("expected prefixed name")
-        prefix, local = m.groups()
-        if prefix not in self.prefixes:
-            self.error(f"undeclared prefix: {prefix!r}:")
-        self.pos = m.end()
-        return self.intern(start, self.prefixes[prefix] + local)
-
-    def datatype(self) -> Iri:
-        return self.iri() if self.peek() == "<" else self.pname()
-
-    def string(self) -> str:
-        if self.text.startswith('"""', self.pos):
-            return self.quoted('"""', _LONG_RUN_RE, "unterminated long string")
-        return super().string()
-
-    def shorthand(self, literals: bool) -> Term:
-        if self.peek() == "(":
-            self.error("unsupported construct: RDF collections are not supported")
-        m = _NUMBER_RE.match(self.text, self.pos) if literals else None
-        if m:
-            self.pos = m.end()
-            return self.number(m.group())
-        if _PNAME_START_RE.match(self.text, self.pos):
-            return self.pname()
-        self.error("expected an RDF term as object" if literals else "expected subject")
-
-    @staticmethod
-    def number(token: str) -> Literal:
-        if "e" in token or "E" in token:
-            return Literal(token, datatype=XSD_DOUBLE)
-        return Literal(token, datatype=XSD_DECIMAL if "." in token else XSD_INTEGER)
-
-    def verb(self) -> Iri:
-        if self.peek() == "<":
-            return self.iri()
-        if _PNAME_START_RE.match(self.text, self.pos):
-            return self.pname()
-        self.error("expected predicate")
-
-    def directive(self, name: str) -> None:
-        """An ``@prefix`` or ``@base`` declaration, after its keyword."""
-        self.skip()
+    def directive(self, name: str, pos: int) -> int:
+        """Read an ``@prefix`` or ``@base`` declaration from ``pos``, after
+        its keyword; return the offset after its '.'."""
+        text = self.text
         if name == "prefix":
-            m = _PNAME_NS_RE.match(self.text, self.pos)
-            if not m:
-                self.error("expected ':' in @prefix declaration")
-            self.pos = m.end()
-            self.skip()
-        if self.peek() != "<":
-            self.error(f"expected IRI in @{name} declaration")
-        value = self.iri().value
-        self.skip()
-        self.expect(".", f"'.' after @{name} declaration")
+            # read as a prefixed name, whose local part must then be the IRI
+            m = _TOKEN_RE.match(text, pos)
+            if not m or m.lastgroup != "local":
+                self.error("expected ':' in @prefix declaration", self.skip(pos))
+            pos = m.start("local")
+        iri = _TOKEN_RE.match(text, pos)
+        if not iri or iri.lastgroup != "iri":
+            self.fail(self.skip(pos), "@" + name)
+        value = self.iri(*iri.span("iri")).value
+        dot = _TOKEN_RE.match(text, iri.end())
+        if not dot or dot.lastgroup != "dot":
+            self.error(f"expected '.' after @{name} declaration", self.skip(iri.end()))
         if name == "prefix":
-            self.prefixes[m.group(1)] = value
+            self.prefixes[m.group("pfx")] = value
         else:
             self.base = value
-
-    # -- tokens
-
-    def token_iri(self, m: re.Match, group: str, prefix: Optional[str] = None) -> Optional[Iri]:
-        """The IRI of the IRIREF in ``group`` of the token ``m``, or of the
-        prefixed name whose local part is ``group`` and prefix ``prefix``;
-        None for a relative IRI or an undeclared prefix."""
-        value = m.group(group)
-        if prefix is None:
-            start = m.start(group) - 1
-        else:
-            namespace = self.prefixes.get(m.group(prefix))
-            if namespace is None:
-                return None
-            value, start = namespace + value, m.start(prefix)
-        iri = self.iris.get(value)
-        if iri is None:
-            if prefix is None and not _SCHEME_RE.match(value):
-                return None
-            iri = self.intern(start, value)
-        return iri
-
-    def token_term(self, m: re.Match, kind: str) -> Optional[Term]:
-        """The term that the token ``m`` of ``kind`` denotes; None for a
-        token that is no term, or whose term the readers must build."""
-        if kind == "local":
-            return self.token_iri(m, "local", "pfx")
-        if kind == "short" or kind == "long":
-            return Literal(m.group(kind))
-        if kind == "iri":
-            return self.token_iri(m, "iri")
-        if kind == "lang" or kind == "dt" or kind == "dtlocal":
-            short, long = m.group("short", "long")
-            lexical = long if short is None else short
-            if kind == "lang":
-                try:
-                    return Literal(lexical, lang=m.group("lang"))
-                except RdfModelError:
-                    return None
-            datatype = self.token_iri(m, kind, "dtpfx" if kind == "dtlocal" else None)
-            return None if datatype is None else Literal(lexical, datatype=datatype)
-        if kind == "bnode":
-            return BlankNode(m.group("bnode"))
-        if kind == "number":
-            return self.number(m.group("number"))
-        if kind == "bool":
-            return Literal(m.group("bool"), datatype=XSD_BOOLEAN)
-        return None
+        return dot.end()
 
     # -- statements
 
@@ -506,9 +435,7 @@ class _Turtle(_Scanner):
             m = token(text, pos)
             kind = m and m.lastgroup
             if kind == "directive":
-                self.pos = m.end()
-                self.directive(m.group(kind))
-                pos = self.pos
+                pos = self.directive(m.group(kind), m.end())
                 continue
             if kind == "open":
                 subject, pos = self.node(m)
@@ -516,15 +443,12 @@ class _Turtle(_Scanner):
                 if m and m.lastgroup == "dot":
                     pos = m.end()
                     continue
+            elif kind == "local" or kind == "iri" or kind == "bnode":
+                subject, pos = self.token_term(m, kind), m.end()
+            elif self.skip(pos) == len(text):
+                return Graph(self.triples)
             else:
-                subject = self.token_term(m, kind) if kind in ("local", "iri", "bnode") else None
-                if subject is None:
-                    if self.skip_from(pos) == len(text):
-                        return Graph(self.triples)
-                    subject = self.term(literals=False)
-                    pos = self.pos
-                else:
-                    pos = m.end()
+                self.fail(self.skip(pos), "subject")
             pos = self.predicate_objects(pos, subject, "dot")
 
     def node(self, m: re.Match) -> Tuple[BlankNode, int]:
@@ -546,22 +470,18 @@ class _Turtle(_Scanner):
     def predicate_objects(self, pos: int, subject: Union[Iri, BlankNode], closer: str) -> int:
         """Read the predicate-object list of ``subject`` from ``pos``
         through its ``closer`` token ('.' or ']'); return the offset after
-        it. A token that does not fit, or input the token regex rejects, is
-        left to the term readers, which read the term or raise."""
+        it."""
         text, token, append = self.text, _TOKEN_RE.match, self.triples.append
         m = token(text, pos)
         kind = m and m.lastgroup
         while True:
             if kind == "a":
                 verb = RDF_TYPE
+            elif kind == "local" or kind == "iri":
+                verb = self.token_term(m, kind)
             else:
-                verb = self.token_term(m, kind) if kind in ("local", "iri") else None
-            if verb is None:
-                self.skip_from(pos)
-                verb = self.verb()
-                pos = self.pos
-            else:
-                pos = m.end()
+                self.fail(self.skip(pos), "predicate")
+            pos = m.end()
             while True:
                 m = token(text, pos)
                 kind = m and m.lastgroup
@@ -570,11 +490,12 @@ class _Turtle(_Scanner):
                 else:
                     obj = self.token_term(m, kind)
                     if obj is None:
-                        self.skip_from(pos)
-                        obj = self.term(literals=True)
-                        pos = self.pos
-                    else:
-                        pos = m.end()
+                        # '.5' is a number where the grammar wants a term
+                        m = kind == "dot" and re.compile(_NUMBER).match(text, m.start(kind))
+                        if not m:
+                            self.fail(self.skip(pos), "object")
+                        obj = self.token_term(m, "number")
+                    pos = m.end()
                 append(Triple(subject, verb, obj))
                 m = token(text, pos)
                 kind = m and m.lastgroup
@@ -584,8 +505,7 @@ class _Turtle(_Scanner):
             if kind == closer:
                 return m.end()
             if kind != "semi":
-                self.skip_from(pos)
-                self.error(f"expected {_CLOSING[closer]}")
+                self.error(f"expected {_CLOSING[closer]}", self.skip(pos))
             # any run of ';' may separate pairs or end the list
             while kind == "semi":
                 pos = m.end()
@@ -594,8 +514,8 @@ class _Turtle(_Scanner):
             if kind == closer:
                 return m.end()
             # the end of the input ends the list too, which leaves it unclosed
-            if kind is None and self.skip_from(pos) == len(text):
-                self.error(f"expected {_CLOSING[closer]}")
+            if kind is None and self.skip(pos) == len(text):
+                self.error(f"expected {_CLOSING[closer]}", len(text))
 
 
 def parse_turtle(text: str) -> Graph:

@@ -30,7 +30,12 @@ def _word(min_size=1, max_size=9):
 
 # --- RDF model ---------------------------------------------------------------
 
-_path_part = st.text(alphabet=_LOWER + "0123456789_/#-", max_size=12)
+# Mostly the characters of plain IRIs and their namespace separators, but
+# any character that Iri accepts and UTF-8 can encode (as in ``lexicals``).
+_path_part = st.text(alphabet=st.one_of(
+    st.sampled_from(_LOWER + "0123456789_/#-"),
+    st.characters(codec="utf-8", exclude_characters=' \t\n\r\x0b\x0c<>"'),
+), max_size=12)
 iris = st.builds(lambda host, path: Iri(f"http://{host}.org/{path}"),
                  st.text(alphabet=_LOWER, min_size=1, max_size=8), _path_part)
 bnodes = st.text(alphabet=_LOWER + "0123456789_", min_size=1, max_size=8).map(BlankNode)

@@ -1,5 +1,8 @@
 import re
 import string
+import subprocess
+import sys
+from contextlib import contextmanager
 from itertools import groupby
 from operator import attrgetter
 
@@ -21,10 +24,10 @@ from ontocite import (
     serialize_ntriples,
 )
 from ontocite.model import nt
-from ontocite.rdfio import MAX_NESTING
+from ontocite.rdfio import MAX_NESTING, _Scanner
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
-from conftest import HEADERS, NETWORK
+from conftest import FIXTURES, HEADERS, NETWORK
 from strategies import bnodes, graphs, iris
 
 A = "<http://a>"
@@ -95,6 +98,27 @@ ERROR_TABLE = [
     ("ttl", "@prefixfoo: <http://f/> .\nfoo:s a foo:o . ?", 1, 1, "expected subject"),
     ("ttl", "@base <http://[> .\n<x> <http://p> <http://o> .", 2, 1,
      "cannot resolve 'x' against @base: Invalid IPv6 URL"),
+    # A prefix starts with a letter wherever it is written.
+    ("ttl", "@prefix 1x: <http://x/> .", 1, 9, "expected ':' in @prefix declaration"),
+    ("ttl", '@prefix x: <http://x/> .\n<http://a> <http://p> "v"^^1x:t .', 2, 28,
+     "expected prefixed name"),
+]
+
+# Inputs with two faults, or a fault inside a term that holds an escape:
+# the one reported is the first that a reader going left to right meets.
+ERROR_ORDER = [
+    ("nt", '<http://a> <http://p> "\\uD800\\q" .', 1, 24,
+     "escape does not denote a valid character: U+D800"),
+    ("ttl", '<http://a> <http://p> "\\uD800\\q" .', 1, 24,
+     "escape does not denote a valid character: U+D800"),
+    ("ttl", '<http://a> <http://p> """x\\q""" .', 1, 27, "invalid escape sequence: \\q"),
+    ("ttl", '<http://a> <http://p> """\\uDC00""" .', 1, 26,
+     "escape does not denote a valid character: U+DC00"),
+    ("ttl", '<http://a> <http://p> "x"^^<http://d t> .', 1, 37,
+     "character not allowed in IRI: ' '"),
+    ("ttl", '<http://a> <http://p> "x"^y .', 1, 26, "expected '.' at end of statement"),
+    ("ttl", "<http://a> <http://p> <r\\u0065l> .", 1, 23, "relative IRI without @base: 'rel'"),
+    ("nt", '<http://a> <rel> "x\\q" .', 1, 12, "IRI lacks a scheme: 'rel'"),
 ]
 
 # Characters that drive the parsers through their syntax branches.
@@ -175,6 +199,82 @@ PREFIX_NAMES = ["", "a", "true", "false", "ex", "x-1", "t_"]
 SPACES = [" ", "\n", "\t ", "\r\n", " # a comment\n", "#\n"]
 NAME_CHARS = set(string.ascii_letters + string.digits + "_-%:")
 LOCAL_NAME = re.compile(r"[A-Za-z0-9_\-]*")
+# What an IRIREF cannot hold as it is, and the string escapes (ECHAR).
+IRIREF_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+ECHARS = {"\t": "t", "\b": "b", "\n": "n", "\r": "r", "\f": "f", '"': '"', "'": "'", "\\": "\\"}
+
+
+class Speller:
+    """Writes IRIREFs and strings with a ``share`` of their characters as
+    \\uXXXX or \\UXXXXXXXX escapes, and in strings also as ECHARs. A
+    share of 0 writes IRIs and short strings as :func:`nt` does."""
+
+    def __init__(self, rnd, share):
+        self.rnd, self.share = rnd, share
+
+    def escape(self, ch, echars):
+        code = ord(ch)
+        if echars and ch in ECHARS and self.rnd.random() < 0.5:
+            return "\\" + ECHARS[ch]
+        if code <= 0xFFFF and self.rnd.random() < 0.5:
+            return f"\\u{code:04X}"
+        return f"\\U{code:08X}"
+
+    def iri(self, value):
+        if not self.share:
+            return nt(Iri(value))
+        return "<" + "".join(
+            self.escape(ch, False) if IRIREF_FORBIDDEN.match(ch) or self.rnd.random() < self.share
+            else ch for ch in value) + ">"
+
+    def string(self, text, long=False):
+        if not self.share and not long:
+            return nt(Literal(text))
+        out, quotes = [], 0
+        for ch in text:
+            if long:
+                # three raw quotes would end the string
+                must = ch == "\\" or ch == '"' and quotes == 2
+            else:
+                must = ch in '"\\\n\r'
+            if must or self.rnd.random() < self.share:
+                out.append(self.escape(ch, True))
+                quotes = 0
+            else:
+                out.append(ch)
+                quotes = quotes + 1 if ch == '"' else 0
+        delimiter = '"""' if long else '"'
+        return delimiter + "".join(out) + delimiter
+
+    def term(self, x):
+        """The N-Triples token of ``x``."""
+        if isinstance(x, Iri):
+            return self.iri(x.value)
+        if isinstance(x, BlankNode):
+            return f"_:{x.label}"
+        if x.lang is not None:
+            return f"{self.string(x.lexical)}@{x.lang}"
+        if x.datatype is not None:
+            return f"{self.string(x.lexical)}^^{self.iri(x.datatype.value)}"
+        return self.string(x.lexical)
+
+
+spellers = st.builds(Speller, st.randoms(use_true_random=False),
+                     st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+
+
+@contextmanager
+def error_finder_calls():
+    """The calls made to the error finder inside the block."""
+    calls, fail = [], _Scanner.fail
+
+    def recording(self, pos, role):
+        calls.append((pos, role))
+        fail(self, pos, role)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Scanner, "fail", recording)
+        yield calls
 
 
 @st.composite
@@ -204,15 +304,17 @@ def layout_graphs(draw):
 def turtle_layouts(draw, g):
     """A Turtle document for ``g``: '@prefix' declarations, prefixed names
     where the local part allows them, 'a', ';' and ',' lists, numbers,
-    booleans and long strings, with comments or random whitespace between
-    tokens, and none wherever the tokens stay apart without it."""
+    booleans and long strings, IRIs and strings with escapes, with comments
+    or random whitespace between tokens, and none wherever the tokens stay
+    apart without it."""
     prefixes = {}
+    spell = draw(spellers)
 
     def iri(value):
         namespace = value[:max(value.rfind("/"), value.rfind("#")) + 1]
         local = value[len(namespace):]
         if not LOCAL_NAME.fullmatch(local) or not draw(st.booleans()):
-            return f"<{value}>"
+            return spell.iri(value)
         if namespace not in prefixes:
             k = len(prefixes)
             prefixes[namespace] = PREFIX_NAMES[k] if k < len(PREFIX_NAMES) else f"p{k}"
@@ -222,10 +324,7 @@ def turtle_layouts(draw, g):
         shorthand = SHORTHAND.get(lit.datatype)
         if shorthand and shorthand.fullmatch(lit.lexical) and draw(st.booleans()):
             return lit.lexical
-        if '"""' in lit.lexical or draw(st.booleans()):
-            body = nt(Literal(lit.lexical))
-        else:
-            body = '"""' + lit.lexical.replace("\\", "\\\\") + '"""'
+        body = spell.string(lit.lexical, long=draw(st.booleans()))
         if lit.lang is not None:
             return f"{body}@{lit.lang}"
         if lit.datatype is not None:
@@ -252,7 +351,7 @@ def turtle_layouts(draw, g):
                 tokens += [","] * (k > 0) + [term(obj)]
         tokens += [";"] * draw(st.integers(min_value=0, max_value=2)) + ["."]
     tokens = [tok for namespace, name in prefixes.items()
-              for tok in ("@prefix", f"{name}:", f"<{namespace}>", ".")] + tokens
+              for tok in ("@prefix", f"{name}:", spell.iri(namespace), ".")] + tokens
 
     out = []
     for prev, tok in zip([""] + tokens, tokens):
@@ -320,6 +419,15 @@ class TestNTriples:
             parse_ntriples(text)
         assert exc.value.line == line
 
+    @settings(max_examples=200)
+    @given(g=graphs, spell=spellers)
+    def test_escaped_statements_parse_to_the_graph(self, g, spell):
+        text = "".join(f"{spell.term(t.subject)} {spell.term(t.predicate)} "
+                       f"{spell.term(t.object)} .\n" for t in g)
+        with error_finder_calls() as calls:
+            assert parse_ntriples(text) == g
+        assert calls == []
+
     def test_surrogate_escape_rejected(self):
         with pytest.raises(ParseError):
             parse_ntriples(f'{A} {P} "\\uD800" .')
@@ -336,6 +444,21 @@ class TestBothSyntaxes:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize("kind,text,line,column,message", ERROR_ORDER)
+    def test_first_error_is_reported(self, kind, text, line, column, message):
+        parse = parse_turtle if kind == "ttl" else parse_ntriples
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
+    def test_differential_against_itself(self):
+        src = str(FIXTURES.parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, str(FIXTURES.parent / "differential.py"), src, src,
+             "--seed", "7", "--count", "200"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.endswith("0 mismatches in 400 parses (seed 7)\n")
 
     @settings(max_examples=300)
     @given(text=SYNTAX_TEXT)
@@ -368,6 +491,14 @@ class TestSerializer:
         lit = Literal('tab\t quote" back\\ newline\n bell\x07')
         g = Graph([Triple(Iri("http://a"), Iri("http://p"), lit)])
         assert parse_ntriples(serialize_ntriples(g)) == g
+
+    def test_iri_characters_that_iriref_forbids_are_escaped(self):
+        g = Graph([Triple(Iri("http://a{b}"), Iri("http://a\\u0041"),
+                          Literal("x", datatype=Iri("http://a\x01|b")))])
+        text = serialize_ntriples(g)
+        assert text == ('<http://a\\u007Bb\\u007D> <http://a\\u005Cu0041> '
+                        '"x"^^<http://a\\u0001\\u007Cb> .\n')
+        assert parse_ntriples(text) == parse_turtle(text) == g
 
     @settings(max_examples=200)
     @given(g=graphs)
@@ -417,6 +548,12 @@ class TestInterning:
         with pytest.raises(ParseError) as exc:
             parse(text * 2)
         assert str(exc.value) == f"line 1, column 23: {message}"
+
+    @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+    def test_escapes_are_decoded_before_lookup(self, parse):
+        # an escaped backslash followed by 'u0041', then an escaped 'A'
+        (t,) = parse("<http://a\\u005Cu0041> <http://p> <http://a\\u0041> .\n")
+        assert (t.subject, t.object) == (Iri("http://a\\u0041"), Iri("http://aA"))
 
     @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
     def test_each_distinct_iri_is_validated_once(self, parse, monkeypatch):
@@ -588,7 +725,10 @@ class TestTurtle:
     @given(data=st.data())
     def test_any_layout_parses_to_the_graph(self, data):
         g = data.draw(layout_graphs())
-        assert parse_turtle(data.draw(turtle_layouts(g))) == g
+        text = data.draw(turtle_layouts(g))
+        with error_finder_calls() as calls:
+            assert parse_turtle(text) == g
+        assert calls == []
 
     @pytest.mark.parametrize("stem", [p.stem for p in sorted(HEADERS.glob("*.ttl"))])
     def test_header_twins_parse_equal(self, stem):
