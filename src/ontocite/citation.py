@@ -328,6 +328,13 @@ def parse_canonical(text: str) -> CitationRecord:
         uri_token = uri_token[1:-1]
     uri_position = rest_start + (space + 1 if space >= 0 else 0)
     try:
+        s.encode()
+    except UnicodeEncodeError as exc:  # a lone surrogate, which no text holds
+        at = exc.start  # named by code point, as validate prints the message
+        element = ("creators" if at < m.start() else "title" if at < uri_position
+                   else "source" if at < rest_start + len(rest) else "formats")
+        raise CitationParseError(at, element, f"lone surrogate U+{ord(s[at]):04X}") from None
+    try:
         uri = Iri(uri_token)
     except RdfModelError as exc:
         raise CitationParseError(uri_position, "source", str(exc)) from None

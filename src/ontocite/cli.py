@@ -45,7 +45,7 @@ def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise OntociteError(f"cannot read {path}: {exc}") from None
 
 
@@ -131,7 +131,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(serialize_ntriples(injected))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise OntociteError(f"cannot write {args.out}: {exc}") from None
     return 0
 

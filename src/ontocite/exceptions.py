@@ -69,7 +69,7 @@ class CitationParseError(OntociteError):
 
     ``position`` is a 0-based index into the whitespace-normalized input;
     ``expected`` names the grammar element that failed
-    (``creators``, ``date``, ``title``, or ``source``).
+    (``creators``, ``date``, ``title``, ``source``, or ``formats``).
     """
 
     def __init__(self, position: int, expected: str, message: str):

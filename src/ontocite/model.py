@@ -2,27 +2,35 @@
 
 The model is deliberately small: just enough to hold ontology header
 triples. Graphs are value objects; iteration order is deterministic
-(sorted by the canonical string form of subject, predicate, object), so
+(sorted by the N-Triples line of each triple, :func:`nt_line`), so
 everything downstream of a graph is reproducible regardless of source
-file ordering. A graph indexes its triples by subject and by predicate
-on its first ``match``.
+file ordering. A graph indexes its triples by subject on its first
+``match`` with a subject.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from .exceptions import RdfModelError
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _FORBIDDEN_IRI_CHARS = set(' \t\n\r\x0b\x0c<>"')
-# What an IRIREF cannot hold as it is: the forbidden characters above, and
-# the rest, which an N-Triples token writes as \u00XX.
-_IRIREF_ESCAPE_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# What an IRIREF cannot hold as is (a class body): the characters above, and the
+# rest, which an N-Triples token writes as \u00XX; rdfio's IRI terminal excludes it.
+_IRIREF_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+_IRIREF_ESCAPE_RE = re.compile(f"[{_IRIREF_EXCLUDED}]")
 _LANG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _BNODE_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+
+def _reject_surrogate(text: str, what: str) -> None:
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:  # a lone surrogate, which no UTF-8 text holds
+        raise RdfModelError(f"lone surrogate U+{ord(text[exc.start]):04X} in {what}") from None
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -37,8 +45,8 @@ def is_absolute_iri(value: str) -> bool:
 
 @dataclass(frozen=True, order=True)
 class Iri:
-    """An absolute IRI. Validation is syntactic-lite: a scheme must be
-    present and whitespace, angle brackets, and quotes are rejected."""
+    """An absolute IRI. Validation is syntactic-lite: a scheme is required;
+    whitespace, angle brackets, quotes and lone surrogates are rejected."""
 
     value: str
     # The N-Triples token of an IRI that holds a character IRIREF forbids;
@@ -50,6 +58,7 @@ class Iri:
             raise RdfModelError("IRI must be non-empty")
         if not _SCHEME_RE.match(self.value):
             raise RdfModelError(f"IRI lacks a scheme: {self.value!r}")
+        _reject_surrogate(self.value, "IRI")
         if _IRIREF_ESCAPE_RE.search(self.value):
             bad = _FORBIDDEN_IRI_CHARS.intersection(self.value)
             if bad:
@@ -73,6 +82,7 @@ class Literal:
     datatype: Optional["Iri"] = None
 
     def __post_init__(self):
+        _reject_surrogate(self.lexical, "literal")
         if self.lang is not None and self.datatype is not None:
             raise RdfModelError("literal cannot carry both a language tag and a datatype")
         if self.lang is not None:
@@ -107,11 +117,7 @@ def _escape_lexical(text: str) -> str:
 
 
 def nt(term: Term) -> str:
-    """Canonical N-Triples token for a term.
-
-    This single rendering doubles as the graph ordering key and as the
-    serializer's term formatter, so order and output can never drift apart.
-    """
+    """Canonical N-Triples token for a term; :func:`nt_line` joins three."""
     if isinstance(term, Iri):
         return term._token or f"<{term.value}>"
     if isinstance(term, BlankNode):
@@ -147,8 +153,10 @@ class Triple:
             )
 
 
-def _triple_key(t: Triple) -> Tuple[str, str, str]:
-    return (nt(t.subject), nt(t.predicate), nt(t.object))
+def nt_line(t: Triple) -> str:
+    """The N-Triples statement of ``t``: both the graph order key and the
+    serializer's output, so that order and output cannot drift apart."""
+    return f"{nt(t.subject)} {nt(t.predicate)} {nt(t.object)} .\n"
 
 
 class Graph:
@@ -156,8 +164,8 @@ class Graph:
 
     Duplicate triples collapse silently (set semantics). The triples are
     stored once, unordered; iteration and ``match`` results are sorted
-    by :func:`nt` of subject, predicate and object when asked for. The
-    first ``match`` indexes the triples by subject and by predicate.
+    by :func:`nt_line` when asked for. The first ``match`` with a subject
+    indexes the triples by subject; a ``match`` without one scans them.
     ``insert`` returns a new graph; for bulk construction pass an
     iterable to the constructor.
     """
@@ -170,7 +178,7 @@ class Graph:
             if not isinstance(t, Triple):
                 raise RdfModelError(f"graph elements must be triples, got {type(t).__name__}")
         self._triples = frozenset(items)
-        self._index: Optional[Tuple[Dict[Term, List[Triple]], Dict[Iri, List[Triple]]]] = None
+        self._index: Optional[Dict[Term, List[Triple]]] = None
 
     def insert(self, t: Triple) -> "Graph":
         if not isinstance(t, Triple):
@@ -182,39 +190,26 @@ class Graph:
         g._triples, g._index = self._triples | {t}, None
         return g
 
-    def match(
-        self,
-        s: Optional[Term] = None,
-        p: Optional[Iri] = None,
-        o: Optional[Term] = None,
-    ) -> List[Triple]:
+    def match(self, s: Optional[Term] = None, p: Optional[Iri] = None,
+              o: Optional[Term] = None) -> List[Triple]:
         """All triples equal to the pattern on each bound position.
 
         Absent arguments are wildcards; results follow graph iteration order.
         """
-        if self._index is None:
-            self._index = ({}, {})
+        if s is not None and self._index is None:
+            self._index = {}
             for t in self._triples:
-                self._index[0].setdefault(t.subject, []).append(t)
-                self._index[1].setdefault(t.predicate, []).append(t)
-        # a triple listed under a key equals the pattern on that key
-        if s is not None:
-            candidates = self._index[0].get(s, ())
-        elif p is not None:
-            candidates, p = self._index[1].get(p, ()), None
-        else:
-            candidates = self._triples
-        hits = [
-            t
-            for t in candidates
-            if (p is None or t.predicate == p) and (o is None or t.object == o)
-        ]
+                self._index.setdefault(t.subject, []).append(t)
+        # a triple listed under a subject equals the pattern there
+        candidates = self._triples if s is None else self._index.get(s, ())
+        hits = [t for t in candidates
+                if (p is None or t.predicate == p) and (o is None or t.object == o)]
         if len(hits) > 1:
-            hits.sort(key=_triple_key)
+            hits.sort(key=nt_line)
         return hits
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=_triple_key))
+        return iter(sorted(self._triples, key=nt_line))
 
     def __len__(self) -> int:
         return len(self._triples)

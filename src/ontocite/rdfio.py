@@ -31,7 +31,8 @@ from typing import Dict, List, NoReturn, Optional, Set, Tuple, Union
 from urllib.parse import urljoin
 
 from .exceptions import ParseError, RdfModelError, UnknownFormatError
-from .model import _SCHEME_RE, BlankNode, Graph, Iri, Literal, Term, Triple, nt
+from .model import (_IRIREF_EXCLUDED, _SCHEME_RE, BlankNode, Graph, Iri, Literal, Term,
+                    Triple, nt_line)
 from .vocab import (
     EXTENSION_LABELS,
     RDF_TYPE,
@@ -47,7 +48,7 @@ MAX_NESTING = 128
 # The terminals, each written once and shared by the regexes below. A body
 # that may hold escapes is a run of plain characters with a well-formed
 # escape between two runs.
-_IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\]'
+_IRI_CHAR = f"[^{_IRIREF_EXCLUDED}]"
 _SHORT_CHAR = r'[^"\\\n\r]'
 _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _ESCAPE = rf"""\\(?:[tbnrf"'\\]|{_UCHAR})"""
@@ -340,12 +341,8 @@ def parse_ntriples(text: str) -> Graph:
 
 def serialize_ntriples(g: Graph) -> str:
     """Serialize a graph as N-Triples, one statement per line in graph
-    iteration order. Output is bit-deterministic and reparses to ``g``.
-    Sorting the lines gives that order: an IRI token ends in '>', which
-    never occurs inside one, and a blank node or literal token is followed
-    by a space, which sorts below every character that could continue it."""
-    lines = [f"{nt(t.subject)} {nt(t.predicate)} {nt(t.object)} .\n" for t in g._triples]
-    return "".join(sorted(lines))
+    iteration order. Output is bit-deterministic and reparses to ``g``."""
+    return "".join(sorted(map(nt_line, g._triples)))
 
 
 # --- Turtle subset ----------------------------------------------------------

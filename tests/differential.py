@@ -7,10 +7,12 @@ replaced by random text, random strings over the syntax characters, and
 statements assembled from escape, IRI, literal and prefix pieces. Each
 tree parses every input with ``parse_turtle`` and ``parse_ntriples`` in a
 subprocess of its own, which imports ontocite from that tree only. The
-results are compared in a form that does not depend on the tree: the
-sorted triples as term attributes, the ``(line, column, message)`` of a
-``ParseError``, or the name of any other exception. Prints the number of
-mismatches and the first of them; exits 1 when there is any.
+results are compared in a form that does not depend on the tree: for a
+graph, digests of its triples as term attributes, sorted and in iteration
+order, and of its ``serialize_ntriples`` text; the ``(line, column,
+message)`` of a ``ParseError``; or the name of any other exception.
+Prints the number of mismatches and the first of them; exits 1 when there
+is any.
 
 Standard library only; pytest does not collect it (see
 ``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself``).
@@ -84,7 +86,11 @@ def worker(src):
     """Read a JSON list of inputs on stdin; print one result per parser and
     input, parsed by the ontocite under ``src``."""
     sys.path.insert(0, src)
-    from ontocite import BlankNode, Iri, ParseError, parse_ntriples, parse_turtle
+    from ontocite import (BlankNode, Iri, ParseError, parse_ntriples, parse_turtle,
+                          serialize_ntriples)
+
+    def digest(text):
+        return hashlib.sha1(text.encode("utf-8", "surrogatepass")).hexdigest()
 
     def term(t):
         if isinstance(t, Iri):
@@ -100,10 +106,9 @@ def worker(src):
             return ["E", exc.line, exc.column, exc.message]
         except Exception as exc:  # any other outcome is a result too
             return ["X", type(exc).__name__]
-        triples = sorted(json.dumps([term(t.subject), term(t.predicate), term(t.object)])
-                         for t in g)
-        digest = hashlib.sha1("\n".join(triples).encode("utf-8", "surrogatepass")).hexdigest()
-        return ["G", len(triples), digest]
+        triples = [json.dumps([term(t.subject), term(t.predicate), term(t.object)]) for t in g]
+        return ["G", len(triples), digest("\n".join(sorted(triples))),
+                digest("\n".join(triples)), digest(serialize_ntriples(g))]
 
     out = [[result(parse_turtle, text), result(parse_ntriples, text)]
            for text in json.load(sys.stdin)]

@@ -190,6 +190,19 @@ class TestParseCanonical:
         assert exc.value.expected == expected
         assert message in exc.value.message
 
+    @pytest.mark.parametrize("text,expected,position", [
+        ("Do\udcffe, J. (2020-01-01). T. http://example.org/x", "creators", 2),
+        ("Doe, J. (2020-01-01). T\ud800. 1.\udfff. http://example.org/x", "title", 23),
+        ("Doe, J. (2020-01-01). T. <http://example.org/\udcff> [\ud800]", "source", 45),
+        ("Doe, J. (2020-01-01). T. http://example.org/x [turtle, \udcff]", "formats", 55),
+    ])
+    def test_lone_surrogate_fails_its_element(self, text, expected, position):
+        with pytest.raises(CitationParseError) as exc:
+            parse_canonical(text)
+        assert (exc.value.expected, exc.value.position) == (expected, position)
+        # validate prints the message, so it names the code point only
+        assert exc.value.message == f"lone surrogate U+{ord(text[position]):04X}"
+
     def test_multi_word_creator_without_initials_is_organization(self):
         record = parse_canonical(
             "Gene Ontology Consortium (2024-06-01). Gene Ontology. http://example.org/go/"

@@ -7,7 +7,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ontocite
@@ -36,6 +36,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, **env):
+    """``python -m ontocite`` in a child process that imports the same
+    ontocite package, installed or not."""
+    package_parent = os.path.dirname(os.path.dirname(ontocite.__file__))
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ontocite", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env})
 
 
 class TestCite:
@@ -101,14 +110,7 @@ class TestCite:
         assert "multiple ontology nodes" in err
 
     def test_module_entry_point(self):
-        # the child process imports the same ontocite package, installed or not
-        package_parent = os.path.dirname(os.path.dirname(ontocite.__file__))
-        path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "ontocite", "cite", PAV_TTL,
-             "--style", "canonical", "--format-label", "rdf/xml"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        result = run_module("cite", PAV_TTL, "--style", "canonical", "--format-label", "rdf/xml")
         assert result.returncode == 0
         assert result.stdout == PAV_CITATION + "\n"
 
@@ -233,6 +235,49 @@ class TestHostileInputs:
         assert err == "error: reference text is empty\n"
         assert not (tmp_path / "o.nt").exists()
 
+    # an argument holding the byte 0xff, as Python decodes it
+    SURROGATE_CITATION = "Doe, J. (2020-01-01). T\udcff. http://e.org/x"
+    SURROGATE_ERROR = "at offset 23: expected title: lone surrogate U+DCFF"
+
+    def test_surrogate_reference_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "inject", PAV_TTL, "--reference", "a\udcff",
+                           "--out", str(tmp_path / "o.nt"))
+        assert code == 2
+        assert err == "error: lone surrogate U+DCFF in literal\n"
+        assert not (tmp_path / "o.nt").exists()
+
+    def test_surrogate_citation_is_a_parse_error(self, capsys):
+        assert run(capsys, "parse", self.SURROGATE_CITATION) == (
+            2, "", f"error: {self.SURROGATE_ERROR}\n")
+        assert run(capsys, "validate", self.SURROGATE_CITATION) == (
+            1, f"E-PARSE\terror\tcitation string does not parse: {self.SURROGATE_ERROR}\n", "")
+
+    def test_surrogate_arguments_through_python_m(self, tmp_path):
+        out = tmp_path / "o.nt"
+        for argv, code, stdout, stderr in [
+            (["parse", self.SURROGATE_CITATION], 2, "", f"error: {self.SURROGATE_ERROR}\n"),
+            (["validate", self.SURROGATE_CITATION], 1,
+             f"E-PARSE\terror\tcitation string does not parse: {self.SURROGATE_ERROR}\n", ""),
+            (["inject", PAV_TTL, "--reference", "a\udcff", "--out", str(out)], 2, "",
+             "error: lone surrogate U+DCFF in literal\n"),
+        ]:
+            result = run_module(*argv, PYTHONIOENCODING="utf-8")
+            assert (result.returncode, result.stdout, result.stderr) == (code, stdout, stderr)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "a\x00.ttl"],
+        ["cite", "a\x00.ttl"],
+        ["check-mutual", PAV_TTL, "r\x00.txt"],
+        ["inject", PAV_TTL, "--reference", "x", "--out", "o\x00.nt"],
+        ["network", "--counts", "a\x00.ttl"],
+    ], ids=["parse", "cite", "check-mutual", "inject-out", "network"])
+    def test_path_holding_nul_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot ") and err.endswith(": embedded null byte\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("date", ["2023-02-31", "2014-13-01", "２０１４-０８-２８"])
     def test_impossible_date_is_missing_everywhere(self, capsys, tmp_path, date):
         path = tmp_path / "dated.ttl"
@@ -298,6 +343,7 @@ class TestHostileInputs:
                     assert main(argv) in (0, 1, 2), argv
 
     @given(text=st.one_of(st.text(), mutations(SAMPLE_CITATIONS)))
+    @example("a\x00.ttl")
     @settings(max_examples=300, deadline=None)
     def test_any_citation_argument_exits_0_1_or_2(self, text):
         for command in ("validate", "parse"):

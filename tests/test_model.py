@@ -21,7 +21,8 @@ class TestTerms:
         with pytest.raises(RdfModelError):
             Iri("no-scheme-here/path")
 
-    @pytest.mark.parametrize("bad", ["", "http://a b", 'http://a"b', "http://a<b", "http://a>b"])
+    @pytest.mark.parametrize(
+        "bad", ["", "http://a b", 'http://a"b', "http://a<b", "http://a>b", "http://a\ud800"])
     def test_iri_rejects_forbidden(self, bad):
         with pytest.raises(RdfModelError):
             Iri(bad)
@@ -37,6 +38,13 @@ class TestTerms:
     def test_literal_lang_normalized(self):
         assert Literal("x", lang="EN").lang == "en"
         assert Literal("x", lang="EN-US").lang == "en-US"
+
+    @pytest.mark.parametrize("lexical,code", [("\udc00", "DC00"), ("café \ud800 \udfff", "D800")])
+    def test_literal_rejects_lone_surrogate(self, lexical, code):
+        with pytest.raises(RdfModelError) as exc:
+            Literal(lexical)
+        # the first code point is named, never the character itself
+        assert str(exc.value) == f"lone surrogate U+{code} in literal"
 
     @pytest.mark.parametrize("bad", ["", "-en", "en-", "toolongtag9", "e n"])
     def test_literal_bad_lang(self, bad):
@@ -94,6 +102,34 @@ class TestGraph:
         monkeypatch.undo()
         assert len(grown) == 201 and extra in grown
         assert set(grown) == set(g) | {extra}
+
+    @staticmethod
+    def term_hashes(monkeypatch):
+        """The terms hashed from now on, in order."""
+        hashed = []
+        for cls in (Iri, Literal, BlankNode):
+            def counting(term, original=cls.__hash__):
+                hashed.append(term)
+                return original(term)
+            monkeypatch.setattr(cls, "__hash__", counting)
+        return hashed
+
+    SUBJECTS_200 = [Iri(f"http://example.org/s{i}") for i in range(200)]
+
+    def test_match_without_subject_hashes_no_term(self, monkeypatch):
+        g = Graph(Triple(s, P, Literal(str(i))) for i, s in enumerate(self.SUBJECTS_200))
+        hashed = self.term_hashes(monkeypatch)
+        assert g.match(None, P, Literal("7")) == [Triple(self.SUBJECTS_200[7], P, Literal("7"))]
+        assert len(g.match(None, P)) == 200
+        assert hashed == []
+
+    def test_match_with_subject_indexes_only_subjects(self, monkeypatch):
+        g = Graph(Triple(s, P, Literal(str(i))) for i, s in enumerate(self.SUBJECTS_200))
+        pattern = self.SUBJECTS_200[7]
+        hashed = self.term_hashes(monkeypatch)
+        assert g.match(pattern) == [Triple(pattern, P, Literal("7"))]
+        # each subject once while indexing, then the pattern: no predicate or object
+        assert sorted(map(id, hashed)) == sorted(map(id, [*self.SUBJECTS_200, pattern]))
 
     def test_match_full_wildcard(self, pav_graph):
         assert pav_graph.match() == list(pav_graph)
