@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
@@ -188,10 +189,45 @@ def record_to_dict(record: CitationRecord) -> Dict[str, object]:
     return data
 
 
+def _json_block(items: List[str], indent: str, brackets: str = "[]") -> str:
+    """Encoded array items (or ``"key": value`` members, with ``brackets``
+    ``"{}"``) laid out as ``json.dumps(..., indent=2)`` lays out a
+    container that starts at ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def render_json(record: CitationRecord) -> str:
     """Canonical JSON for the record (schema in ``docs/citation.schema.json``);
-    bit-identical for equal records, single trailing newline."""
-    return json.dumps(record_to_dict(record), ensure_ascii=False, indent=2) + "\n"
+    bit-identical for equal records, single trailing newline.
+
+    The bytes are those of ``json.dumps(record_to_dict(record),
+    ensure_ascii=False, indent=2) + "\\n"``, written in the record's fixed
+    layout: with ``indent`` set, ``json.dumps`` never uses its C encoder.
+    Strings are quoted by ``encode_basestring``, as ``ensure_ascii=False``
+    quotes them."""
+    creators = []
+    for agent in record.creators:
+        initials = (f'"initials": {encode_basestring(agent.initials)},\n      '
+                    if agent.initials else "")
+        organization = "true" if agent.organization else "false"
+        creators.append(f'{{\n      "surname": {encode_basestring(agent.surname)},\n      '
+                        f'{initials}"organization": {organization}\n    }}')
+    members = [f'"creators": {_json_block(creators, "  ")}',
+               f'"date": {encode_basestring(record.date)}']
+    if record.acronym:
+        members.append(f'"acronym": {encode_basestring(record.acronym)}')
+    members.append(f'"full_name": {encode_basestring(record.full_name)}')
+    if record.version:
+        members.append(f'"version": {encode_basestring(record.version)}')
+    if record.revision:
+        members.append(f'"revision": {encode_basestring(record.revision)}')
+    members.append(f'"uri": {encode_basestring(record.uri.value)}')
+    formats = [encode_basestring(label) for label in record.formats]
+    members.append(f'"formats": {_json_block(formats, "  ")}')
+    return _json_block(members, "", "{}") + "\n"
 
 
 _JSON_TYPES = {str: "a string", bool: "a boolean", list: "an array"}

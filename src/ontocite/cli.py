@@ -10,6 +10,7 @@ or mutual-citation not satisfied, 2 usage, parse, or I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -41,19 +42,25 @@ from .vocab import EXTENSION_LABELS, KNOWN_FORMAT_LABELS
 _PARSEABLE = {"turtle", "n-triples"}
 
 
+def _shown(path: str) -> str:
+    """``path`` as an error line echoes it: each C0 control character and
+    DEL as ``\\xNN``, every other character as given."""
+    return re.sub(r"[\x00-\x1f\x7f]", lambda m: f"\\x{ord(m.group()):02x}", path)
+
+
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise OntociteError(f"cannot read {path}: {exc}") from None
+        raise OntociteError(f"cannot read {_shown(path)}: {exc}") from None
 
 
 def _decode(path: str, data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise OntociteError(f"{path} is not valid UTF-8: {exc}") from None
+        raise OntociteError(f"{_shown(path)} is not valid UTF-8: {exc}") from None
 
 
 def _load_graph(path: str) -> Tuple[Graph, str]:
@@ -63,7 +70,7 @@ def _load_graph(path: str) -> Tuple[Graph, str]:
     label = detect_format_label(os.path.basename(path), data[:2048].decode("utf-8", "replace"))
     if label not in _PARSEABLE:
         raise OntociteError(
-            f"{path}: {label} input is not parsed natively; "
+            f"{_shown(path)}: {label} input is not parsed natively; "
             "convert to Turtle or N-Triples first"
         )
     text = _decode(path, data)
@@ -73,7 +80,7 @@ def _load_graph(path: str) -> Tuple[Graph, str]:
             return parse_turtle(text), label
         return parse_ntriples(text), label
     except OntociteError as exc:
-        raise OntociteError(f"{path}: {exc}") from None
+        raise OntociteError(f"{_shown(path)}: {exc}") from None
 
 
 def _looks_like_file(argument: str) -> bool:
@@ -132,7 +139,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(serialize_ntriples(injected))
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise OntociteError(f"cannot write {args.out}: {exc}") from None
+        raise OntociteError(f"cannot write {_shown(args.out)}: {exc}") from None
     return 0
 
 
@@ -165,7 +172,11 @@ def _cmd_network(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later ``main`` call in the process (argparse keeps no parse state on
+    the parser)."""
     parser = argparse.ArgumentParser(
         prog="ontocite",
         description="Extract, render, parse, validate, and link ontology citations.",

@@ -23,7 +23,7 @@ from .exceptions import (
     OntociteWarning,
     UnresolvableAgentError,
 )
-from .model import BlankNode, Graph, Iri, Literal, Term
+from .model import Graph, Iri, Literal, Term
 
 #: The one date shape, ``YYYY-MM-DD`` in ASCII digits. The canonical
 #: grammar and the JSON reader check only this shape; the calendar is
@@ -130,14 +130,12 @@ def resolve_agent_name(g: Graph, t: Term) -> Agent:
     """
     if isinstance(t, Literal):
         return normalize_person_name(t.lexical)
-    if isinstance(t, (Iri, BlankNode)):
-        name = _node_name(g, t)
-        if name is None:
-            raise UnresolvableAgentError(t)
-        if _is_organization(g, t):
-            return Agent(surname=name, organization=True)
-        return normalize_person_name(name)
-    raise UnresolvableAgentError(t, f"creator object is not a resolvable term: {t!r}")
+    name = _node_name(g, t)
+    if name is None:
+        raise UnresolvableAgentError(t)
+    if _is_organization(g, t):
+        return Agent(surname=name, organization=True)
+    return normalize_person_name(name)
 
 
 def _node_name(g: Graph, node: Term) -> Optional[str]:

@@ -43,7 +43,7 @@ def is_absolute_iri(value: str) -> bool:
     )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Iri:
     """An absolute IRI. Validation is syntactic-lite: a scheme is required;
     whitespace, angle brackets, quotes and lone surrogates are rejected."""

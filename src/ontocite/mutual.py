@@ -91,18 +91,16 @@ def _reference_lines(text: str) -> List[str]:
 
 
 def _similarity_tokens(line: str) -> Set[str]:
-    tokens = set()
-    for token in line.lower().split():
-        cleaned = token.strip(string.punctuation)
-        if cleaned:
-            tokens.add(cleaned)
+    tokens = {token.strip(string.punctuation) for token in line.lower().split()}
+    tokens.discard("")
     return tokens
 
 
 def _jaccard(a: Set[str], b: Set[str]) -> float:
     if not a or not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    common = len(a & b)
+    return common / (len(a) + len(b) - common)
 
 
 def _contains_uri_token(line: str, uri: str) -> bool:

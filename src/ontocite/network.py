@@ -9,11 +9,11 @@ are the usage metric; no derived impact score is computed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .citation import parse_canonical
+from .citation import _json_block, parse_canonical
 from .exceptions import CitationParseError, DuplicateOntologyError, RdfModelError
 from .model import Graph, Iri, Literal
 from .vocab import DCTERMS_REFERENCES, OWL_IMPORTS
@@ -80,10 +80,14 @@ def build_network(
     return CitationGraph(nodes=frozenset(nodes), edges=frozenset(edges))
 
 
+def _by_value(nodes: Iterable[Iri]) -> List[Iri]:
+    return sorted(nodes, key=lambda node: node.value)
+
+
 def usage_counts(cg: CitationGraph) -> Dict[Iri, Tuple[int, int]]:
     """Per-node in-degree split by edge kind, over all nodes (including
-    those with no incoming edges); keys iterate in sorted IRI order."""
-    tallies: Dict[Iri, List[int]] = {node: [0, 0] for node in sorted(cg.nodes)}
+    those with no incoming edges); keys iterate in the order of their IRI strings."""
+    tallies: Dict[Iri, List[int]] = {node: [0, 0] for node in _by_value(cg.nodes)}
     for edge in cg.edges:
         slot = 0 if edge.kind == IMPORTS else 1
         tallies[edge.dst][slot] += 1
@@ -97,9 +101,9 @@ def _dot_quote(value: str) -> str:
 def export_dot(cg: CitationGraph) -> str:
     """Deterministic DOT text: import edges solid, reference edges dashed."""
     lines = ["digraph ontocite {"]
-    for node in sorted(cg.nodes):
+    for node in _by_value(cg.nodes):
         lines.append(f"  {_dot_quote(node.value)};")
-    for edge in sorted(cg.edges):
+    for edge in sorted(cg.edges, key=lambda e: (e.src.value, e.dst.value, e.kind)):
         style = "solid" if edge.kind == IMPORTS else "dashed"
         lines.append(
             f"  {_dot_quote(edge.src.value)} -> {_dot_quote(edge.dst.value)} [style={style}];"
@@ -113,15 +117,19 @@ def render_counts_report(
     unparsed: Iterable[Tuple[Iri, str]] = (),
 ) -> str:
     """JSON usage report with stable key order: per-node counts plus any
-    reference texts that could not be attributed to an ontology."""
-    data = {
-        "counts": {
-            node.value: {"imports": imports, "references": references}
-            for node, (imports, references) in usage_counts(cg).items()
-        },
-        "unparsed_references": [
-            {"ontology": onto.value, "text": text}
-            for onto, text in sorted(unparsed, key=lambda pair: (pair[0].value, pair[1]))
-        ],
-    }
-    return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
+    reference texts that could not be attributed to an ontology. The bytes
+    are those of ``json.dumps(..., ensure_ascii=False, indent=2) + "\\n"``
+    on that report, written in its fixed layout."""
+    counts = [
+        encode_basestring(node.value) + ": "
+        + _json_block([f'"imports": {imports}', f'"references": {references}'], "    ", "{}")
+        for node, (imports, references) in usage_counts(cg).items()
+    ]
+    texts = [
+        _json_block([f'"ontology": {encode_basestring(onto.value)}',
+                     f'"text": {encode_basestring(text)}'], "    ", "{}")
+        for onto, text in sorted(unparsed, key=lambda pair: (pair[0].value, pair[1]))
+    ]
+    members = [f'"counts": {_json_block(counts, "  ", "{}")}',
+               f'"unparsed_references": {_json_block(texts, "  ")}']
+    return _json_block(members, "", "{}") + "\n"

@@ -118,6 +118,30 @@ def citation_records(draw):
     )
 
 
+# Any UTF-8-encodable text, weighted towards what a JSON writer must escape:
+# quotes, backslashes, control characters and characters outside the BMP.
+json_texts = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\U0001d11e'),
+    st.characters(codec="utf-8"),
+), max_size=12)
+_optional_json_texts = st.one_of(st.none(), json_texts)
+
+# Records outside the citable domain (any text in every field, empty creator
+# and format lists): what the JSON writer must still write exactly.
+json_records = st.builds(
+    CitationRecord,
+    creators=st.lists(st.builds(Agent, json_texts, _optional_json_texts, st.booleans()),
+                      max_size=3),
+    date=json_texts,
+    full_name=json_texts,
+    uri=iris,
+    acronym=_optional_json_texts,
+    version=_optional_json_texts,
+    revision=_optional_json_texts,
+    formats=st.lists(json_texts, max_size=3),
+)
+
+
 # --- hostile text ------------------------------------------------------------
 
 

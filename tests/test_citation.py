@@ -4,7 +4,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontocite import (
@@ -28,7 +28,7 @@ from ontocite import (
 )
 
 from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
-from strategies import citation_records, mutations
+from strategies import citation_records, json_records, mutations
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "citation.schema.json").read_text("utf-8")
@@ -408,6 +408,13 @@ class TestRenderJson:
             formats=tuple(record.formats),
         )
         assert render_json(record) == render_json(clone)
+
+    @given(record=json_records)
+    @settings(max_examples=500, deadline=None)
+    @example(record=CitationRecord(creators=(), date="", full_name="", uri=Iri("http://a")))
+    def test_bytes_equal_json_dumps(self, record):
+        expected = json.dumps(record_to_dict(record), ensure_ascii=False, indent=2) + "\n"
+        assert render_json(record) == expected
 
 
 _PAV_JSON = record_to_dict(pav_record())

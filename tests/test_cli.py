@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ontocite
-from ontocite import parse_ntriples
+from ontocite import cli, parse_ntriples
 from ontocite.cli import main
 
 from conftest import (
@@ -277,6 +277,13 @@ class TestHostileInputs:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot ") and err.endswith(": embedded null byte\n")
         assert err.count("\n") == 1
+        assert "\\x00" in err
+        assert not any(ch < " " or ch == "\x7f" for ch in err[:-1])
+
+    def test_control_characters_in_a_path_are_escaped(self, capsys):
+        code, out, err = run(capsys, "cite", "a\x01\x1f\x7f\u00e9\u2028.ttl")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read a\\x01\\x1f\\x7f\u00e9\u2028.ttl: ")
 
     @pytest.mark.parametrize("date", ["2023-02-31", "2014-13-01", "２０１４-０８-２８"])
     def test_impossible_date_is_missing_everywhere(self, capsys, tmp_path, date):
@@ -436,6 +443,49 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def run_caught(capsys, argv):
+    """``main(argv)`` as (exit code, stdout, stderr), argparse's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCachedParser:
+    """``main`` reuses one parser per process; every call must behave as
+    it does with a freshly built parser."""
+
+    REFLIST = str(REFLISTS / "reflist_with_ontology_ref.txt")
+    CALLS = [
+        ("cite", PAV_TTL, "--style", "json"),
+        ("cite", PAV_TTL),
+        ("check-mutual", PAV_TTL, REFLIST, "--threshold", "0.9"),
+        ("cite", PAV_TTL, "--style", "nope"),
+        ("check-mutual", PAV_TTL, REFLIST),
+        ("network", "--dot", *NET_PATHS),
+        ("network", *NET_PATHS),
+        ("network", "--counts", *NET_PATHS),
+        ("validate", PAV_CITATION),
+        ("cite", PAV_TTL, "--format-label", "rdf/xml", "--style", "bibtex"),
+        ("cite", PAV_TTL, "--style", "canonical"),
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys):
+        reused = [run_caught(capsys, argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(run_caught(capsys, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 2, 1, 0, 2, 0, 0, 0, 0]
+        assert reused[2][1] != reused[4][1]  # the default threshold is back
 
 
 MULTI_TTL = str(HEADERS / "multi.ttl")

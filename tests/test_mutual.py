@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from ontocite import (
     list_references,
     render_canonical,
 )
+from ontocite.mutual import _jaccard, _similarity_tokens
 from ontocite.vocab import DC_RELATION, DCTERMS_REFERENCES
 
 from conftest import PAV_CITATION, PUBLICATION_REF, REFLISTS, pav_record
@@ -146,3 +149,30 @@ class TestCheckPublicationSide:
             return
         line = render_canonical(record).replace(record.uri.value, other.value)
         assert not check_publication_side(line, record).found
+
+
+def _loop_tokens(line):
+    tokens = set()
+    for token in line.lower().split():
+        cleaned = token.strip(string.punctuation)
+        if cleaned:
+            tokens.add(cleaned)
+    return tokens
+
+
+_TOKEN_LINES = st.text(alphabet=st.one_of(
+    st.sampled_from(string.punctuation),
+    st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2000\u2028\u3000"),
+    st.characters(categories=("L",)),
+), max_size=30)
+
+
+class TestSimilarity:
+    @given(a=_TOKEN_LINES, b=_TOKEN_LINES)
+    @settings(max_examples=500)
+    def test_tokens_and_jaccard_equal_the_loop_and_the_union(self, a, b):
+        tokens_a, tokens_b = _similarity_tokens(a), _similarity_tokens(b)
+        assert tokens_a == _loop_tokens(a) and tokens_b == _loop_tokens(b)
+        union = len(tokens_a | tokens_b)
+        expected = len(tokens_a & tokens_b) / union if tokens_a and tokens_b else 0.0
+        assert _jaccard(tokens_a, tokens_b) == expected

@@ -18,9 +18,11 @@ from ontocite import (
     render_counts_report,
     usage_counts,
 )
+from ontocite.network import IMPORTS, REFERENCES, CitationGraph
 from ontocite.vocab import DCTERMS_REFERENCES, OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE
 
 from conftest import NETWORK, PAV_CITATION
+from strategies import iris, json_texts
 
 A = Iri("http://example.org/net/a")
 B = Iri("http://example.org/net/b")
@@ -189,3 +191,59 @@ class TestCountsReport:
         text = render_counts_report(network)
         keys = list(json.loads(text)["counts"].keys())
         assert keys == sorted(keys)
+
+
+@st.composite
+def citation_graphs(draw):
+    """Networks over IRIs that share prefixes and hold characters sorting
+    below and above the DOT quote, with both edge kinds."""
+    nodes = draw(st.lists(iris, unique=True, max_size=8))
+    edges = set()
+    if nodes:
+        drawn = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                                         st.sampled_from([IMPORTS, REFERENCES])), max_size=16))
+        edges = {Edge(*edge) for edge in drawn if not (edge[2] == IMPORTS and edge[0] == edge[1])}
+    return CitationGraph(nodes=frozenset(nodes), edges=frozenset(edges))
+
+
+def _dot_quote(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+class TestFixedLayout:
+    """The DOT text and the counts report, against the order and the JSON
+    encoder they were first written with: ``Iri`` compared as its
+    ``(value,)`` tuple and ``json.dumps(..., ensure_ascii=False, indent=2)``."""
+
+    @given(cg=citation_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_dot_in_the_sorted_order(self, cg):
+        lines = ["digraph ontocite {"]
+        lines += [f"  {_dot_quote(value)};" for value in sorted(n.value for n in cg.nodes)]
+        lines += [
+            f"  {_dot_quote(src)} -> {_dot_quote(dst)} "
+            f"[style={'solid' if kind == IMPORTS else 'dashed'}];"
+            for src, dst, kind in sorted((e.src.value, e.dst.value, e.kind) for e in cg.edges)
+        ]
+        assert export_dot(cg) == "\n".join(lines + ["}"]) + "\n"
+
+    @given(cg=citation_graphs(), unparsed=st.lists(st.tuples(iris, json_texts), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_report_equals_json_dumps(self, cg, unparsed):
+        counts = {value: {"imports": 0, "references": 0}
+                  for value in sorted(n.value for n in cg.nodes)}
+        for edge in cg.edges:
+            counts[edge.dst.value]["imports" if edge.kind == IMPORTS else "references"] += 1
+        data = {
+            "counts": counts,
+            "unparsed_references": [
+                {"ontology": onto, "text": text}
+                for onto, text in sorted((onto.value, text) for onto, text in unparsed)
+            ],
+        }
+        expected = json.dumps(data, ensure_ascii=False, indent=2) + "\n"
+        assert render_counts_report(cg, unparsed) == expected
+
+    def test_empty_report(self):
+        assert render_counts_report(build_network([])) == (
+            '{\n  "counts": {},\n  "unparsed_references": []\n}\n')
