@@ -43,9 +43,9 @@ class NotOntologyNodeError(OntociteError):
 class UnresolvableAgentError(OntociteError):
     """A creator node carries no usable name property."""
 
-    def __init__(self, node, message: str | None = None):
+    def __init__(self, node):
         self.node = node
-        super().__init__(message or f"no name property found on agent node {node!r}")
+        super().__init__(f"no name property found on agent node {node!r}")
 
 
 class EmptyNameError(OntociteError, ValueError):

@@ -221,6 +221,8 @@ def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
     onto = find_ontology_iri(g)
 
     title = _preferred_literal(_rung_literals(g, onto, vocab.TITLE_LADDER)[1])
+    if title is not None:
+        title = " ".join(title.split())
 
     creators: List[Agent] = []
     for prop in vocab.CREATOR_LADDER:

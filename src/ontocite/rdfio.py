@@ -7,20 +7,21 @@ datatypes, numeric/boolean shorthand). RDF collections ``( ... )`` are
 rejected with a distinct "unsupported construct" error. Parsing is
 all-or-nothing: the first malformed statement aborts with its position.
 
-Every well-formed term is read by one regex match. An N-Triples statement
-without escapes is one ``_NT_STATEMENT_RE`` match, from the whitespace and
-comments before it to its end of line; any other statement is read term
-by term. Turtle is read one ``_TOKEN_RE`` match at a time: an alternation
-of every Turtle terminal with the whitespace and comment skip folded in,
-dispatched on the group that matched. Each kind of term is built in one
-place (:meth:`_Scanner.iri`, :meth:`_Scanner.token_literal`,
-:meth:`_Turtle.pname`), which decodes escapes, resolves relative IRIs and
-raises the errors of well-formed tokens, such as an undeclared prefix.
-Input that the regexes reject goes to one error finder,
-:meth:`_Scanner.fail`, which names what broke the term there and builds
-none; line and column are worked out only then. Each distinct IRI is
-validated once per document; its later occurrences reuse the same
-:class:`Iri`.
+Every well-formed term is read by one regex match. An N-Triples statement,
+escapes included, is one ``_NT_STATEMENT_RE`` match, from the whitespace
+and comments before it to its end of line, and one builder in
+:func:`parse_ntriples` turns it into a triple. Turtle is read one
+``_TOKEN_RE`` match at a time: an alternation of every Turtle terminal with
+the whitespace and comment skip folded in, dispatched on the group that
+matched. Escapes are decoded in one place (:meth:`_Scanner.unescape`) and
+IRIs resolved and validated in one (:meth:`_Scanner.iri`), which raises
+the errors of well-formed tokens, such as a relative IRI. Input that the
+regexes reject goes to one error finder, :meth:`_Scanner.fail`, which
+names what broke the term there and builds none; an N-Triples statement
+first builds the terms before its broken part, which the statement's
+parts, nested as optionals, locate. Line and column are worked out only
+then. Each distinct IRI is validated once per document; its later
+occurrences reuse the same :class:`Iri`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ _IRI_CHAR = f"[^{_IRIREF_EXCLUDED}]"
 _SHORT_CHAR = r'[^"\\\n\r]'
 _UCHAR = r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}"
 _ESCAPE = rf"""\\(?:[tbnrf"'\\]|{_UCHAR})"""
-_IRI = rf"{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*"
-_SHORT = rf"{_SHORT_CHAR}*(?:{_ESCAPE}{_SHORT_CHAR}*)*"
+_IRI = rf"{_IRI_CHAR}*+(?:\\(?:{_UCHAR}){_IRI_CHAR}*+)*+"
+_SHORT = rf"{_SHORT_CHAR}*+(?:{_ESCAPE}{_SHORT_CHAR}*+)*+"
 # Quote runs shorter than three are content, and so are the quotes before
 # the last three of a longer run: the run stops at exactly '"""'.
 _LONG_RUN = r'[^"\\]*(?:(?:"{1,2}(?!")|"(?="""))[^"\\]*)*'
@@ -71,30 +72,30 @@ _NUMBER = r"(?P<number>[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 # a newline is left to _WS_RE, so that the skip never backtracks into itself.
 _SKIP = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
 
-# What only escapes, statements with escapes and malformed input need is
-# compiled on first use, from re's cache.
+# What only escapes and malformed input need is compiled on first use,
+# from re's cache.
 _DECODE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))"
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-# One N-Triples term and the spaces after it; a literal is no term when an
-# '@' or '^^' follows that does not start its language tag or datatype.
-_NT_TERM = (rf'(?:<(?P<iri>{_IRI})>|_:(?P<bnode>{_LABEL}+)|"(?P<short>{_SHORT})"'
-            rf"(?:@(?P<lang>{_LANGTAG})|\^\^<(?P<dt>{_IRI})>|(?!@|\^\^)))[ \t]*")
-# What may follow the '.' of an N-Triples statement on its line.
-_LINE_END = r"[ \t]*(?:#[^\n]*)?"
 
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 
-# One N-Triples statement without escapes. Groups: 1 subject IRI, 2 subject
-# label, 3 predicate, 4 object IRI, 5 object label, 6 lexical form,
-# 7 language tag, 8 datatype.
-_NT_STATEMENT_RE = re.compile(
-    _SKIP
-    + rf"(?:<({_IRI_CHAR}*)>|_:({_LABEL}+))[ \t]*"
-    + rf"<({_IRI_CHAR}*)>[ \t]*"
-    + rf'(?:<({_IRI_CHAR}*)>|_:({_LABEL}+)|"({_SHORT_CHAR}*)"'
-    + rf"(?:@({_LANGTAG})|\^\^<({_IRI_CHAR}*)>)?)[ \t]*"
-    + rf"\.{_LINE_END}(?![^\r\n])"
+# One N-Triples statement as its parts, in order: subject, predicate, object
+# (a literal is no object when an '@' or '^^' follows that starts no language
+# tag or datatype), the '.' with the rest of its line, and the end of the
+# line. Groups: 1 subject IRI, 2 subject label, 3 predicate, 4 object IRI,
+# 5 object label, 6 lexical form, 7 language tag, 8 datatype, 9 '.', 10 end.
+_NT_PARTS = (
+    rf"(?:<({_IRI})>|_:({_LABEL}+))[ \t]*",
+    rf"<({_IRI})>[ \t]*",
+    rf'(?:<({_IRI})>|_:({_LABEL}+)|"({_SHORT})"'
+    rf"(?:@({_LANGTAG})|\^\^<({_IRI})>|(?!@|\^\^)))[ \t]*",
+    r"(\.)[ \t]*(?:#[^\n]*)?",
+    r"(?![^\r\n])()",
 )
+_NT_STATEMENT_RE = re.compile(_SKIP + "".join(_NT_PARTS))
+# The same parts nested as optionals, compiled on first use: how far a
+# malformed statement is well formed.
+_NT_PREFIX = "".join(f"(?:{part}" for part in _NT_PARTS) + ")?" * len(_NT_PARTS)
 
 # One Turtle token; ``lastgroup`` names its kind. A literal carries its
 # language tag or datatype, and is no token when an '@' or '^^' follows
@@ -120,9 +121,9 @@ _TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join([
 
 
 class _Scanner:
-    """The term builders both syntaxes share, the N-Triples statement read
-    term by term, and the error finder; :class:`_Turtle` adds the Turtle
-    forms."""
+    """The term builders both syntaxes share and the error finder;
+    :class:`_Turtle` adds the Turtle forms and reads Turtle token by
+    token."""
 
     #: What the error finder reports where no more specific error applies.
     EXPECTED = {
@@ -148,10 +149,10 @@ class _Scanner:
         comment."""
         return _WS_RE.match(self.text, pos).end()
 
-    def make(self, start: int, factory, *args, **kwargs):
+    def make(self, start: int, factory, *args):
         """Build a model term; its validation errors point at ``start``."""
         try:
-            return factory(*args, **kwargs)
+            return factory(*args)
         except RdfModelError as exc:
             self.error(str(exc), start)
 
@@ -191,43 +192,6 @@ class _Scanner:
         if "\\" in value:
             value = self.unescape(start, end)
         return self.iris.get(value) or self.intern(start - 1, self.resolve(value, start - 1))
-
-    def token_literal(self, m: re.Match, kind: str) -> Literal:
-        """The literal of the token ``m`` whose last group is ``kind``."""
-        lexical, body = m.group("short"), "short"
-        if lexical is None:
-            lexical, body = m.group("long"), "long"
-        if "\\" in lexical:
-            lexical = self.unescape(*m.span(body))
-        if kind == "lang":
-            quote = m.start(body) - (1 if body == "short" else 3)
-            return self.make(quote, Literal, lexical, lang=m.group("lang"))
-        if kind == "dt":
-            return Literal(lexical, datatype=self.iri(*m.span("dt")))
-        if kind == "dtlocal":
-            return Literal(lexical, datatype=self.pname(m, "dtpfx", "dtlocal"))
-        return Literal(lexical)
-
-    def token_term(self, m: re.Match, kind: Optional[str]) -> Optional[Term]:
-        """The term that the token ``m`` of ``kind`` denotes; None for a
-        token that is no term. N-Triples matches only have the kinds iri,
-        bnode, short, lang and dt."""
-        if kind == "local":
-            return self.pname(m, "pfx", "local")
-        if kind == "iri":
-            return self.iri(*m.span(kind))
-        if kind == "bnode":
-            return BlankNode(m.group(kind))
-        if kind in ("short", "long", "lang", "dt", "dtlocal"):
-            return self.token_literal(m, kind)
-        if kind == "number":
-            token = m.group(kind)
-            if "e" in token or "E" in token:
-                return Literal(token, datatype=XSD_DOUBLE)
-            return Literal(token, datatype=XSD_DECIMAL if "." in token else XSD_INTEGER)
-        if kind == "bool":
-            return Literal(m.group(kind), datatype=XSD_BOOLEAN)
-        return None
 
     # -- errors
 
@@ -273,30 +237,6 @@ class _Scanner:
                 self.error("expected prefixed name", pos)
         self.error(self.EXPECTED[role], pos)
 
-    # -- N-Triples
-
-    def triple(self, pos: int) -> Tuple[Optional[Triple], int]:
-        """The N-Triples statement after ``pos``, read term by term, and the
-        offset after it; None at the end of the input."""
-        text = self.text
-        pos = self.skip(pos)
-        if pos == len(text):
-            return None, pos
-        term, terms = re.compile(_NT_TERM).match, []
-        for role, kinds in (("subject", ("iri", "bnode")), ("predicate", ("iri",)),
-                            ("object", None)):
-            m = term(text, pos)
-            if not m or kinds and m.lastgroup not in kinds:
-                self.fail(pos, role)
-            terms.append(self.token_term(m, m.lastgroup))
-            pos = m.end()
-        if text[pos:pos + 1] != ".":
-            self.error("expected '.' at end of statement", pos)
-        pos = re.compile(_LINE_END).match(text, pos + 1).end()
-        if text[pos:pos + 1] not in ("", "\r", "\n"):
-            self.error("expected end of line after statement", pos)
-        return Triple(*terms), pos
-
 
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples into a graph.
@@ -305,36 +245,50 @@ def parse_ntriples(text: str) -> Graph:
     with the position of the first malformed statement.
     """
     s = _Scanner(text)
-    iris, intern = s.iris, s.intern
+    iris, intern, iri, make = s.iris, s.intern, s.iri, s.make
     triples: List[Triple] = []
     statement = _NT_STATEMENT_RE.match
     pos = 0
     while True:
         m = statement(text, pos)
         if m is None:
-            # an escape, a malformed statement or the end of the input
-            triple, pos = s.triple(pos)
-            if triple is None:
+            # a malformed statement or the end of the input
+            pos = s.skip(pos)
+            if pos == len(text):
                 return Graph(triples)
-            triples.append(triple)
-            continue
-        # the statement holds no escape, and N-Triples resolves no IRI
-        subject, label, predicate, obj, obj_label, lexical, lang, datatype = m.groups()
-        if subject is None:
+            m = re.compile(_NT_PREFIX).match(text, pos)
+        # the terms before a broken part are built before its error is raised;
+        # a group that holds no escape is its own value, as N-Triples resolves
+        # no IRI
+        subject, label, predicate, obj, obj_label, lexical, lang, datatype, dot, end = m.groups()
+        if subject is not None:
+            subject = (iri(*m.span(1)) if "\\" in subject
+                       else iris.get(subject) or intern(m.start(1) - 1, subject))
+        elif label is not None:
             subject = BlankNode(label)
         else:
-            subject = iris.get(subject) or intern(m.start(1) - 1, subject)
-        predicate = iris.get(predicate) or intern(m.start(3) - 1, predicate)
+            s.fail(m.end(), "subject")
+        if predicate is None:
+            s.fail(m.end(), "predicate")
+        predicate = (iri(*m.span(3)) if "\\" in predicate
+                     else iris.get(predicate) or intern(m.start(3) - 1, predicate))
         if obj is not None:
-            obj = iris.get(obj) or intern(m.start(4) - 1, obj)
+            obj = (iri(*m.span(4)) if "\\" in obj
+                   else iris.get(obj) or intern(m.start(4) - 1, obj))
         elif obj_label is not None:
             obj = BlankNode(obj_label)
-        elif lang is not None:
-            obj = s.make(m.start(6) - 1, Literal, lexical, lang=lang)
-        elif datatype is not None:
-            obj = Literal(lexical, datatype=iris.get(datatype) or intern(m.start(8) - 1, datatype))
+        elif lexical is not None:
+            if "\\" in lexical:
+                lexical = s.unescape(*m.span(6))
+            if datatype is not None:
+                datatype = (iri(*m.span(8)) if "\\" in datatype
+                            else iris.get(datatype) or intern(m.start(8) - 1, datatype))
+            obj = make(m.start(6) - 1, Literal, lexical, lang, datatype)
         else:
-            obj = Literal(lexical)
+            s.fail(m.end(), "object")
+        if end is None:
+            s.error("expected end of line after statement" if dot
+                    else "expected '.' at end of statement", m.end())
         triples.append(Triple(subject, predicate, obj))
         pos = m.end()
 
@@ -398,6 +352,41 @@ class _Turtle(_Scanner):
         if namespace is None:
             self.error(f"undeclared prefix: {name!r}:", start)
         return self.intern(start, namespace + m.group(local))
+
+    def token_literal(self, m: re.Match, kind: str) -> Literal:
+        """The literal of the token ``m`` whose last group is ``kind``."""
+        lexical, body = m.group("short"), "short"
+        if lexical is None:
+            lexical, body = m.group("long"), "long"
+        if "\\" in lexical:
+            lexical = self.unescape(*m.span(body))
+        datatype = None
+        if kind == "dt":
+            datatype = self.iri(*m.span("dt"))
+        elif kind == "dtlocal":
+            datatype = self.pname(m, "dtpfx", "dtlocal")
+        quote = m.start(body) - (1 if body == "short" else 3)
+        return self.make(quote, Literal, lexical, m.group("lang"), datatype)
+
+    def token_term(self, m: re.Match, kind: Optional[str]) -> Optional[Term]:
+        """The term that the token ``m`` of ``kind`` denotes; None for a
+        token that is no term."""
+        if kind == "local":
+            return self.pname(m, "pfx", "local")
+        if kind == "iri":
+            return self.iri(*m.span(kind))
+        if kind == "bnode":
+            return BlankNode(m.group(kind))
+        if kind in ("short", "long", "lang", "dt", "dtlocal"):
+            return self.token_literal(m, kind)
+        if kind == "number":
+            token = m.group(kind)
+            if "e" in token or "E" in token:
+                return Literal(token, datatype=XSD_DOUBLE)
+            return Literal(token, datatype=XSD_DECIMAL if "." in token else XSD_INTEGER)
+        if kind == "bool":
+            return Literal(m.group(kind), datatype=XSD_BOOLEAN)
+        return None
 
     def directive(self, name: str, pos: int) -> int:
         """Read an ``@prefix`` or ``@base`` declaration from ``pos``, after

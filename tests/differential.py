@@ -4,15 +4,16 @@
 
 Generates ``count`` inputs from ``seed``: fixture documents with slices
 replaced by random text, random strings over the syntax characters, and
-statements assembled from escape, IRI, literal and prefix pieces. Each
-tree parses every input with ``parse_turtle`` and ``parse_ntriples`` in a
-subprocess of its own, which imports ontocite from that tree only. The
-results are compared in a form that does not depend on the tree: for a
-graph, digests of its triples as term attributes, sorted and in iteration
-order, and of its ``serialize_ntriples`` text; the ``(line, column,
-message)`` of a ``ParseError``; or the name of any other exception.
-Prints the number of mismatches and the first of them; exits 1 when there
-is any.
+statements assembled from escape, IRI, literal and prefix pieces, and
+one-line statements whose subject, predicate, object and tail are each
+a well-formed term or a piece. Each tree parses every input with
+``parse_turtle`` and ``parse_ntriples`` in a subprocess of its own, which
+imports ontocite from that tree only. The results are compared in a form
+that does not depend on the tree: for a graph, digests of its triples as
+term attributes, sorted and in iteration order, and of its
+``serialize_ntriples`` text; the ``(line, column, message)`` of a
+``ParseError``; or the name of any other exception. Prints the number of
+mismatches and the first of them; exits 1 when there is any.
 
 Standard library only; pytest does not collect it (see
 ``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself``).
@@ -45,6 +46,8 @@ PIECES = [
     "@prefix 1x: <http://x/> .", "@base <http://b/> .", "[", "]", "(", ")", ".", ";", ",",
     " ", "\n", "\t", "# c\n",
 ]
+# A well-formed subject, predicate, object and tail of a one-line statement.
+STATEMENT = ("<http://s>", "<http://p>", '"o"', ".\n")
 
 
 def fixture_documents():
@@ -74,6 +77,9 @@ def make_inputs(seed, count):
                 text = text[:start] + filler + text[end:]
         elif shape < 0.7:
             text = random_text(rng, rng.randrange(80))
+        elif shape < 0.85:
+            text = " ".join(rng.choice(PIECES) if rng.random() < 0.3 else part
+                            for part in STATEMENT)
         else:
             text = "".join(rng.choice(PIECES) for _ in range(rng.randrange(1, 14)))
             if rng.random() < 0.5:

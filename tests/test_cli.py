@@ -327,6 +327,23 @@ class TestHostileInputs:
             {"surname": "王", "initials": "小.", "organization": False},
         ]
 
+    def test_title_with_a_line_break_cites_on_one_line(self, capsys, tmp_path):
+        path = tmp_path / "lines.ttl"
+        path.write_text(
+            "@prefix dcterms: <http://purl.org/dc/terms/> .\n"
+            "<http://example.org/o> a <http://www.w3.org/2002/07/owl#Ontology> ;\n"
+            '    dcterms:title "Line one\\nLine two" ; dcterms:creator "Ann Author" ;\n'
+            '    dcterms:issued "2020-01-02" .\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "cite", str(path))
+        assert (code, out) == (
+            0, "Author, A. (2020-01-02). Line one Line two. http://example.org/o [turtle]\n")
+        code, parsed, _ = run(capsys, "parse", out.strip())
+        assert code == 0
+        assert json.loads(parsed)["full_name"] == "Line one Line two"
+        assert run(capsys, "validate", str(path)) == run(capsys, "validate", out.strip())
+
     @given(
         content=st.one_of(st.binary(max_size=300), mutations(_SEED_FILE_TEXTS)),
         suffix=st.sampled_from([".ttl", ".nt", ".owl", ".txt"]),

@@ -119,6 +119,24 @@ ERROR_ORDER = [
     ("ttl", '<http://a> <http://p> "x"^y .', 1, 26, "expected '.' at end of statement"),
     ("ttl", "<http://a> <http://p> <r\\u0065l> .", 1, 23, "relative IRI without @base: 'rel'"),
     ("nt", '<http://a> <rel> "x\\q" .', 1, 12, "IRI lacks a scheme: 'rel'"),
+    ("nt", '<rel> <http://p> "x\\q" .', 1, 1, "IRI lacks a scheme: 'rel'"),
+    ("nt", '<http://a> <http://p> "x"@en-abcdefghi <', 1, 23,
+     "malformed language tag: 'en-abcdefghi'"),
+    ("nt", "<http://a> <http://p> <rel> x", 1, 23, "IRI lacks a scheme: 'rel'"),
+    ("nt", '<http://a> <http://p> "a"^^<rel> <', 1, 28, "IRI lacks a scheme: 'rel'"),
+    ("nt", "_:b <http://p> <http://o> . x", 1, 29, "expected end of line after statement"),
+]
+
+# A raw lone surrogate in each shape of literal, which only a str can hold.
+SURROGATE_LITERALS = [
+    ("nt", '"a\ud800"'),
+    ("nt", '"a\ud800"^^<http://d>'),
+    ("nt", '"a\ud800"@en'),
+    ("ttl", '"a\ud800"'),
+    ("ttl", '"a\ud800"^^<http://d>'),
+    ("ttl", '"a\ud800"^^xsd:string'),
+    ("ttl", '"a\ud800"@en'),
+    ("ttl", '"""a\ud800"""'),
 ]
 
 # Characters that drive the parsers through their syntax branches.
@@ -451,6 +469,15 @@ class TestBothSyntaxes:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize("kind,literal", SURROGATE_LITERALS)
+    def test_lone_surrogate_in_a_literal_is_a_parse_error(self, kind, literal):
+        parse = parse_turtle if kind == "ttl" else parse_ntriples
+        prefix = "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> . " if kind == "ttl" else ""
+        with pytest.raises(ParseError) as exc:
+            parse(f"{prefix}<http://a> <http://p> {literal} .")
+        assert (exc.value.line, exc.value.column - len(prefix), exc.value.message) == (
+            1, 23, "lone surrogate U+D800 in literal")
 
     def test_differential_against_itself(self):
         src = str(FIXTURES.parents[1] / "src")
