@@ -16,35 +16,35 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
 from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_initials
-from .model import Iri
+from .model import Iri, Value
 
 _DATE_GROUP_RE = re.compile(rf"\(({DATE_SHAPE})\)\.(?= |$)")
 _DATE_SHAPE_ANYWHERE_RE = re.compile(rf"\({DATE_SHAPE}\)\.")
 _VERSION_TOKEN_RE = re.compile(r"([^\s()]+?)(?:\(([^\s()]+)\))?")
 
 
-@dataclass(frozen=True)
-class CitationRecord:
+class CitationRecord(Value):
     """One instance of the reference template."""
 
-    creators: Tuple[Agent, ...]
-    date: str
-    full_name: str
-    uri: Iri
-    acronym: Optional[str] = None
-    version: Optional[str] = None
-    revision: Optional[str] = None
-    formats: Tuple[str, ...] = ()
+    __slots__ = _fields = ("creators", "date", "full_name", "uri", "acronym", "version",
+                           "revision", "formats")
 
-    def __post_init__(self):
-        object.__setattr__(self, "creators", tuple(self.creators))
-        object.__setattr__(self, "formats", tuple(self.formats))
+    def __init__(self, creators: Sequence[Agent], date: str, full_name: str, uri: Iri,
+                 acronym: Optional[str] = None, version: Optional[str] = None,
+                 revision: Optional[str] = None, formats: Sequence[str] = ()):
+        object.__setattr__(self, "creators", tuple(creators))
+        object.__setattr__(self, "date", date)
+        object.__setattr__(self, "full_name", full_name)
+        object.__setattr__(self, "uri", uri)
+        object.__setattr__(self, "acronym", acronym)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "revision", revision)
+        object.__setattr__(self, "formats", tuple(formats))
 
 
 def build_record(

@@ -9,10 +9,8 @@ for any permutation of the input triples.
 
 from __future__ import annotations
 
-import datetime
 import re
 import warnings
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import vocab
@@ -23,39 +21,50 @@ from .exceptions import (
     OntociteWarning,
     UnresolvableAgentError,
 )
-from .model import Graph, Iri, Literal, Term
+from .model import Graph, Iri, Literal, Term, Value
 
 #: The one date shape, ``YYYY-MM-DD`` in ASCII digits. The canonical
 #: grammar and the JSON reader check only this shape; the calendar is
 #: checked by :func:`is_calendar_date`.
 DATE_SHAPE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
-_DATE_RE = re.compile(DATE_SHAPE)
+# DATE_SHAPE with months 01-12 and days 01-31
+_DATE_RE = re.compile("[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
 _DOTTED_VERSION_RE = re.compile(r"^v?[0-9]+(\.[0-9]+)*$")
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(Value):
     """One creator: a person (surname plus optional initials) or an
     organization (``surname`` holds the full group name).
     """
 
-    surname: str
-    initials: Optional[str] = None
-    organization: bool = False
+    __slots__ = _fields = ("surname", "initials", "organization")
+
+    def __init__(self, surname: str, initials: Optional[str] = None,
+                 organization: bool = False):
+        object.__setattr__(self, "surname", surname)
+        object.__setattr__(self, "initials", initials)
+        object.__setattr__(self, "organization", organization)
 
 
-@dataclass(frozen=True)
-class OntologyMetadata:
+class OntologyMetadata(Value):
     """Raw extracted header fields, before citation assembly."""
 
-    ontology_iri: Iri
-    title: Optional[str] = None
-    creators: Tuple[Agent, ...] = ()
-    date: Optional[str] = None
-    version: Optional[str] = None
-    revision: Optional[str] = None
-    format_label: Optional[str] = None
-    acronym: Optional[str] = None
+    __slots__ = _fields = ("ontology_iri", "title", "creators", "date", "version",
+                           "revision", "format_label", "acronym")
+
+    def __init__(self, ontology_iri: Iri, title: Optional[str] = None,
+                 creators: Tuple[Agent, ...] = (), date: Optional[str] = None,
+                 version: Optional[str] = None, revision: Optional[str] = None,
+                 format_label: Optional[str] = None, acronym: Optional[str] = None):
+        object.__setattr__(self, "ontology_iri", ontology_iri)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "creators", creators)
+        object.__setattr__(self, "date", date)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "revision", revision)
+        object.__setattr__(self, "format_label", format_label)
+        object.__setattr__(self, "acronym", acronym)
 
 
 def find_ontology_iri(g: Graph) -> Iri:
@@ -184,13 +193,13 @@ def _preferred_literal(values: Sequence[Literal]) -> Optional[str]:
 
 def is_calendar_date(value: str) -> bool:
     """True for a ``YYYY-MM-DD`` string that names a real calendar day."""
-    if not _DATE_RE.fullmatch(value):
+    if not _DATE_RE.fullmatch(value) or value.startswith("0000"):
         return False
-    try:
-        datetime.date.fromisoformat(value)
-    except ValueError:
-        return False
-    return True
+    if value[8:] <= "28":
+        return True
+    year, month = int(value[:4]), int(value[5:7])
+    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return int(value[8:]) <= _MONTH_DAYS[month - 1] + leap
 
 
 def _normalize_date(value: str) -> Optional[str]:

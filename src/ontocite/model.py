@@ -11,8 +11,7 @@ file ordering. A graph indexes its triples by subject on its first
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .exceptions import RdfModelError
 
@@ -43,66 +42,132 @@ def is_absolute_iri(value: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Iri:
+# Sets a field in __init__; a name of its own, as Triple has a field "object".
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes. Each subclass names its fields
+    in ``_fields``, in ``__init__`` order, and sets them in ``__init__``
+    through ``object.__setattr__``; assigning or deleting an attribute
+    afterwards raises AttributeError. Instances are equal when of the same
+    class with equal fields, and hash, print and pickle by their fields."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Iri(Value):
     """An absolute IRI. Validation is syntactic-lite: a scheme is required;
     whitespace, angle brackets, quotes and lone surrogates are rejected."""
 
-    value: str
-    # The N-Triples token of an IRI that holds a character IRIREF forbids;
-    # None for any other IRI, whose token is its value in angle brackets.
-    _token = None
+    _fields = ("value",)
+    # _token: the N-Triples token of an IRI that holds a character IRIREF
+    # forbids; None for any other IRI, whose token is its value in angle brackets.
+    __slots__ = ("value", "_token")
 
-    def __post_init__(self):
-        if not self.value:
+    def __init__(self, value: str):
+        if not value:
             raise RdfModelError("IRI must be non-empty")
-        if not _SCHEME_RE.match(self.value):
-            raise RdfModelError(f"IRI lacks a scheme: {self.value!r}")
-        _reject_surrogate(self.value, "IRI")
-        if _IRIREF_ESCAPE_RE.search(self.value):
-            bad = _FORBIDDEN_IRI_CHARS.intersection(self.value)
+        if not _SCHEME_RE.match(value):
+            raise RdfModelError(f"IRI lacks a scheme: {value!r}")
+        _reject_surrogate(value, "IRI")
+        token = None
+        if _IRIREF_ESCAPE_RE.search(value):
+            bad = _FORBIDDEN_IRI_CHARS.intersection(value)
             if bad:
                 raise RdfModelError(
-                    f"IRI contains forbidden character(s) {''.join(sorted(bad))!r}: {self.value!r}"
+                    f"IRI contains forbidden character(s) {''.join(sorted(bad))!r}: {value!r}"
                 )
-            token = _IRIREF_ESCAPE_RE.sub(lambda m: f"\\u{ord(m.group()):04X}", self.value)
-            object.__setattr__(self, "_token", f"<{token}>")
+            token = "<" + _IRIREF_ESCAPE_RE.sub(lambda m: f"\\u{ord(m.group()):04X}", value) + ">"
+        _set(self, "value", value)
+        _set(self, "_token", token)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """A literal term. A language tag and a datatype are mutually
     exclusive; the primary language subtag is normalized to lowercase."""
 
-    lexical: str
-    lang: Optional[str] = None
-    datatype: Optional["Iri"] = None
+    __slots__ = _fields = ("lexical", "lang", "datatype")
 
-    def __post_init__(self):
-        _reject_surrogate(self.lexical, "literal")
-        if self.lang is not None and self.datatype is not None:
-            raise RdfModelError("literal cannot carry both a language tag and a datatype")
-        if self.lang is not None:
-            if not _LANG_RE.match(self.lang):
-                raise RdfModelError(f"malformed language tag: {self.lang!r}")
-            head, sep, rest = self.lang.partition("-")
-            object.__setattr__(self, "lang", head.lower() + sep + rest)
-        if self.datatype is not None and not isinstance(self.datatype, Iri):
+    def __init__(self, lexical: str, lang: Optional[str] = None,
+                 datatype: Optional[Iri] = None):
+        _reject_surrogate(lexical, "literal")
+        if lang is not None:
+            if datatype is not None:
+                raise RdfModelError("literal cannot carry both a language tag and a datatype")
+            if not _LANG_RE.match(lang):
+                raise RdfModelError(f"malformed language tag: {lang!r}")
+            head, sep, rest = lang.partition("-")
+            lang = head.lower() + sep + rest
+        elif datatype is not None and not isinstance(datatype, Iri):
             raise RdfModelError("literal datatype must be an Iri")
+        _set(self, "lexical", lexical)
+        _set(self, "lang", lang)
+        _set(self, "datatype", datatype)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lexical, self.lang, self.datatype)
+                == (other.lexical, other.lang, other.datatype))
+
+    def __hash__(self) -> int:
+        return hash((self.lexical, self.lang, self.datatype))
 
 
-@dataclass(frozen=True)
-class BlankNode:
+class BlankNode(Value):
     """A blank node with a session-local label, stable within one document."""
 
-    label: str
+    __slots__ = _fields = ("label",)
 
-    def __post_init__(self):
-        if not _BNODE_LABEL_RE.match(self.label):
-            raise RdfModelError(f"malformed blank node label: {self.label!r}")
+    def __init__(self, label: str):
+        if not _BNODE_LABEL_RE.match(label):
+            raise RdfModelError(f"malformed blank node label: {label!r}")
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
 
 Term = Union[Iri, Literal, BlankNode]
@@ -132,25 +197,38 @@ def nt(term: Term) -> str:
     raise RdfModelError(f"not an RDF term: {term!r}")
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Union[Iri, BlankNode]
-    predicate: Iri
-    object: Term
+class Triple(Value):
+    """One RDF statement: an IRI or blank node subject, an IRI predicate
+    and any term as object."""
 
-    def __post_init__(self):
-        if not isinstance(self.subject, (Iri, BlankNode)):
+    __slots__ = _fields = ("subject", "predicate", "object")
+
+    def __init__(self, subject: Union[Iri, BlankNode], predicate: Iri, object: Term):
+        if not isinstance(subject, (Iri, BlankNode)):
             raise RdfModelError(
-                f"triple subject must be an IRI or blank node, got {type(self.subject).__name__}"
+                f"triple subject must be an IRI or blank node, got {type(subject).__name__}"
             )
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise RdfModelError(
-                f"triple predicate must be an IRI, got {type(self.predicate).__name__}"
+                f"triple predicate must be an IRI, got {type(predicate).__name__}"
             )
-        if not isinstance(self.object, (Iri, Literal, BlankNode)):
+        if not isinstance(object, (Iri, Literal, BlankNode)):
             raise RdfModelError(
-                f"triple object must be an RDF term, got {type(self.object).__name__}"
+                f"triple object must be an RDF term, got {type(object).__name__}"
             )
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # tuples compare identical (interned) terms without calling their __eq__
+        return ((self.subject, self.predicate, self.object)
+                == (other.subject, other.predicate, other.object))
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object))
 
 
 def nt_line(t: Triple) -> str:

@@ -10,29 +10,31 @@ house-styled rendering still matches but a different ontology never does.
 
 from __future__ import annotations
 
-import string
 import warnings
-from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .citation import CitationRecord, render_canonical
 from .exceptions import EmptyReferenceError, NotOntologyNodeError, OntociteWarning
-from .model import Graph, Iri, Literal, Triple
+from .model import Graph, Iri, Literal, Triple, Value
 from .vocab import DC_RELATION, DCTERMS_REFERENCES, OWL_ONTOLOGY, RDF_TYPE
 
 #: Minimum token similarity for a fuzzy publication-side match.
 DEFAULT_SIMILARITY_THRESHOLD = 0.6
 
 _GATE_STRIP = "<>()[]{}\"';,."
+# string.punctuation: the ASCII punctuation characters
+_PUNCTUATION = r"""!"#$%&'()*+,-./:;<=>?@[\]^_`{|}~"""
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(Value):
     """Outcome of scanning a reference list for one citation."""
 
-    found: bool
-    similarity: float
-    matched_line: Optional[str] = None
+    __slots__ = _fields = ("found", "similarity", "matched_line")
+
+    def __init__(self, found: bool, similarity: float, matched_line: Optional[str] = None):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "similarity", similarity)
+        object.__setattr__(self, "matched_line", matched_line)
 
 
 def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: Optional[str]) -> Graph:
@@ -91,7 +93,7 @@ def _reference_lines(text: str) -> List[str]:
 
 
 def _similarity_tokens(line: str) -> Set[str]:
-    tokens = {token.strip(string.punctuation) for token in line.lower().split()}
+    tokens = {token.strip(_PUNCTUATION) for token in line.lower().split()}
     tokens.discard("")
     return tokens
 

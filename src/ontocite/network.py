@@ -9,13 +9,12 @@ are the usage metric; no derived impact score is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .citation import _json_block, parse_canonical
 from .exceptions import CitationParseError, DuplicateOntologyError, RdfModelError
-from .model import Graph, Iri, Literal
+from .model import Graph, Iri, Literal, Value
 from .vocab import DCTERMS_REFERENCES, OWL_IMPORTS
 
 IMPORTS = "imports"
@@ -28,19 +27,19 @@ class Edge(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class CitationGraph:
+class CitationGraph(Value):
     """Directed graph over ontology IRIs with typed edges."""
 
-    nodes: frozenset
-    edges: frozenset
+    __slots__ = _fields = ("nodes", "edges")
 
-    def __post_init__(self):
-        for edge in self.edges:
-            if edge.src not in self.nodes or edge.dst not in self.nodes:
+    def __init__(self, nodes: frozenset, edges: frozenset):
+        for edge in edges:
+            if edge.src not in nodes or edge.dst not in nodes:
                 raise RdfModelError(f"edge endpoint missing from node set: {edge}")
             if edge.kind == IMPORTS and edge.src == edge.dst:
                 raise RdfModelError(f"self-loop import edge: {edge}")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
 
 def build_network(

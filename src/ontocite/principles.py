@@ -12,13 +12,12 @@ string that does not match the grammar at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Union
 
 from .citation import CitationRecord, parse_canonical
 from .exceptions import CitationParseError
 from .extract import Agent, is_calendar_date, is_initials
-from .model import Iri, is_absolute_iri
+from .model import Iri, Value, is_absolute_iri
 from .vocab import KNOWN_FORMAT_LABELS
 
 E_CREATOR_MISSING = "E-CREATOR-MISSING"
@@ -51,14 +50,16 @@ DIAGNOSTIC_CODES = (
     W_NAME_FORM,
 )
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding."""
+class Diagnostic(Value):
+    """One validation finding; ``severity`` is "error" or "warning"."""
 
-    code: str
-    severity: str  # "error" or "warning"
-    message: str
-    field: Optional[str] = None
+    __slots__ = _fields = ("code", "severity", "message", "field")
+
+    def __init__(self, code: str, severity: str, message: str, field: Optional[str] = None):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "field", field)
 
 
 def _error(code: str, message: str, field: Optional[str] = None) -> Diagnostic:
@@ -78,7 +79,7 @@ _URI_ONLY = _error(
 
 def _as_fields(record: Union[CitationRecord, Mapping]) -> Dict[str, object]:
     if isinstance(record, CitationRecord):
-        return {f.name: getattr(record, f.name) for f in dataclass_fields(record)}
+        return {name: getattr(record, name) for name in record._fields}
     return dict(record)
 
 

@@ -8,10 +8,10 @@ rejected with a distinct "unsupported construct" error. Parsing is
 all-or-nothing: the first malformed statement aborts with its position.
 
 Every well-formed term is read by one regex match. An N-Triples statement,
-escapes included, is one ``_NT_STATEMENT_RE`` match, from the whitespace
+escapes included, is one ``_NT_STATEMENT`` match, from the whitespace
 and comments before it to its end of line, and one builder in
 :func:`parse_ntriples` turns it into a triple. Turtle is read one
-``_TOKEN_RE`` match at a time: an alternation of every Turtle terminal with
+``_TOKEN`` match at a time: an alternation of every Turtle terminal with
 the whitespace and comment skip folded in, dispatched on the group that
 matched. Escapes are decoded in one place (:meth:`_Scanner.unescape`) and
 IRIs resolved and validated in one (:meth:`_Scanner.iri`), which raises
@@ -72,8 +72,9 @@ _NUMBER = r"(?P<number>[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 # a newline is left to _WS_RE, so that the skip never backtracks into itself.
 _SKIP = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
 
-# What only escapes and malformed input need is compiled on first use,
-# from re's cache.
+# The statement and token regexes, and what only escapes and malformed input
+# need, are compiled on first use, from re's cache, so that a command that
+# parses no RDF, or only one syntax, compiles none or one of them.
 _DECODE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))"
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
@@ -92,7 +93,7 @@ _NT_PARTS = (
     r"(\.)[ \t]*(?:#[^\n]*)?",
     r"(?![^\r\n])()",
 )
-_NT_STATEMENT_RE = re.compile(_SKIP + "".join(_NT_PARTS))
+_NT_STATEMENT = _SKIP + "".join(_NT_PARTS)
 # The same parts nested as optionals, compiled on first use: how far a
 # malformed statement is well formed.
 _NT_PREFIX = "".join(f"(?:{part}" for part in _NT_PARTS) + ")?" * len(_NT_PARTS)
@@ -102,7 +103,7 @@ _NT_PREFIX = "".join(f"(?:{part}" for part in _NT_PARTS) + ")?" * len(_NT_PARTS)
 # that does not start one. '.' is tried before a number, so that '.5' is
 # a number only where the grammar wants a term. A directive keyword ends
 # where a language tag would: '@prefixfoo' is neither directive.
-_TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join([
+_TOKEN = _SKIP + "(?:" + "|".join([
     rf"(?P<pfx>{_PN_PREFIX}):(?P<local>{_PN_LOCAL})",
     r"(?P<semi>;)",
     r"(?P<dot>\.)",
@@ -117,7 +118,7 @@ _TOKEN_RE = re.compile(_SKIP + "(?:" + "|".join([
     rf"_:(?P<bnode>{_LABEL}+)",
     _NUMBER,
     r"@(?P<directive>prefix|base)(?![A-Za-z0-9\-])",
-]) + ")")
+]) + ")"
 
 
 class _Scanner:
@@ -247,7 +248,7 @@ def parse_ntriples(text: str) -> Graph:
     s = _Scanner(text)
     iris, intern, iri, make = s.iris, s.intern, s.iri, s.make
     triples: List[Triple] = []
-    statement = _NT_STATEMENT_RE.match
+    statement = re.compile(_NT_STATEMENT).match
     pos = 0
     while True:
         m = statement(text, pos)
@@ -323,6 +324,7 @@ class _Turtle(_Scanner):
         # Explicit _:labels anywhere in the document are reserved so that
         # generated anonymous labels (b1, b2, ...) can never collide.
         self.reserved: Set[str] = set(re.findall(f"_:({_LABEL}+)", text))
+        self.token = re.compile(_TOKEN).match
         self.anon_counter = 0
         self.depth = 0
 
@@ -394,15 +396,15 @@ class _Turtle(_Scanner):
         text = self.text
         if name == "prefix":
             # read as a prefixed name, whose local part must then be the IRI
-            m = _TOKEN_RE.match(text, pos)
+            m = self.token(text, pos)
             if not m or m.lastgroup != "local":
                 self.error("expected ':' in @prefix declaration", self.skip(pos))
             pos = m.start("local")
-        iri = _TOKEN_RE.match(text, pos)
+        iri = self.token(text, pos)
         if not iri or iri.lastgroup != "iri":
             self.fail(self.skip(pos), "@" + name)
         value = self.iri(*iri.span("iri")).value
-        dot = _TOKEN_RE.match(text, iri.end())
+        dot = self.token(text, iri.end())
         if not dot or dot.lastgroup != "dot":
             self.error(f"expected '.' after @{name} declaration", self.skip(iri.end()))
         if name == "prefix":
@@ -415,7 +417,7 @@ class _Turtle(_Scanner):
 
     def run(self) -> Graph:
         """Read the document statement by statement."""
-        text, token = self.text, _TOKEN_RE.match
+        text, token = self.text, self.token
         pos = 0
         while True:
             m = token(text, pos)
@@ -445,7 +447,7 @@ class _Turtle(_Scanner):
         self.depth += 1
         node = self.fresh_bnode()
         pos = m.end()
-        m = _TOKEN_RE.match(self.text, pos)
+        m = self.token(self.text, pos)
         if m and m.lastgroup == "close":
             pos = m.end()
         else:
@@ -457,7 +459,7 @@ class _Turtle(_Scanner):
         """Read the predicate-object list of ``subject`` from ``pos``
         through its ``closer`` token ('.' or ']'); return the offset after
         it."""
-        text, token, append = self.text, _TOKEN_RE.match, self.triples.append
+        text, token, append = self.text, self.token, self.triples.append
         m = token(text, pos)
         kind = m and m.lastgroup
         while True:

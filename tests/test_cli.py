@@ -38,13 +38,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, **env):
-    """``python -m ontocite`` in a child process that imports the same
-    ontocite package, installed or not."""
+def run_python(*argv, **env):
+    """``python ARGV`` in a child process that imports the same ontocite
+    package, installed or not."""
     package_parent = os.path.dirname(os.path.dirname(ontocite.__file__))
     path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ontocite", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def run_module(*argv, **env):
+    """``python -m ontocite`` in a child process."""
+    return run_python("-m", "ontocite", *argv, **env)
 
 
 class TestCite:
@@ -113,6 +118,27 @@ class TestCite:
         result = run_module("cite", PAV_TTL, "--style", "canonical", "--format-label", "rdf/xml")
         assert result.returncode == 0
         assert result.stdout == PAV_CITATION + "\n"
+
+
+class TestImports:
+    # stdlib modules that no command needs, and that cost set-up time
+    UNNEEDED = {"dataclasses", "inspect", "datetime", "string"}
+
+    def test_fresh_validate_loads_no_unneeded_module(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from ontocite import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['validate', sys.argv[1]])\n"
+            "print(code, *sorted(set(sys.modules) - before))\n"
+        )
+        result = run_python("-c", script, PAV_CITATION)
+        assert result.returncode == 0, result.stderr
+        code, *added = result.stdout.split()
+        assert code == "0"
+        assert "ontocite.cli" in added
+        assert self.UNNEEDED.isdisjoint(added)
 
 
 class TestParse:

@@ -1,3 +1,5 @@
+import datetime
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from ontocite import (
     resolve_agent_name,
     validate_record,
 )
+from ontocite.extract import is_calendar_date
 from ontocite.vocab import (
     DCTERMS_CREATOR,
     DCTERMS_ISSUED,
@@ -48,6 +51,40 @@ _ANY_SCRIPT_WORD = st.text(alphabet=st.characters(categories=("L",)), min_size=1
 
 def header(*extra):
     return Graph([Triple(ONTO, RDF_TYPE, OWL_ONTOLOGY), *extra])
+
+
+class TestIsCalendarDate:
+    @pytest.mark.parametrize("value, expected", [
+        ("2020-01-31", True),
+        ("0000-01-01", False),
+        ("0001-01-01", True),
+        ("9999-12-31", True),
+        ("1900-02-29", False),
+        ("2000-02-29", True),
+        ("2024-02-29", True),
+        ("2023-02-29", False),
+        ("2023-04-31", False),
+        ("2023-13-01", False),
+        ("2023-00-10", False),
+        ("2023-01-00", False),
+        ("2023-1-01", False),
+        ("2023-01-01T00:00", False),
+        ("\uff12\uff10\uff12\uff13-01-01", False),
+    ])
+    def test_rows(self, value, expected):
+        assert is_calendar_date(value) is expected
+
+    @given(st.integers(0, 9999), st.one_of(st.integers(1, 12), st.integers(0, 99)),
+           st.one_of(st.integers(1, 31), st.integers(0, 99)))
+    def test_agrees_with_datetime(self, year, month, day):
+        # every YYYY-MM-DD string, with real months and days drawn more often
+        value = f"{year:04d}-{month:02d}-{day:02d}"
+        try:
+            datetime.date.fromisoformat(value)
+        except ValueError:
+            assert not is_calendar_date(value)
+        else:
+            assert is_calendar_date(value)
 
 
 class TestFindOntologyIri:

@@ -585,14 +585,14 @@ class TestInterning:
     @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
     def test_each_distinct_iri_is_validated_once(self, parse, monkeypatch):
         validated = []
-        post_init = Iri.__post_init__
+        init = Iri.__init__
 
-        def counting(iri):
-            validated.append(iri.value)
-            post_init(iri)
+        def counting(iri, value):
+            validated.append(value)
+            init(iri, value)
 
         text = "".join(f'<http://s> <http://p> "{i}"^^<http://dt> .\n' for i in range(200))
-        monkeypatch.setattr(Iri, "__post_init__", counting)
+        monkeypatch.setattr(Iri, "__init__", counting)
         g = parse(text)
         assert len(g) == 200
         assert sorted(validated) == ["http://dt", "http://p", "http://s"]
