@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
 from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_initials
@@ -25,7 +25,10 @@ from .model import Iri, Value
 
 _DATE_GROUP_RE = re.compile(rf"\(({DATE_SHAPE})\)\.(?= |$)")
 _DATE_SHAPE_ANYWHERE_RE = re.compile(rf"\({DATE_SHAPE}\)\.")
-_VERSION_TOKEN_RE = re.compile(r"([^\s()]+?)(?:\(([^\s()]+)\))?")
+#: A character of a version or revision: ``ver-char`` of docs/grammar.abnf,
+#: printable ASCII other than "(" and ")".
+VER_CHAR = r"[\x21-\x27\x2A-\x7E]"
+_VERSION_TOKEN_RE = re.compile(rf"({VER_CHAR}+?)(?:\(({VER_CHAR}+)\))?")
 
 
 class CitationRecord(Value):
@@ -35,8 +38,8 @@ class CitationRecord(Value):
                            "revision", "formats")
 
     def __init__(self, creators: Sequence[Agent], date: str, full_name: str, uri: Iri,
-                 acronym: Optional[str] = None, version: Optional[str] = None,
-                 revision: Optional[str] = None, formats: Sequence[str] = ()):
+                 acronym: str | None = None, version: str | None = None,
+                 revision: str | None = None, formats: Sequence[str] = ()):
         object.__setattr__(self, "creators", tuple(creators))
         object.__setattr__(self, "date", date)
         object.__setattr__(self, "full_name", full_name)
@@ -48,7 +51,7 @@ class CitationRecord(Value):
 
 
 def build_record(
-    meta: OntologyMetadata, acronym_split: Tuple[Optional[str], str]
+    meta: OntologyMetadata, acronym_split: tuple[str | None, str]
 ) -> CitationRecord:
     """Assemble a record from extracted metadata.
 
@@ -66,11 +69,11 @@ def build_record(
 
 def draft_fields(
     meta: OntologyMetadata,
-    acronym_split: Optional[Tuple[Optional[str], str]] = None,
-) -> Dict[str, object]:
+    acronym_split: tuple[str | None, str] | None = None,
+) -> dict[str, object]:
     """A partial, validator-ready field mapping: present fields only, no
     hard failures on missing ones."""
-    fields: Dict[str, object] = {}
+    fields: dict[str, object] = {}
     if meta.creators:
         fields["creators"] = list(meta.creators)
     if meta.date:
@@ -167,16 +170,16 @@ def render_bibtex(record: CitationRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def record_to_dict(record: CitationRecord) -> Dict[str, object]:
+def record_to_dict(record: CitationRecord) -> dict[str, object]:
     """Plain-data view with fixed key order; absent optionals are omitted."""
     creators = []
     for agent in record.creators:
-        entry: Dict[str, object] = {"surname": agent.surname}
+        entry: dict[str, object] = {"surname": agent.surname}
         if agent.initials:
             entry["initials"] = agent.initials
         entry["organization"] = agent.organization
         creators.append(entry)
-    data: Dict[str, object] = {"creators": creators, "date": record.date}
+    data: dict[str, object] = {"creators": creators, "date": record.date}
     if record.acronym:
         data["acronym"] = record.acronym
     data["full_name"] = record.full_name
@@ -189,7 +192,7 @@ def record_to_dict(record: CitationRecord) -> Dict[str, object]:
     return data
 
 
-def _json_block(items: List[str], indent: str, brackets: str = "[]") -> str:
+def _json_block(items: list[str], indent: str, brackets: str = "[]") -> str:
     """Encoded array items (or ``"key": value`` members, with ``brackets``
     ``"{}"``) laid out as ``json.dumps(..., indent=2)`` lays out a
     container that starts at ``indent``."""
@@ -290,8 +293,8 @@ def record_from_json(text: str) -> CitationRecord:
 # --- parsing -----------------------------------------------------------------
 
 
-def _parse_creator_cells(cells: List[str]) -> List[Agent]:
-    agents: List[Agent] = []
+def _parse_creator_cells(cells: list[str]) -> list[Agent]:
+    agents: list[Agent] = []
     i = 0
     while i < len(cells):
         cell = cells[i]
@@ -309,7 +312,7 @@ def _parse_creator_cells(cells: List[str]) -> List[Agent]:
     return agents
 
 
-def _parse_creators(section: str) -> Tuple[Agent, ...]:
+def _parse_creators(section: str) -> tuple[Agent, ...]:
     if not section:
         raise CitationParseError(0, "creators", "no creators before the date")
     if _DATE_SHAPE_ANYWHERE_RE.search(section):
@@ -320,7 +323,7 @@ def _parse_creators(section: str) -> Tuple[Agent, ...]:
         )
     head, sep, tail = section.rpartition(" and ")
     groups = [head, tail] if sep else [section]
-    agents: List[Agent] = []
+    agents: list[Agent] = []
     for group in groups:
         agents.extend(_parse_creator_cells(group.split(", ")))
     return tuple(agents)
@@ -345,12 +348,12 @@ def parse_canonical(text: str) -> CitationRecord:
     if not rest:
         raise CitationParseError(m.end(), "title", "nothing follows the date")
 
-    formats: Tuple[str, ...] = ()
+    formats: tuple[str, ...] = ()
     if rest.endswith("]"):
         bracket = rest.rfind(" [")
         if bracket >= 0:
             labels = [t.strip() for t in rest[bracket + 2 : -1].split(",")]
-            seen: List[str] = []
+            seen: list[str] = []
             for label in labels:
                 if label and label not in seen:
                     seen.append(label)
@@ -385,8 +388,8 @@ def parse_canonical(text: str) -> CitationRecord:
     if not body:
         raise CitationParseError(m.end(), "title", "empty title")
 
-    version: Optional[str] = None
-    revision: Optional[str] = None
+    version: str | None = None
+    revision: str | None = None
     left, sep, tail = body.rpartition(". ")
     if sep and tail:
         vm = _VERSION_TOKEN_RE.fullmatch(tail)
@@ -394,7 +397,7 @@ def parse_canonical(text: str) -> CitationRecord:
             version, revision = vm.group(1), vm.group(2)
             body = left
 
-    acronym: Optional[str] = None
+    acronym: str | None = None
     full_name = body
     head, colon, remainder = body.partition(":")
     if colon and head.strip() and remainder.strip():

@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import warnings
-from typing import List, Optional, Tuple
 
 from .citation import (
     build_record,
@@ -28,18 +27,55 @@ from .citation import (
 from .exceptions import OntociteError, OntociteWarning
 from .extract import derive_acronym, extract_metadata, find_ontology_iri
 from .model import Graph, Iri
-from .mutual import (
-    DEFAULT_SIMILARITY_THRESHOLD,
-    check_publication_side,
-    inject_reference,
-    list_references,
-)
-from .network import build_network, export_dot, render_counts_report
-from .principles import validate_citation_string, validate_record
-from .rdfio import detect_format_label, parse_ntriples, parse_turtle, serialize_ntriples
 from .vocab import EXTENSION_LABELS, KNOWN_FORMAT_LABELS
 
 _PARSEABLE = {"turtle", "n-triples"}
+
+# The names taken from modules that only some commands run. Each command
+# binds the ones it calls with ``_bind`` before its first call, and a name
+# read from this module before that (perfbench/spans.py wraps them by
+# ``setattr``) is bound by ``__getattr__``. A bound name is never rebound,
+# so a wrapper set here stays in the command's call path.
+_DEFERRED = {
+    "rdfio": ("detect_format_label", "parse_ntriples", "parse_turtle", "serialize_ntriples"),
+    "principles": ("validate_citation_string", "validate_record"),
+    "mutual": ("DEFAULT_SIMILARITY_THRESHOLD", "check_publication_side", "inject_reference",
+               "list_references"),
+    "network": ("build_network", "export_dot", "render_counts_report"),
+}
+_bound: set[str] = set()
+
+
+def _bind(*modules: str) -> None:
+    """Bind each name taken from ``modules`` that is not bound yet; after
+    the first call for a module this is one set lookup."""
+    for module in modules:
+        if module not in _bound:
+            # the import statement's path, which -X importtime reports
+            source = __import__(f"{__package__}.{module}", fromlist=["*"])
+            scope = globals()
+            for name in _DEFERRED[module]:
+                if name not in scope:
+                    scope[name] = getattr(source, name)
+            _bound.add(module)
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to standard output; a character that its encoding
+    cannot hold is an error, not a traceback."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise OntociteError(f"standard output encoding {exc.encoding} cannot encode "
+                            f"U+{ord(exc.object[exc.start]):04X}") from None
 
 
 def _shown(path: str) -> str:
@@ -63,9 +99,9 @@ def _decode(path: str, data: bytes) -> str:
         raise OntociteError(f"{_shown(path)} is not valid UTF-8: {exc}") from None
 
 
-def _load_graph(path: str) -> Tuple[Graph, str]:
+def _load_graph(path: str) -> tuple[Graph, str]:
     """Read a file once, detect its format from the first 2,048 bytes, and
-    parse it; returns (graph, format label)."""
+    parse it; returns (graph, format label). The caller binds ``rdfio``."""
     data = _read_bytes(path)
     label = detect_format_label(os.path.basename(path), data[:2048].decode("utf-8", "replace"))
     if label not in _PARSEABLE:
@@ -97,42 +133,46 @@ def _looks_like_file(argument: str) -> bool:
 
 
 def _cmd_cite(args: argparse.Namespace) -> int:
+    _bind("rdfio")
     graph, label = _load_graph(args.path)
     meta = extract_metadata(graph, fmt=args.format_label or label)
     record = build_record(meta, derive_acronym(meta))
     if args.style == "canonical":
-        print(render_canonical(record))
+        _write(render_canonical(record) + "\n")
     elif args.style == "bibtex":
-        sys.stdout.write(render_bibtex(record))
+        _write(render_bibtex(record))
     else:
-        sys.stdout.write(render_json(record))
+        _write(render_json(record))
     return 0
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     if _looks_like_file(args.input):
+        _bind("rdfio")
         graph, _ = _load_graph(args.input)
-        sys.stdout.write(serialize_ntriples(graph))
+        _write(serialize_ntriples(graph))
         return 0
     record = parse_canonical(args.input)
-    sys.stdout.write(render_json(record))
+    _write(render_json(record))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    _bind("principles")
     if _looks_like_file(args.input):
+        _bind("rdfio")
         graph, label = _load_graph(args.input)
         meta = extract_metadata(graph, fmt=label)
         split = derive_acronym(meta) if meta.title else None
         diagnostics = validate_record(draft_fields(meta, split))
     else:
         diagnostics = validate_citation_string(args.input)
-    for diagnostic in diagnostics:
-        print(f"{diagnostic.code}\t{diagnostic.severity}\t{diagnostic.message}")
+    _write("".join(f"{d.code}\t{d.severity}\t{d.message}\n" for d in diagnostics))
     return 1 if any(d.severity == "error" for d in diagnostics) else 0
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    _bind("rdfio", "mutual")
     graph, _ = _load_graph(args.path)
     injected = inject_reference(graph, find_ontology_iri(graph), args.reference, args.lang)
     try:
@@ -144,31 +184,33 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_mutual(args: argparse.Namespace) -> int:
+    _bind("rdfio", "mutual")
     graph, label = _load_graph(args.onto_path)
     meta = extract_metadata(graph, fmt=label)
     record = build_record(meta, derive_acronym(meta))
     refs = list_references(graph, meta.ontology_iri, include_legacy=True)
     reflist = _decode(args.reflist_path, _read_bytes(args.reflist_path))
-    result = check_publication_side(reflist, record, threshold=args.threshold)
+    threshold = DEFAULT_SIMILARITY_THRESHOLD if args.threshold is None else args.threshold
+    result = check_publication_side(reflist, record, threshold=threshold)
     ontology_side = bool(refs)
-    print(f"ontology-side\t{'true' if ontology_side else 'false'}")
-    line = f"publication-side\t{'true' if result.found else 'false'}"
-    line += f"\tsimilarity={result.similarity:.3f}"
-    print(line)
+    _write(f"ontology-side\t{'true' if ontology_side else 'false'}\n"
+           f"publication-side\t{'true' if result.found else 'false'}"
+           f"\tsimilarity={result.similarity:.3f}\n")
     return 0 if ontology_side and result.found else 1
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    corpus: List[Tuple[Graph, Iri]] = []
+    _bind("rdfio", "network")
+    corpus: list[tuple[Graph, Iri]] = []
     for path in args.paths:
         graph, _ = _load_graph(path)
         corpus.append((graph, find_ontology_iri(graph)))
-    unparsed: List[Tuple[Iri, str]] = []
+    unparsed: list[tuple[Iri, str]] = []
     network = build_network(corpus, unparsed=unparsed)
     if args.dot:
-        sys.stdout.write(export_dot(network))
+        _write(export_dot(network))
     else:
-        sys.stdout.write(render_counts_report(network, unparsed))
+        _write(render_counts_report(network, unparsed))
     return 0
 
 
@@ -217,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("onto_path")
     check.add_argument("reflist_path")
-    check.add_argument("--threshold", type=float, default=DEFAULT_SIMILARITY_THRESHOLD,
+    check.add_argument("--threshold", type=float, default=None,
                        help="token similarity threshold for the publication side")
     check.set_defaults(func=_cmd_check_mutual)
 
@@ -232,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", OntociteWarning)

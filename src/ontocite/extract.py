@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import vocab
 from .exceptions import (
@@ -40,7 +40,7 @@ class Agent(Value):
 
     __slots__ = _fields = ("surname", "initials", "organization")
 
-    def __init__(self, surname: str, initials: Optional[str] = None,
+    def __init__(self, surname: str, initials: str | None = None,
                  organization: bool = False):
         object.__setattr__(self, "surname", surname)
         object.__setattr__(self, "initials", initials)
@@ -53,10 +53,10 @@ class OntologyMetadata(Value):
     __slots__ = _fields = ("ontology_iri", "title", "creators", "date", "version",
                            "revision", "format_label", "acronym")
 
-    def __init__(self, ontology_iri: Iri, title: Optional[str] = None,
-                 creators: Tuple[Agent, ...] = (), date: Optional[str] = None,
-                 version: Optional[str] = None, revision: Optional[str] = None,
-                 format_label: Optional[str] = None, acronym: Optional[str] = None):
+    def __init__(self, ontology_iri: Iri, title: str | None = None,
+                 creators: tuple[Agent, ...] = (), date: str | None = None,
+                 version: str | None = None, revision: str | None = None,
+                 format_label: str | None = None, acronym: str | None = None):
         object.__setattr__(self, "ontology_iri", ontology_iri)
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "creators", creators)
@@ -147,7 +147,7 @@ def resolve_agent_name(g: Graph, t: Term) -> Agent:
     return normalize_person_name(name)
 
 
-def _node_name(g: Graph, node: Term) -> Optional[str]:
+def _node_name(g: Graph, node: Term) -> str | None:
     _, names = _rung_literals(g, node, vocab.AGENT_NAME_LADDER)
     if names:
         return min(v.lexical for v in names)
@@ -166,7 +166,7 @@ def _is_organization(g: Graph, node: Term) -> bool:
 
 def _rung_literals(
     g: Graph, subject: Term, ladder: Sequence[Iri]
-) -> Tuple[Optional[Iri], List[Literal]]:
+) -> tuple[Iri | None, list[Literal]]:
     """The first ladder property with a non-blank literal value, and those
     values; ``(None, [])`` when no rung has any."""
     for prop in ladder:
@@ -177,7 +177,7 @@ def _rung_literals(
     return None, []
 
 
-def _preferred_literal(values: Sequence[Literal]) -> Optional[str]:
+def _preferred_literal(values: Sequence[Literal]) -> str | None:
     """Language selection: prefer "en", else the lexicographically first
     language tag, else the untagged literal."""
     if not values:
@@ -202,7 +202,7 @@ def is_calendar_date(value: str) -> bool:
     return int(value[8:]) <= _MONTH_DAYS[month - 1] + leap
 
 
-def _normalize_date(value: str) -> Optional[str]:
+def _normalize_date(value: str) -> str | None:
     text = value.strip()
     if "T" in text:
         text = text.split("T", 1)[0]
@@ -220,7 +220,7 @@ def _version_of(prop: Iri, value: str) -> str:
     return text
 
 
-def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
+def extract_metadata(g: Graph, fmt: str | None = None) -> OntologyMetadata:
     """Extract the bibliographic fields feeding a citation record.
 
     Missing optional fields stay absent; only the ontology node itself is
@@ -233,7 +233,7 @@ def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
     if title is not None:
         title = " ".join(title.split())
 
-    creators: List[Agent] = []
+    creators: list[Agent] = []
     for prop in vocab.CREATOR_LADDER:
         objects = [t.object for t in g.match(onto, prop, None)]
         if not objects:
@@ -275,7 +275,7 @@ def extract_metadata(g: Graph, fmt: Optional[str] = None) -> OntologyMetadata:
 _ACRONYM_SEPARATORS = "-–:"
 
 
-def derive_acronym(meta: OntologyMetadata) -> Tuple[Optional[str], str]:
+def derive_acronym(meta: OntologyMetadata) -> tuple[str | None, str]:
     """Split the title into (acronym, full name).
 
     An explicit acronym property (``meta.acronym``) wins; otherwise a
@@ -296,7 +296,7 @@ def derive_acronym(meta: OntologyMetadata) -> Tuple[Optional[str], str]:
     return None, title
 
 
-def _split_title(title: str) -> Optional[Tuple[str, str]]:
+def _split_title(title: str) -> tuple[str, str] | None:
     for i, ch in enumerate(title):
         if ch not in _ACRONYM_SEPARATORS:
             continue

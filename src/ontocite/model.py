@@ -11,7 +11,7 @@ file ordering. A graph indexes its triples by subject on its first
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from collections.abc import Iterable, Iterator
 
 from .exceptions import RdfModelError
 
@@ -54,7 +54,7 @@ class Value:
     class with equal fields, and hash, print and pickle by their fields."""
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -125,8 +125,8 @@ class Literal(Value):
 
     __slots__ = _fields = ("lexical", "lang", "datatype")
 
-    def __init__(self, lexical: str, lang: Optional[str] = None,
-                 datatype: Optional[Iri] = None):
+    def __init__(self, lexical: str, lang: str | None = None,
+                 datatype: Iri | None = None):
         _reject_surrogate(lexical, "literal")
         if lang is not None:
             if datatype is not None:
@@ -170,7 +170,7 @@ class BlankNode(Value):
         return hash(self.label)
 
 
-Term = Union[Iri, Literal, BlankNode]
+Term = Iri | Literal | BlankNode
 
 _LEXICAL_ESCAPES = {chr(code): f"\\u{code:04X}" for code in (*range(0x20), 0x7F)}
 _LEXICAL_ESCAPES.update({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
@@ -203,7 +203,7 @@ class Triple(Value):
 
     __slots__ = _fields = ("subject", "predicate", "object")
 
-    def __init__(self, subject: Union[Iri, BlankNode], predicate: Iri, object: Term):
+    def __init__(self, subject: Iri | BlankNode, predicate: Iri, object: Term):
         if not isinstance(subject, (Iri, BlankNode)):
             raise RdfModelError(
                 f"triple subject must be an IRI or blank node, got {type(subject).__name__}"
@@ -256,7 +256,7 @@ class Graph:
             if not isinstance(t, Triple):
                 raise RdfModelError(f"graph elements must be triples, got {type(t).__name__}")
         self._triples = frozenset(items)
-        self._index: Optional[Dict[Term, List[Triple]]] = None
+        self._index: dict[Term, list[Triple]] | None = None
 
     def insert(self, t: Triple) -> "Graph":
         if not isinstance(t, Triple):
@@ -268,8 +268,8 @@ class Graph:
         g._triples, g._index = self._triples | {t}, None
         return g
 
-    def match(self, s: Optional[Term] = None, p: Optional[Iri] = None,
-              o: Optional[Term] = None) -> List[Triple]:
+    def match(self, s: Term | None = None, p: Iri | None = None,
+              o: Term | None = None) -> list[Triple]:
         """All triples equal to the pattern on each bound position.
 
         Absent arguments are wildcards; results follow graph iteration order.

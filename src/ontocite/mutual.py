@@ -11,7 +11,6 @@ house-styled rendering still matches but a different ontology never does.
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Set, Tuple
 
 from .citation import CitationRecord, render_canonical
 from .exceptions import EmptyReferenceError, NotOntologyNodeError, OntociteWarning
@@ -31,13 +30,13 @@ class MatchResult(Value):
 
     __slots__ = _fields = ("found", "similarity", "matched_line")
 
-    def __init__(self, found: bool, similarity: float, matched_line: Optional[str] = None):
+    def __init__(self, found: bool, similarity: float, matched_line: str | None = None):
         object.__setattr__(self, "found", found)
         object.__setattr__(self, "similarity", similarity)
         object.__setattr__(self, "matched_line", matched_line)
 
 
-def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: Optional[str]) -> Graph:
+def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: str | None) -> Graph:
     """Add a publication reference to the ontology header.
 
     Idempotent: injecting an identical (text, language) pair twice leaves
@@ -54,7 +53,7 @@ def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: Optional[str]) ->
 
 def list_references(
     g: Graph, onto: Iri, include_legacy: bool = False
-) -> List[Tuple[str, Optional[str]]]:
+) -> list[tuple[str, str | None]]:
     """All publication references on the ontology node, as (text, lang)
     pairs in graph iteration order.
 
@@ -75,10 +74,10 @@ def list_references(
     return refs
 
 
-def _reference_lines(text: str) -> List[str]:
+def _reference_lines(text: str) -> list[str]:
     """One candidate reference per line; blank-line-separated blocks are
     joined to single lines first."""
-    blocks: List[List[str]] = [[]]
+    blocks: list[list[str]] = [[]]
     has_blank = False
     for line in text.splitlines():
         if line.strip():
@@ -92,13 +91,13 @@ def _reference_lines(text: str) -> List[str]:
     return [line for block in blocks for line in block]
 
 
-def _similarity_tokens(line: str) -> Set[str]:
+def _similarity_tokens(line: str) -> set[str]:
     tokens = {token.strip(_PUNCTUATION) for token in line.lower().split()}
     tokens.discard("")
     return tokens
 
 
-def _jaccard(a: Set[str], b: Set[str]) -> float:
+def _jaccard(a: set[str], b: set[str]) -> float:
     if not a or not b:
         return 0.0
     common = len(a & b)
@@ -129,9 +128,9 @@ def check_publication_side(
     year = record.date[:4]
 
     best_similarity = 0.0
-    best_line: Optional[str] = None
+    best_line: str | None = None
     found_similarity = 0.0
-    found_line: Optional[str] = None
+    found_line: str | None = None
 
     for raw_line in _reference_lines(reference_list_text):
         line = " ".join(raw_line.split())

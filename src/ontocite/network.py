@@ -9,8 +9,9 @@ are the usage metric; no derived impact score is computed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from json.encoder import encode_basestring
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 from .citation import _json_block, parse_canonical
 from .exceptions import CitationParseError, DuplicateOntologyError, RdfModelError
@@ -43,8 +44,8 @@ class CitationGraph(Value):
 
 
 def build_network(
-    corpus: Iterable[Tuple[Graph, Iri]],
-    unparsed: Optional[List[Tuple[Iri, str]]] = None,
+    corpus: Iterable[tuple[Graph, Iri]],
+    unparsed: list[tuple[Iri, str]] | None = None,
 ) -> CitationGraph:
     """Build the citation graph for a corpus of (graph, ontology IRI) pairs.
 
@@ -79,14 +80,14 @@ def build_network(
     return CitationGraph(nodes=frozenset(nodes), edges=frozenset(edges))
 
 
-def _by_value(nodes: Iterable[Iri]) -> List[Iri]:
+def _by_value(nodes: Iterable[Iri]) -> list[Iri]:
     return sorted(nodes, key=lambda node: node.value)
 
 
-def usage_counts(cg: CitationGraph) -> Dict[Iri, Tuple[int, int]]:
+def usage_counts(cg: CitationGraph) -> dict[Iri, tuple[int, int]]:
     """Per-node in-degree split by edge kind, over all nodes (including
     those with no incoming edges); keys iterate in the order of their IRI strings."""
-    tallies: Dict[Iri, List[int]] = {node: [0, 0] for node in _by_value(cg.nodes)}
+    tallies: dict[Iri, list[int]] = {node: [0, 0] for node in _by_value(cg.nodes)}
     for edge in cg.edges:
         slot = 0 if edge.kind == IMPORTS else 1
         tallies[edge.dst][slot] += 1
@@ -113,7 +114,7 @@ def export_dot(cg: CitationGraph) -> str:
 
 def render_counts_report(
     cg: CitationGraph,
-    unparsed: Iterable[Tuple[Iri, str]] = (),
+    unparsed: Iterable[tuple[Iri, str]] = (),
 ) -> str:
     """JSON usage report with stable key order: per-node counts plus any
     reference texts that could not be attributed to an ontology. The bytes

@@ -12,7 +12,7 @@ string that does not match the grammar at all.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Union
+from collections.abc import Mapping
 
 from .citation import CitationRecord, parse_canonical
 from .exceptions import CitationParseError
@@ -55,18 +55,18 @@ class Diagnostic(Value):
 
     __slots__ = _fields = ("code", "severity", "message", "field")
 
-    def __init__(self, code: str, severity: str, message: str, field: Optional[str] = None):
+    def __init__(self, code: str, severity: str, message: str, field: str | None = None):
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "severity", severity)
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "field", field)
 
 
-def _error(code: str, message: str, field: Optional[str] = None) -> Diagnostic:
+def _error(code: str, message: str, field: str | None = None) -> Diagnostic:
     return Diagnostic(code, "error", message, field)
 
 
-def _warning(code: str, message: str, field: Optional[str] = None) -> Diagnostic:
+def _warning(code: str, message: str, field: str | None = None) -> Diagnostic:
     return Diagnostic(code, "warning", message, field)
 
 
@@ -77,7 +77,7 @@ _URI_ONLY = _error(
 )
 
 
-def _as_fields(record: Union[CitationRecord, Mapping]) -> Dict[str, object]:
+def _as_fields(record: CitationRecord | Mapping) -> dict[str, object]:
     if isinstance(record, CitationRecord):
         return {name: getattr(record, name) for name in record._fields}
     return dict(record)
@@ -97,7 +97,7 @@ def _as_agent(creator: object) -> Agent:
     return Agent(surname, initials) if comma else Agent(surname)
 
 
-def _name_form_problem(creator: Agent) -> Optional[str]:
+def _name_form_problem(creator: Agent) -> str | None:
     """A description of the defect, or None when the name form is fine."""
     if creator.organization:
         return None
@@ -113,11 +113,11 @@ def _name_form_problem(creator: Agent) -> Optional[str]:
     return None
 
 
-def validate_record(record: Union[CitationRecord, Mapping]) -> List[Diagnostic]:
+def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     """Check a record (or partial field mapping) against the citation
     completeness and form rules; findings come back sorted by code."""
     f = _as_fields(record)
-    out: List[Diagnostic] = []
+    out: list[Diagnostic] = []
 
     creators = f.get("creators") or ()
     date = f.get("date")
@@ -173,7 +173,7 @@ def validate_record(record: Union[CitationRecord, Mapping]) -> List[Diagnostic]:
     return out
 
 
-def _bare_iri(text: str) -> Optional[str]:
+def _bare_iri(text: str) -> str | None:
     candidate = text.strip()
     if candidate.startswith("<") and candidate.endswith(">") and len(candidate) > 2:
         candidate = candidate[1:-1]
@@ -182,7 +182,7 @@ def _bare_iri(text: str) -> Optional[str]:
     return candidate if is_absolute_iri(candidate) else None
 
 
-def validate_citation_string(text: str) -> List[Diagnostic]:
+def validate_citation_string(text: str) -> list[Diagnostic]:
     """Validate a citation given as a string.
 
     Parseable strings are validated as records; a bare absolute IRI is

@@ -26,10 +26,8 @@ occurrences reuse the same :class:`Iri`.
 
 from __future__ import annotations
 
+import os
 import re
-from pathlib import PurePath
-from typing import Dict, List, NoReturn, Optional, Set, Tuple, Union
-from urllib.parse import urljoin
 
 from .exceptions import ParseError, RdfModelError, UnknownFormatError
 from .model import (_IRIREF_EXCLUDED, _SCHEME_RE, BlankNode, Graph, Iri, Literal, Term,
@@ -138,9 +136,9 @@ class _Scanner:
 
     def __init__(self, text: str):
         self.text = text
-        self.iris: Dict[str, Iri] = {}
+        self.iris: dict[str, Iri] = {}
 
-    def error(self, message: str, pos: int) -> NoReturn:
+    def error(self, message: str, pos: int):
         """Raise a ParseError at offset ``pos``."""
         line = self.text.count("\n", 0, pos) + 1
         raise ParseError(line, pos - self.text.rfind("\n", 0, pos), message)
@@ -196,7 +194,7 @@ class _Scanner:
 
     # -- errors
 
-    def fail(self, pos: int, role: str) -> NoReturn:
+    def fail(self, pos: int, role: str):
         """Raise the error of the input at ``pos``, which the regexes
         rejected where the grammar wants a ``role`` (a key of EXPECTED).
         Builds no term: the valid start of a broken IRI or string is only
@@ -247,7 +245,7 @@ def parse_ntriples(text: str) -> Graph:
     """
     s = _Scanner(text)
     iris, intern, iri, make = s.iris, s.intern, s.iri, s.make
-    triples: List[Triple] = []
+    triples: list[Triple] = []
     statement = re.compile(_NT_STATEMENT).match
     pos = 0
     while True:
@@ -318,12 +316,12 @@ class _Turtle(_Scanner):
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.prefixes: Dict[str, str] = {}
-        self.base: Optional[str] = None
-        self.triples: List[Triple] = []
+        self.prefixes: dict[str, str] = {}
+        self.base: str | None = None
+        self.triples: list[Triple] = []
         # Explicit _:labels anywhere in the document are reserved so that
         # generated anonymous labels (b1, b2, ...) can never collide.
-        self.reserved: Set[str] = set(re.findall(f"_:({_LABEL}+)", text))
+        self.reserved: set[str] = set(re.findall(f"_:({_LABEL}+)", text))
         self.token = re.compile(_TOKEN).match
         self.anon_counter = 0
         self.depth = 0
@@ -341,6 +339,8 @@ class _Turtle(_Scanner):
             return value
         if self.base is None:
             self.error(f"relative IRI without @base: {value!r}", start)
+        from urllib.parse import urljoin  # only a relative IRI needs it
+
         try:
             return urljoin(self.base, value)
         except ValueError as exc:
@@ -370,7 +370,7 @@ class _Turtle(_Scanner):
         quote = m.start(body) - (1 if body == "short" else 3)
         return self.make(quote, Literal, lexical, m.group("lang"), datatype)
 
-    def token_term(self, m: re.Match, kind: Optional[str]) -> Optional[Term]:
+    def token_term(self, m: re.Match, kind: str | None) -> Term | None:
         """The term that the token ``m`` of ``kind`` denotes; None for a
         token that is no term."""
         if kind == "local":
@@ -439,7 +439,7 @@ class _Turtle(_Scanner):
                 self.fail(self.skip(pos), "subject")
             pos = self.predicate_objects(pos, subject, "dot")
 
-    def node(self, m: re.Match) -> Tuple[BlankNode, int]:
+    def node(self, m: re.Match) -> tuple[BlankNode, int]:
         """The anonymous node whose '[' is the token ``m``, and the offset
         after its ']'."""
         if self.depth == MAX_NESTING:
@@ -455,7 +455,7 @@ class _Turtle(_Scanner):
         self.depth -= 1
         return node, pos
 
-    def predicate_objects(self, pos: int, subject: Union[Iri, BlankNode], closer: str) -> int:
+    def predicate_objects(self, pos: int, subject: Iri | BlankNode, closer: str) -> int:
         """Read the predicate-object list of ``subject`` from ``pos``
         through its ``closer`` token ('.' or ']'); return the offset after
         it."""
@@ -536,7 +536,10 @@ def detect_format_label(filename: str, content_prefix: str) -> str:
             return "owl/xml"
     if head.lstrip().startswith("format-version:"):
         return "obo"
-    suffix = PurePath(filename).suffix.lower()
+    # the suffix as PurePath reads it: from the last '.', unless that starts the name
+    name = os.path.basename(filename)
+    dot = name.rfind(".")
+    suffix = name[dot:].lower() if dot > 0 else ""
     if suffix in EXTENSION_LABELS:
         return EXTENSION_LABELS[suffix]
     raise UnknownFormatError(f"unknown format: no detection rule matched {filename!r}")

@@ -1,15 +1,15 @@
 """Vocabulary constants: property IRIs, precedence ladders, format labels.
 
 The precedence ladders are the published extraction contract. They are
-read from the shipped ``data/ladders.json`` at import, so that file is
-their only definition and external tooling can pin the exact property
-IRIs without importing this module.
+read from the shipped ``data/ladders.json`` at import, through this
+module's loader, so that file is their only definition and external
+tooling can pin the exact property IRIs without importing this module.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .model import Iri
 
@@ -71,8 +71,8 @@ EXTENSION_LABELS = {
 
 def shipped_ladders() -> dict:
     """The ladder table shipped with the package, as plain IRI strings."""
-    text = resources.files("ontocite").joinpath("data/ladders.json").read_text("utf-8")
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "ladders.json")
+    return json.loads(__loader__.get_data(path).decode("utf-8"))
 
 
 # Extraction precedence ladders: the first property with a usable value wins,

@@ -222,7 +222,12 @@ class TestParseCanonical:
         record = parse_canonical(f"{surname}, {initials} (2020-01-01). Title. http://example.org/x")
         assert record.creators == (Agent(surname=surname, initials=initials),)
 
-    @pytest.mark.parametrize("element,version", [("1.0", "1.0"), ("１.０", None), ("v٢", None)])
+    # version and revision characters are ver-char of docs/grammar.abnf:
+    # printable ASCII other than "(" and ")"
+    @pytest.mark.parametrize("element,version", [
+        ("1.0", "1.0"), ("１.０", None), ("v٢", None), ("1.0é", None), ("1.0(ré)", None),
+        ("!1", "!1"), ("1'", "1'"), ("*1", "*1"), ("1~", "1~"), ("1.0(r~)", "1.0"),
+    ])
     def test_version_needs_an_ascii_digit(self, element, version):
         record = parse_canonical(f"Doe, J. (2020-01-01). Title. {element}. http://example.org/x")
         assert record.version == version

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,12 +39,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv, **env):
+def run_python(*argv, site=True, **env):
     """``python ARGV`` in a child process that imports the same ontocite
-    package, installed or not."""
+    package, installed or not; with ``site`` false the child starts with
+    ``-S``, so that nothing site-packages preloads is already imported."""
     package_parent = os.path.dirname(os.path.dirname(ontocite.__file__))
     path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True,
+    flags = [] if site else ["-S"]
+    return subprocess.run([sys.executable, *flags, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path, **env})
 
 
@@ -120,25 +123,185 @@ class TestCite:
         assert result.stdout == PAV_CITATION + "\n"
 
 
+REFLIST = str(REFLISTS / "reflist_with_ontology_ref.txt")
+SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "spans.py")
+
+
+def run_fresh(script, *argv):
+    """``script`` in a fresh interpreter started without site; its last
+    stdout line, read as JSON."""
+    result = run_python("-c", script, *argv, site=False)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestOutputEncoding:
+    """Output that standard output's encoding cannot hold is an error
+    (exit 2), not a traceback."""
+
+    HEADER = (
+        "@prefix dcterms: <http://purl.org/dc/terms/> .\n"
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "<http://example.org/ö> a owl:Ontology ;\n"
+        '    dcterms:title "Example Ontology" ;\n'
+        '    dcterms:creator "Müller, Ö" ;\n'
+        '    dcterms:issued "2020-01-01" ;\n'
+        '    dcterms:references "Müller, Ö. An unparsed reference" .\n'
+    )
+    CITATION = "Müller, Ö. (2020-01-01). Example. 1.0. http://example.org/o [façon]"
+
+    @pytest.mark.parametrize("argv", [
+        ["cite", "{header}"],
+        ["cite", "{header}", "--style", "bibtex"],
+        ["cite", "{header}", "--style", "json"],
+        ["parse", "{header}"],
+        ["parse", CITATION],
+        ["validate", CITATION],
+        ["network", "--dot", "{header}"],
+        ["network", "--counts", "{header}"],
+    ], ids=["cite", "cite-bibtex", "cite-json", "parse-file", "parse-string",
+            "validate-string", "network-dot", "network-counts"])
+    def test_unencodable_output_exits_2(self, argv, tmp_path):
+        header = tmp_path / "h.ttl"
+        header.write_text(self.HEADER, "utf-8")
+        argv = [arg.replace("{header}", str(header)) for arg in argv]
+        result = run_module(*argv, PYTHONIOENCODING="utf-8")
+        assert result.returncode in (0, 1) and result.stdout, result.stderr
+        result = run_module(*argv, PYTHONIOENCODING="ascii")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert re.fullmatch("error: standard output encoding ascii cannot encode "
+                            "U\\+00(E7|F6|FC)\n", result.stderr), result.stderr
+
+
 class TestImports:
+    """What a fresh process loads, in an interpreter started without site,
+    so that nothing site-packages preloads hides a module."""
+
     # stdlib modules that no command needs, and that cost set-up time
-    UNNEEDED = {"dataclasses", "inspect", "datetime", "string"}
+    UNNEEDED = {"dataclasses", "inspect", "datetime", "string",
+                "importlib.resources", "pathlib", "urllib.parse", "typing"}
+    # runs one command; prints its exit code and every loaded module
+    COMMAND = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from ontocite import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
 
     def test_fresh_validate_loads_no_unneeded_module(self):
-        script = (
-            "import contextlib, io, sys\n"
-            "before = set(sys.modules)\n"
-            "from ontocite import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['validate', sys.argv[1]])\n"
-            "print(code, *sorted(set(sys.modules) - before))\n"
-        )
-        result = run_python("-c", script, PAV_CITATION)
-        assert result.returncode == 0, result.stderr
-        code, *added = result.stdout.split()
-        assert code == "0"
+        code, added = run_fresh(self.COMMAND, "validate", PAV_CITATION)
+        assert code == 0
         assert "ontocite.cli" in added
         assert self.UNNEEDED.isdisjoint(added)
+
+    @pytest.mark.parametrize("argv,unused", [
+        (["cite", PAV_TTL], {"principles", "mutual", "network"}),
+        (["cite", str(HEADERS / "go.nt"), "--style", "bibtex"],
+         {"principles", "mutual", "network"}),
+        (["validate", PAV_CITATION], {"rdfio", "mutual", "network"}),
+        (["parse", PAV_CITATION], {"rdfio", "mutual", "network"}),
+        (["validate", PAV_TTL], {"mutual", "network"}),
+        (["check-mutual", PAV_TTL, REFLIST], {"principles", "network"}),
+        (["inject", PAV_TTL, "--reference", "x", "--out", "{out}"], {"principles", "network"}),
+        (["network", "--counts", *NET_PATHS], {"principles", "mutual"}),
+    ], ids=["cite", "cite-bibtex", "validate-string", "parse-string", "validate-file",
+            "check-mutual", "inject", "network"])
+    def test_each_command_loads_only_its_modules(self, argv, unused, tmp_path):
+        argv = [arg.replace("{out}", str(tmp_path / "out.nt")) for arg in argv]
+        code, added = run_fresh(self.COMMAND, *argv)
+        assert code in (0, 1)
+        loaded = {name.removeprefix("ontocite.") for name in added}
+        assert "cli" in loaded
+        assert unused.isdisjoint(loaded)
+        # network's Edge is a typing.NamedTuple
+        needless = self.UNNEEDED - ({"typing"} if argv[0] == "network" else set())
+        assert needless.isdisjoint(added)
+
+    def test_import_ontocite_loads_no_submodule(self):
+        script = ("import json, sys\nimport ontocite\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ontocite'))))\n")
+        assert run_fresh(script) == ["ontocite"]
+
+
+class TestFreshInterpreter:
+    """The benchmark's span wrappers and the package's public names, in a
+    fresh interpreter, where no other test has imported a module yet."""
+
+    TRACED = (
+        "import contextlib, importlib.util, io, json, sys\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_spans', sys.argv[1])\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "import ontocite\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install(ontocite)\n"
+        "from ontocite import cli\n"
+        "runs = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in json.loads(sys.argv[2]):\n"
+        "        start = len(tracer.spans)\n"
+        "        code = cli.main(argv)\n"
+        "        runs.append([code, sorted({s[0] for s in tracer.spans[start:]})])\n"
+        "print(json.dumps(runs))\n"
+    )
+    READ_GRAPH = {"cli.main", "rdfio.detect_format_label", "model.Graph",
+                  "extract.find_ontology_iri"}
+    EXTRACTION = READ_GRAPH | {"model.Graph.match", "extract.extract_metadata",
+                               "extract.derive_acronym", "citation.build_record"}
+
+    def test_spans_of_each_command_are_recorded(self):
+        commands = [
+            (["cite", PAV_TTL], 0,
+             self.EXTRACTION | {"rdfio.parse_turtle", "citation.render_canonical"}),
+            (["validate", PAV_CITATION], 0,
+             {"cli.main", "principles.validate_citation_string", "citation.parse_canonical",
+              "principles.validate_record"}),
+            (["check-mutual", PAV_TTL, REFLIST], 1,
+             self.EXTRACTION | {"rdfio.parse_turtle", "mutual.list_references",
+                                "mutual.check_publication_side",
+                                "citation.render_canonical"}),
+            (["network", "--counts", *NET_PATHS], 0,
+             self.READ_GRAPH | {"rdfio.parse_turtle", "network.build_network",
+                                "network.render_counts_report", "citation.parse_canonical"}),
+        ]
+        runs = run_fresh(self.TRACED, SPANS_PY, json.dumps([argv for argv, _, _ in commands]))
+        for (argv, code, expected), (got_code, names) in zip(commands, runs):
+            assert got_code == code, argv
+            assert expected - set(names) == set(), argv
+
+    def test_a_name_set_on_cli_before_first_use_is_kept(self):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ontocite import cli\n"
+            "calls = []\n"
+            "def fake(text):\n"
+            "    calls.append(text)\n"
+            "    return []\n"
+            "cli.validate_citation_string = fake\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['validate', sys.argv[1]]) for _ in range(2)]\n"
+            "from ontocite import principles\n"
+            "print(json.dumps([codes, calls, cli.validate_citation_string is fake,\n"
+            "                  cli.validate_record is principles.validate_record]))\n"
+        )
+        assert run_fresh(script, "no citation") == [[0, 0], ["no citation"] * 2, True, True]
+
+    def test_public_names_resolve(self):
+        script = (
+            "import json\n"
+            "import ontocite\n"
+            "listed = set(ontocite.__all__) <= set(dir(ontocite))\n"
+            "resolved = [name for name in ontocite.__all__ if hasattr(ontocite, name)]\n"
+            "star = {}\n"
+            "exec('from ontocite import *', star)\n"
+            "print(json.dumps([listed, resolved == ontocite.__all__,\n"
+            "                  sorted(set(ontocite.__all__) - set(star)),\n"
+            "                  ontocite.model.__name__, hasattr(ontocite, 'no_such_name')]))\n"
+        )
+        assert run_fresh(script) == [True, True, [], "ontocite.model", False]
 
 
 class TestParse:
