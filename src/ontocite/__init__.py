@@ -25,8 +25,8 @@ _EXPORTS = {
                      "find_ontology_iri", "normalize_person_name", "resolve_agent_name"),
                     "extract"),
     **dict.fromkeys(("BlankNode", "Graph", "Iri", "Literal", "Term", "Triple"), "model"),
-    **dict.fromkeys(("MatchResult", "check_publication_side", "inject_reference",
-                     "list_references"), "mutual"),
+    **dict.fromkeys(("DEFAULT_SIMILARITY_THRESHOLD", "MatchResult", "check_publication_side",
+                     "inject_reference", "list_references"), "mutual"),
     **dict.fromkeys(("CitationGraph", "Edge", "build_network", "export_dot",
                      "render_counts_report", "usage_counts"), "network"),
     **dict.fromkeys(("DIAGNOSTIC_CODES", "Diagnostic", "validate_citation_string",

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 from collections.abc import Sequence
 
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
-from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_initials
+from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_acronym, is_initials
 from .model import Iri, Value
 
 _DATE_GROUP_RE = re.compile(rf"\(({DATE_SHAPE})\)\.(?= |$)")
@@ -399,10 +399,9 @@ def parse_canonical(text: str) -> CitationRecord:
 
     acronym: str | None = None
     full_name = body
-    head, colon, remainder = body.partition(":")
-    if colon and head.strip() and remainder.strip():
-        acronym = head.strip()
-        full_name = remainder.strip()
+    head, colon, remainder = body.partition(": ")
+    if colon and is_acronym(head):
+        acronym, full_name = head, remainder
 
     return CitationRecord(
         creators=creators,

@@ -16,6 +16,7 @@ import re
 import sys
 import warnings
 
+from . import _EXPORTS
 from .citation import (
     build_record,
     draft_fields,
@@ -31,18 +32,13 @@ from .vocab import EXTENSION_LABELS, KNOWN_FORMAT_LABELS
 
 _PARSEABLE = {"turtle", "n-triples"}
 
-# The names taken from modules that only some commands run. Each command
-# binds the ones it calls with ``_bind`` before its first call, and a name
-# read from this module before that (perfbench/spans.py wraps them by
-# ``setattr``) is bound by ``__getattr__``. A bound name is never rebound,
-# so a wrapper set here stays in the command's call path.
-_DEFERRED = {
-    "rdfio": ("detect_format_label", "parse_ntriples", "parse_turtle", "serialize_ntriples"),
-    "principles": ("validate_citation_string", "validate_record"),
-    "mutual": ("DEFAULT_SIMILARITY_THRESHOLD", "check_publication_side", "inject_reference",
-               "list_references"),
-    "network": ("build_network", "export_dot", "render_counts_report"),
-}
+# The modules that only some commands run. Each command binds the names
+# that ``ontocite._EXPORTS`` gives these modules with ``_bind`` before its
+# first call, and a name read from this module before that
+# (perfbench/spans.py wraps them by ``setattr``) is bound by ``__getattr__``.
+# A bound name is never rebound, so a wrapper set here stays in the
+# command's call path.
+_DEFERRED = {"rdfio", "principles", "mutual", "network"}
 _bound: set[str] = set()
 
 
@@ -54,17 +50,17 @@ def _bind(*modules: str) -> None:
             # the import statement's path, which -X importtime reports
             source = __import__(f"{__package__}.{module}", fromlist=["*"])
             scope = globals()
-            for name in _DEFERRED[module]:
-                if name not in scope:
+            for name, home in _EXPORTS.items():
+                if home == module and name not in scope:
                     scope[name] = getattr(source, name)
             _bound.add(module)
 
 
 def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
+    module = _EXPORTS.get(name)
+    if module in _DEFERRED:
+        _bind(module)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -130,6 +130,12 @@ def is_initials(text: str) -> bool:
     )
 
 
+def is_acronym(text: str) -> bool:
+    """True for the grammar's ``acronym``: 1 to 10 characters, no ``:``
+    (the acronym/name separator), and no whitespace at either end."""
+    return 0 < len(text) <= 10 and ":" not in text and text == text.strip()
+
+
 def resolve_agent_name(g: Graph, t: Term) -> Agent:
     """Resolve a creator-property object to an :class:`Agent`.
 
@@ -279,9 +285,9 @@ def derive_acronym(meta: OntologyMetadata) -> tuple[str | None, str]:
     """Split the title into (acronym, full name).
 
     An explicit acronym property (``meta.acronym``) wins; otherwise a
-    short leading token separated by a dash, en-dash, or colon is treated
-    as the acronym; otherwise there is no acronym and the full title is
-    the name.
+    leading token separated by a dash, en-dash, or colon is the acronym
+    when :func:`is_acronym` holds and none of its words is all lower case;
+    otherwise there is no acronym and the full title is the name.
     """
     if not meta.title:
         raise MissingFieldError("title")
@@ -302,9 +308,6 @@ def _split_title(title: str) -> tuple[str, str] | None:
             continue
         token = title[:i].strip()
         rest = title[i + 1:].strip()
-        if not token or not rest or len(token) > 10:
-            continue
-        if any(word.islower() for word in token.split()):
-            continue
-        return token, rest
+        if rest and is_acronym(token) and not any(word.islower() for word in token.split()):
+            return token, rest
     return None

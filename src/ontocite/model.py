@@ -46,12 +46,21 @@ def is_absolute_iri(value: str) -> bool:
 _set = object.__setattr__
 
 
+def _field_repr(value) -> str:
+    """``repr(value)``, with a non-empty frozenset's members sorted by their
+    repr: equal sets can iterate in different orders."""
+    if isinstance(value, frozenset) and value:
+        return "frozenset({" + ", ".join(sorted(map(repr, value))) + "})"
+    return repr(value)
+
+
 class Value:
     """Base of the immutable value classes. Each subclass names its fields
     in ``_fields``, in ``__init__`` order, and sets them in ``__init__``
     through ``object.__setattr__``; assigning or deleting an attribute
     afterwards raises AttributeError. Instances are equal when of the same
-    class with equal fields, and hash, print and pickle by their fields."""
+    class with equal fields, and hash, print and pickle by their fields; a
+    frozenset field prints its members sorted by their repr."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -74,7 +83,7 @@ class Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):

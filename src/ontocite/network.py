@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from json.encoder import encode_basestring
-from typing import NamedTuple
 
 from .citation import _json_block, parse_canonical
 from .exceptions import CitationParseError, DuplicateOntologyError, RdfModelError
@@ -22,10 +21,23 @@ IMPORTS = "imports"
 REFERENCES = "references"
 
 
-class Edge(NamedTuple):
-    src: Iri
-    dst: Iri
-    kind: str
+class Edge(Value):
+    """One directed edge: ``src`` imports or references ``dst``."""
+
+    __slots__ = _fields = ("src", "dst", "kind")
+
+    def __init__(self, src: Iri, dst: Iri, kind: str):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src, self.dst, self.kind) == (other.src, other.dst, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.kind))
 
 
 class CitationGraph(Value):

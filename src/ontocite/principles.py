@@ -4,7 +4,7 @@ The twelve record-level codes are a frozen public vocabulary. A record
 passes (empty diagnostic list) exactly when it is complete: creators,
 date, title, and URI present, a real calendar date in YYYY-MM-DD form, an
 absolute URI, known format labels, a version, person names in
-"Surname, I." form, and a colon-free acronym.
+"Surname, I." form, and an acronym that ``extract.is_acronym`` accepts.
 
 ``E-PARSE`` sits outside the record vocabulary: it reports a citation
 string that does not match the grammar at all.
@@ -16,7 +16,7 @@ from collections.abc import Mapping
 
 from .citation import CitationRecord, parse_canonical
 from .exceptions import CitationParseError
-from .extract import Agent, is_calendar_date, is_initials
+from .extract import Agent, is_acronym, is_calendar_date, is_initials
 from .model import Iri, Value, is_absolute_iri
 from .vocab import KNOWN_FORMAT_LABELS
 
@@ -158,10 +158,11 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
                 out.append(_warning(
                     W_FORMAT_UNKNOWN, f"unknown format label {label!r}", "formats"
                 ))
-    if acronym and ":" in str(acronym):
+    if acronym and not is_acronym(str(acronym)):
         out.append(_warning(
             W_ACRONYM_COLON,
-            f"acronym {acronym!r} contains ':', the acronym/name separator",
+            f"acronym {acronym!r} is not 1 to 10 characters without ':' "
+            "and without whitespace at either end",
             "acronym",
         ))
     for index, creator in enumerate(creators):

@@ -1,26 +1,44 @@
-"""Parser differential: two ontocite source trees against each other.
+"""Differential: two ontocite source trees against each other.
 
     python3 tests/differential.py OLD_SRC NEW_SRC --seed 1 --count 100000
+    python3 tests/differential.py OLD_SRC NEW_SRC --citation --seed 1 --count 20000
 
-Generates ``count`` inputs from ``seed``: fixture documents with slices
-replaced by random text, random strings over the syntax characters, and
+Generates ``count`` inputs from ``seed``; each tree handles every input in
+a subprocess of its own, which imports ontocite from that tree only, and
+the results are compared in a form that does not depend on the tree.
+Prints the number of mismatches and the first of them; exits 1 when there
+is any.
+
+The default mode is the RDF parsers. Its inputs are fixture documents with
+slices replaced by random text, random strings over the syntax characters,
 statements assembled from escape, IRI, literal and prefix pieces, and
-one-line statements whose subject, predicate, object and tail are each
-a well-formed term or a piece. Each tree parses every input with
-``parse_turtle`` and ``parse_ntriples`` in a subprocess of its own, which
-imports ontocite from that tree only. The results are compared in a form
-that does not depend on the tree: for a graph, digests of its triples as
-term attributes, sorted and in iteration order, and of its
+one-line statements whose subject, predicate, object and tail are each a
+well-formed term or a piece. Each is parsed with ``parse_turtle`` and
+``parse_ntriples``; a result is digests of the graph's triples as term
+attributes, sorted and in iteration order, and of its
 ``serialize_ntriples`` text; the ``(line, column, message)`` of a
-``ParseError``; or the name of any other exception. Prints the number of
-mismatches and the first of them; exits 1 when there is any.
+``ParseError``; or the name of any other exception.
+
+``--citation`` is the citation layer. Its inputs come from
+``perfbench/gen.py`` (loaded by path): ``citation_case`` strings (rendered
+records, their tolerated variants and planted defects), the same strings
+with ``:``, digits, non-ASCII letters, 9-12 character tokens or a date
+element spliced in at the grammar's separators, and ``make_header`` headers written as
+N-Triples, some with their acronym spliced the same way. A string's result
+is its ``parse_canonical`` record with the three renderings, or the
+``(position, expected, message)`` of its ``CitationParseError``, and the
+diagnostics of ``validate_citation_string``. A header's result is its
+``extract_metadata`` fields and warnings, ``derive_acronym`` and
+``build_record``, each a value or the exception raised.
 
 Standard library only; pytest does not collect it (see
-``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself``).
+``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself`` and
+``test_citation.py::TestDifferential``).
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import random
 import subprocess
@@ -28,6 +46,7 @@ import sys
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+GEN_PY = FIXTURES.parents[1] / "perfbench" / "gen.py"
 CHUNK = 2000
 
 SYNTAX = '<>"\\#@^_:.;,[]()abcpxyzAEUu019+-\n \t'
@@ -88,6 +107,70 @@ def make_inputs(seed, count):
     return inputs
 
 
+# The citation grammar's separators, and what the citation mode splices in there.
+SEPARATORS = (", ", " and ", ". ", ": ", "(", ")", "[", "]", "<", ">")
+NON_ASCII = "éÖßΩЖ小ǅ"
+TOKEN_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PY)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def filler(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ":"
+    if kind == 1:
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 3)))
+    if kind == 2:
+        return "".join(rng.choice(NON_ASCII) for _ in range(rng.randint(1, 3)))
+    if kind == 3:
+        return "".join(rng.choice(TOKEN_CHARS) for _ in range(rng.randint(9, 12)))
+    return "(20%02d-0%d-1%d)." % (rng.randrange(100), rng.randint(1, 9), rng.randrange(10))
+
+
+def splice(rng, text):
+    """``text`` with a filler put before, after or in place of one of its
+    separators (or at either end of a text that holds none)."""
+    spots = [(i, len(sep)) for sep in SEPARATORS
+             for i in range(len(text)) if text.startswith(sep, i)]
+    at, size = rng.choice(spots) if spots else rng.choice([(0, 0), (len(text), 0)])
+    start, end = rng.choice([(at, at), (at + size, at + size), (at, at + size)])
+    return text[:start] + filler(rng) + text[end:]
+
+
+def make_citation_inputs(seed, count):
+    """``count`` citation-mode inputs for ``seed``: ``["string", text]`` or
+    ``["header", n-triples]``; the same on every machine."""
+    gen = load_gen()
+    rng = random.Random(seed)
+    inputs, known = [], []
+    for k in range(count):
+        shape = rng.random()
+        if shape < 0.85:
+            text = gen.citation_case(rng)["text"]
+            if shape >= 0.35:
+                for _ in range(rng.randint(1, 3)):
+                    text = splice(rng, text)
+            inputs.append(["string", text])
+            continue
+        iri = "http://example.org/onto/h%d" % k
+        missing = rng.choice((None,) * 7 + ("title", "creator", "date"))
+        h = gen.make_header(rng, iri, "h%d" % k, others=known[-20:], missing=missing)
+        text = "".join(gen.nt_line(t) for t in gen.flatten(gen.header_blocks(h)))
+        acronym = h.fields.get("acronym")
+        if acronym and rng.random() < 0.5:
+            text = text.replace(acronym, splice(rng, acronym))
+        if h.record is not None:
+            known.append((iri, h.record))
+        inputs.append(["header", text])
+    return inputs
+
+
 def worker(src):
     """Read a JSON list of inputs on stdin; print one result per parser and
     input, parsed by the ontocite under ``src``."""
@@ -121,37 +204,103 @@ def worker(src):
     json.dump(out, sys.stdout)
 
 
-def run_tree(src, inputs):
-    proc = subprocess.run([sys.executable, __file__, "--worker", src], input=json.dumps(inputs),
-                          capture_output=True, text=True, check=True)
+def citation_worker(src):
+    """Read a JSON list of citation-mode inputs on stdin; print one result
+    per input, from the ontocite under ``src``."""
+    sys.path.insert(0, src)
+    import warnings
+
+    from ontocite import (CitationParseError, build_record, derive_acronym, extract_metadata,
+                          parse_canonical, parse_ntriples, render_bibtex, render_canonical,
+                          render_json, validate_citation_string)
+
+    def agents(creators):
+        return [[a.surname, a.initials, a.organization] for a in creators]
+
+    def record(r):
+        return [agents(r.creators), r.date, r.full_name, r.uri.value, r.acronym, r.version,
+                r.revision, list(r.formats), render_canonical(r), render_bibtex(r),
+                render_json(r)]
+
+    def failure(exc):
+        if isinstance(exc, CitationParseError):
+            return ["E", exc.position, exc.expected, exc.message]
+        return ["X", type(exc).__name__, str(exc)]
+
+    def attempt(call):
+        try:
+            return ["V", call()]
+        except Exception as exc:  # any other outcome is a result too
+            return failure(exc)
+
+    def string_result(text):
+        return {"parse": attempt(lambda: record(parse_canonical(text))),
+                "validate": attempt(lambda: [[d.code, d.severity, d.message, d.field]
+                                             for d in validate_citation_string(text)])}
+
+    def header_result(text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                meta = extract_metadata(parse_ntriples(text), fmt="n-triples")
+            except Exception as exc:  # any other outcome is a result too
+                return {"metadata": failure(exc)}
+        return {
+            "metadata": [meta.ontology_iri.value, meta.title, agents(meta.creators), meta.date,
+                         meta.version, meta.revision, meta.format_label, meta.acronym],
+            "warnings": [str(w.message) for w in caught],
+            "derive_acronym": attempt(lambda: list(derive_acronym(meta))),
+            "build_record": attempt(lambda: record(build_record(meta, derive_acronym(meta)))),
+        }
+
+    out = [string_result(text) if kind == "string" else header_result(text)
+           for kind, text in json.load(sys.stdin)]
+    json.dump(out, sys.stdout)
+
+
+def run_tree(src, inputs, citation=False):
+    argv = [sys.executable, __file__, "--worker", src] + (["--citation"] if citation else [])
+    proc = subprocess.run(argv, input=json.dumps(inputs), capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout)
+
+
+def results(old, new, citation):
+    """``(part, old, new)`` for each part of one input's results."""
+    if citation:
+        return [(part, old.get(part), new.get(part)) for part in sorted(old.keys() | new.keys())]
+    return list(zip(("turtle", "ntriples"), old, new))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
+    parser.add_argument("--citation", action="store_true",
+                        help="compare the citation layer, not the RDF parsers")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--show", type=int, default=10, help="mismatches to print")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        return worker(args.worker)
+        return (citation_worker if args.citation else worker)(args.worker)
     if not (args.old_src and args.new_src):
         parser.error("two source directories are needed")
-    inputs = make_inputs(args.seed, args.count)
-    mismatches = 0
+    inputs = (make_citation_inputs if args.citation else make_inputs)(args.seed, args.count)
+    compared = mismatches = 0
     for first in range(0, len(inputs), CHUNK):
         chunk = inputs[first:first + CHUNK]
-        for text, old, new in zip(chunk, run_tree(args.old_src, chunk),
-                                  run_tree(args.new_src, chunk)):
-            for syntax, a, b in zip(("turtle", "ntriples"), old, new):
+        for text, old, new in zip(chunk, run_tree(args.old_src, chunk, args.citation),
+                                  run_tree(args.new_src, chunk, args.citation)):
+            for part, a, b in results(old, new, args.citation):
+                compared += 1
                 if a != b:
                     mismatches += 1
                     if mismatches <= args.show:
-                        print(f"{syntax} {text!r}\n  old {a}\n  new {b}")
-    print(f"{mismatches} mismatches in {2 * len(inputs)} parses (seed {args.seed})")
+                        print(f"{part} {text!r}\n  old {a}\n  new {b}")
+    unit = "results" if args.citation else "parses"
+    print(f"{mismatches} mismatches in {compared} {unit} (seed {args.seed})")
     return 1 if mismatches else 0
 
 

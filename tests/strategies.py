@@ -83,6 +83,13 @@ _dates = st.dates(min_value=date(1000, 1, 1), max_value=date(2999, 12, 31)).map(
 _acronyms = st.tuples(
     st.sampled_from(_UPPER), st.text(alphabet=_UPPER + "0123456789", min_size=1, max_size=7)
 ).map("".join)
+# Letters, digits, ":" and single spaces, with or without a space at either end.
+acronym_texts = st.tuples(
+    st.sampled_from(("", " ")),
+    st.lists(st.text(alphabet=_UPPER + _LOWER + "0123456789:", min_size=1, max_size=6),
+             min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(("", " ")),
+).map("".join)
 _title_words = st.one_of(_word(0, 9), st.text(alphabet=_LOWER, min_size=1, max_size=9))
 _full_names = st.lists(_title_words, min_size=1, max_size=5).map(" ".join)
 _versions = st.lists(
@@ -103,7 +110,7 @@ _format_lists = st.lists(st.sampled_from(KNOWN_FORMAT_LABELS), max_size=3, uniqu
 
 
 @st.composite
-def citation_records(draw):
+def citation_records(draw, acronyms=st.one_of(st.none(), _acronyms)):
     version = draw(st.one_of(st.none(), _versions))
     revision = draw(st.one_of(st.none(), _revisions)) if version else None
     return CitationRecord(
@@ -111,7 +118,7 @@ def citation_records(draw):
         date=draw(_dates),
         full_name=draw(_full_names),
         uri=draw(_uris),
-        acronym=draw(st.one_of(st.none(), _acronyms)),
+        acronym=draw(acronyms),
         version=version,
         revision=revision,
         formats=tuple(draw(_format_lists)),

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -202,6 +204,20 @@ class TestParseCanonical:
         assert (exc.value.expected, exc.value.position) == (expected, position)
         # validate prints the message, so it names the code point only
         assert exc.value.message == f"lone surrogate U+{ord(text[position]):04X}"
+
+    @pytest.mark.parametrize("title, acronym, full_name", [
+        ("ab:CD - Foo", None, "ab:CD - Foo"),
+        ("ab:CD: Foo", None, "ab:CD: Foo"),
+        ("Gene Ontology: the resource", None, "Gene Ontology: the resource"),
+        ("An ontology of time:zones", None, "An ontology of time:zones"),
+        ("ABCDEFGHIJKLMNOP: Title", None, "ABCDEFGHIJKLMNOP: Title"),
+        ("ABCDEFGHIJ: Title", "ABCDEFGHIJ", "Title"),
+        ("GO Plus: a: b", "GO Plus", "a: b"),
+        ("PAV : Title", None, "PAV : Title"),
+    ])
+    def test_acronym_only_before_the_first_colon_space(self, title, acronym, full_name):
+        record = parse_canonical(f"Doe, J. (2020-01-01). {title}. http://example.org/o")
+        assert (record.acronym, record.full_name) == (acronym, full_name)
 
     def test_multi_word_creator_without_initials_is_organization(self):
         record = parse_canonical(
@@ -480,3 +496,14 @@ class TestRecordFromJson:
             return
         render_canonical(record)
         render_bibtex(record)
+
+
+class TestDifferential:
+    def test_citation_differential_against_itself(self):
+        tests = Path(__file__).resolve().parent
+        src = str(tests.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, str(tests / "differential.py"), src, src, "--citation",
+             "--seed", "7", "--count", "200"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert re.fullmatch(r"0 mismatches in \d+ results \(seed 7\)\n", proc.stdout)

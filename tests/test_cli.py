@@ -117,6 +117,21 @@ class TestCite:
         assert out.startswith("Example, A. (2020-05-06). Alpha Vocabulary.")
         assert "multiple ontology nodes" in err
 
+    def test_title_token_that_is_no_acronym_reads_back(self, capsys, tmp_path):
+        header = tmp_path / "h.ttl"
+        header.write_text(
+            "@prefix dcterms: <http://purl.org/dc/terms/> .\n"
+            "<http://example.org/o> a <http://www.w3.org/2002/07/owl#Ontology> ;\n"
+            '    dcterms:title "ab:CD - Foo" ; dcterms:creator "Doe, J." ;\n'
+            '    dcterms:issued "2020-01-01" .\n', "utf-8")
+        code, out, _ = run(capsys, "cite", str(header))
+        assert (code, out) == (0, "Doe, J. (2020-01-01). ab:CD - Foo. "
+                                  "http://example.org/o [turtle]\n")
+        code, out, _ = run(capsys, "parse", out.strip())
+        assert code == 0
+        assert "acronym" not in json.loads(out)
+        assert json.loads(out)["full_name"] == "ab:CD - Foo"
+
     def test_module_entry_point(self):
         result = run_module("cite", PAV_TTL, "--style", "canonical", "--format-label", "rdf/xml")
         assert result.returncode == 0
@@ -216,9 +231,7 @@ class TestImports:
         loaded = {name.removeprefix("ontocite.") for name in added}
         assert "cli" in loaded
         assert unused.isdisjoint(loaded)
-        # network's Edge is a typing.NamedTuple
-        needless = self.UNNEEDED - ({"typing"} if argv[0] == "network" else set())
-        assert needless.isdisjoint(added)
+        assert self.UNNEEDED.isdisjoint(added)
 
     def test_import_ontocite_loads_no_submodule(self):
         script = ("import json, sys\nimport ontocite\n"

@@ -27,7 +27,7 @@ from ontocite import (
     resolve_agent_name,
     validate_record,
 )
-from ontocite.extract import is_calendar_date
+from ontocite.extract import is_acronym, is_calendar_date
 from ontocite.vocab import (
     DCTERMS_CREATOR,
     DCTERMS_ISSUED,
@@ -309,6 +309,21 @@ class TestExtractMetadata:
         assert extract_metadata(g2).title == filled
 
 
+class TestIsAcronym:
+    @pytest.mark.parametrize("text, expected", [
+        ("", False),
+        ("ABCDEFGHIJ", True),
+        ("ABCDEFGHIJK", False),
+        ("PA:V", False),
+        (" PAV", False),
+        ("PAV ", False),
+        ("GO Plus", True),
+        ("go", True),
+    ])
+    def test_the_grammars_acronym(self, text, expected):
+        assert is_acronym(text) is expected
+
+
 class TestDeriveAcronym:
     def test_pav_title_split(self, pav_graph):
         meta = extract_metadata(pav_graph)
@@ -350,6 +365,13 @@ class TestDeriveAcronym:
         g = header(Triple(ONTO, DCTERMS_TITLE, Literal("e-commerce vocabulary")))
         meta = extract_metadata(g)
         assert derive_acronym(meta) == (None, "e-commerce vocabulary")
+
+    @pytest.mark.parametrize("title", [
+        "ab:CD - Foo", "ABCDEFGHIJK - Foo", "Gene Ontology: the resource",
+    ])
+    def test_token_that_is_no_acronym_stays_in_the_title(self, title):
+        meta = extract_metadata(header(Triple(ONTO, DCTERMS_TITLE, Literal(title))))
+        assert derive_acronym(meta) == (None, title)
 
     def test_colon_separator(self):
         g = header(Triple(ONTO, DCTERMS_TITLE, Literal("SUMO: Suggested Upper Merged Ontology")))

@@ -8,13 +8,16 @@ from ontocite import (
     Iri,
     OntociteError,
     normalize_person_name,
+    parse_canonical,
+    render_canonical,
     validate_citation_string,
     validate_record,
 )
+from ontocite.extract import is_acronym
 from ontocite.principles import DIAGNOSTIC_CODES, E_PARSE
 
 from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
-from strategies import citation_records, mutations
+from strategies import acronym_texts, citation_records, mutations
 
 
 def base_fields():
@@ -78,6 +81,22 @@ class TestValidateRecord:
     def test_single_defect_yields_exactly_one_code(self, code, mutate):
         diagnostics = validate_record(mutate(base_fields()))
         assert [d.code for d in diagnostics] == [code]
+
+    @pytest.mark.parametrize("acronym", ["ABCDEFGHIJK", " PAV", "PAV ", "PA:V"])
+    def test_acronym_the_grammar_rejects_is_flagged(self, acronym):
+        (diagnostic,) = validate_record(with_value(base_fields(), "acronym", acronym))
+        assert (diagnostic.code, diagnostic.field) == ("W-ACRONYM-COLON", "acronym")
+        assert diagnostic.message == (
+            f"acronym {acronym!r} is not 1 to 10 characters without ':' "
+            "and without whitespace at either end")
+
+    @settings(max_examples=300)
+    @given(record=citation_records(acronyms=acronym_texts))
+    def test_acronym_reads_back_exactly_when_it_is_one(self, record):
+        codes = [d.code for d in validate_record(record)]
+        read_back = parse_canonical(render_canonical(record)).acronym
+        assert (read_back == record.acronym) is is_acronym(record.acronym)
+        assert ("W-ACRONYM-COLON" in codes) is not is_acronym(record.acronym)
 
     def test_uri_only_record(self):
         diagnostics = validate_record({"uri": "http://purl.org/pav/"})

@@ -20,6 +20,7 @@ from ontocite import (
     OntologyMetadata,
     Triple,
 )
+from ontocite.model import Value
 
 A = Iri("http://a")
 B = Iri("http://b")
@@ -45,6 +46,7 @@ SAMPLES = [
                   "field": "date"}),
     (MatchResult, {"found": True, "similarity": 0.75, "matched_line": "Doe, J."}),
     (CitationGraph, {"nodes": frozenset({A, B}), "edges": frozenset({Edge(A, B, "imports")})}),
+    (Edge, {"src": A, "dst": B, "kind": "imports"}),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(SAMPLES)]
 
@@ -60,6 +62,7 @@ CHANGED = {
     Diagnostic: ("field", None),
     MatchResult: ("similarity", 0.5),
     CitationGraph: ("edges", frozenset()),
+    Edge: ("kind", "references"),
 }
 
 
@@ -74,8 +77,8 @@ def sample(request):
 
 
 class TestValueClasses:
-    def test_all_ten_classes_are_covered(self):
-        assert len({cls for cls, _ in SAMPLES}) == 10
+    def test_every_value_class_is_covered(self):
+        assert {cls for cls, _ in SAMPLES} == set(Value.__subclasses__())
 
     def test_fields_read_back(self, sample):
         value = build(sample)
@@ -159,10 +162,22 @@ class TestValueClasses:
         (MatchResult(False, 0.5), "MatchResult(found=False, similarity=0.5, matched_line=None)"),
         (CitationGraph(frozenset({A}), frozenset()),
          "CitationGraph(nodes=frozenset({Iri(value='http://a')}), edges=frozenset())"),
+        (Edge(A, B, "imports"),
+         "Edge(src=Iri(value='http://a'), dst=Iri(value='http://b'), kind='imports')"),
     ], ids=["Iri", "BlankNode", "Literal-lang", "Literal-datatype", "Triple", "Agent",
-            "OntologyMetadata", "CitationRecord", "Diagnostic", "MatchResult", "CitationGraph"])
+            "OntologyMetadata", "CitationRecord", "Diagnostic", "MatchResult", "CitationGraph",
+            "Edge"])
     def test_repr(self, value, text):
         assert repr(value) == text
+
+    def test_equal_sets_print_alike_whatever_their_insertion_order(self):
+        # where hashes collide, a set's iteration order follows insertion order
+        iris = [Iri(f"http://example.org/{i}") for i in range(50)]
+        edges = [Edge(a, b, "references") for a, b in zip(iris, iris[1:])]
+        first = CitationGraph(frozenset(iris), frozenset(edges))
+        second = CitationGraph(frozenset(reversed(iris)), frozenset(reversed(edges)))
+        assert first == second
+        assert repr(first) == repr(second)
 
     def test_positional_arguments_follow_field_order(self, sample):
         cls, fields = sample
