@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("onto_path")
     check.add_argument("reflist_path")
     check.add_argument("--threshold", type=float, default=None,
-                       help="token similarity threshold for the publication side")
+                       help="token similarity threshold for the publication side, 0 to 1")
     check.set_defaults(func=_cmd_check_mutual)
 
     network = sub.add_parser("network",

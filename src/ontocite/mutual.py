@@ -6,6 +6,7 @@ accepted on read with a warning). Publication side: a plain-text
 reference list is scanned for the ontology's canonical citation, with a
 token-similarity fallback gated on the ontology URI and year so that a
 house-styled rendering still matches but a different ontology never does.
+Every line is scored, for the best similarity, only when no line matches.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import warnings
 
 from .citation import CitationRecord, render_canonical
-from .exceptions import EmptyReferenceError, NotOntologyNodeError, OntociteWarning
+from .exceptions import EmptyReferenceError, NotOntologyNodeError, OntociteError, OntociteWarning
 from .model import Graph, Iri, Literal, Triple, Value
 from .vocab import DC_RELATION, DCTERMS_REFERENCES, OWL_ONTOLOGY, RDF_TYPE
 
@@ -75,20 +76,19 @@ def list_references(
 
 
 def _reference_lines(text: str) -> list[str]:
-    """One candidate reference per line; blank-line-separated blocks are
-    joined to single lines first."""
+    """One candidate reference per line, stripped; when a blank line lies
+    between two non-blank lines, each blank-line-separated block is joined
+    to one line instead."""
     blocks: list[list[str]] = [[]]
-    has_blank = False
     for line in text.splitlines():
-        if line.strip():
-            blocks[-1].append(line.strip())
-        else:
-            has_blank = True
-            if blocks[-1]:
-                blocks.append([])
-    if has_blank:
+        line = line.strip()
+        if line:
+            blocks[-1].append(line)
+        elif blocks[-1]:
+            blocks.append([])
+    if len(blocks) > 1 and blocks[1]:
         return [" ".join(block) for block in blocks if block]
-    return [line for block in blocks for line in block]
+    return blocks[0]
 
 
 def _similarity_tokens(line: str) -> set[str]:
@@ -118,35 +118,49 @@ def check_publication_side(
 ) -> MatchResult:
     """Does the reference list contain the record's citation?
 
-    A line matches when it equals the canonical rendering after whitespace
-    normalization, or when it carries both the record's URI and year and
-    its token similarity against the canonical rendering reaches the
-    threshold. The best line's similarity is reported either way.
+    The first line that equals the canonical rendering after whitespace
+    normalization matches with similarity 1.0. Else the first of the best
+    lines that carry the record's URI as a token and its year and reach
+    ``threshold`` (0 to 1) in token similarity against the canonical
+    rendering matches. Else nothing matches, and the best similarity of
+    any line is reported with that line.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise OntociteError(f"similarity threshold must lie in [0, 1], not {threshold!r}")
     canonical = render_canonical(record)
     canonical_tokens = _similarity_tokens(canonical)
     year = record.date[:4]
+    uri = record.uri.value
+    lines = _reference_lines(reference_list_text)
 
-    best_similarity = 0.0
-    best_line: str | None = None
+    # Both an exact line and a URI token hold the URI as a substring, so
+    # only those lines can match.
     found_similarity = 0.0
     found_line: str | None = None
-
-    for raw_line in _reference_lines(reference_list_text):
+    for raw_line in lines:
+        if uri not in raw_line:
+            continue
         line = " ".join(raw_line.split())
         if line == canonical:
             return MatchResult(found=True, similarity=1.0, matched_line=line)
         similarity = _jaccard(_similarity_tokens(line), canonical_tokens)
-        if similarity > best_similarity:
-            best_similarity, best_line = similarity, line
         if (
             similarity >= threshold
             and year in line
-            and _contains_uri_token(line, record.uri.value)
+            and _contains_uri_token(line, uri)
             and similarity > found_similarity
         ):
             found_similarity, found_line = similarity, line
-
     if found_line is not None:
         return MatchResult(found=True, similarity=found_similarity, matched_line=found_line)
-    return MatchResult(found=False, similarity=best_similarity, matched_line=best_line)
+
+    # str.split ignores how whitespace runs, so the raw line scores as its
+    # normalized form does.
+    best_similarity = 0.0
+    best_line: str | None = None
+    for raw_line in lines:
+        similarity = _jaccard(_similarity_tokens(raw_line), canonical_tokens)
+        if similarity > best_similarity:
+            best_similarity, best_line = similarity, raw_line
+    matched_line = best_line and " ".join(best_line.split())
+    return MatchResult(found=False, similarity=best_similarity, matched_line=matched_line)

@@ -22,14 +22,20 @@ attributes, sorted and in iteration order, and of its
 ``--citation`` is the citation layer. Its inputs come from
 ``perfbench/gen.py`` (loaded by path): ``citation_case`` strings (rendered
 records, their tolerated variants and planted defects), the same strings
-with ``:``, digits, non-ASCII letters, 9-12 character tokens or a date
-element spliced in at the grammar's separators, and ``make_header`` headers written as
-N-Triples, some with their acronym spliced the same way. A string's result
-is its ``parse_canonical`` record with the three renderings, or the
+with ``:``, digits, non-ASCII letters, 9-12 character tokens, a date
+element, NUL or a lone surrogate spliced in at the grammar's separators;
+reference lists of recent such strings around a ``random_record``'s
+canonical line, a ``house_style`` variant of it, the line under a longer
+URI, or none of these, one per line or in blank-line blocks; and
+``make_header`` headers written as N-Triples, some with their acronym
+spliced the same way. A string's result is its ``parse_canonical`` record
+with the three renderings and ``record_from_json`` of its JSON, or the
 ``(position, expected, message)`` of its ``CitationParseError``, and the
-diagnostics of ``validate_citation_string``. A header's result is its
-``extract_metadata`` fields and warnings, ``derive_acronym`` and
-``build_record``, each a value or the exception raised.
+diagnostics of ``validate_citation_string``. A reference list's result is
+the ``(found, similarity, matched_line)`` of ``check_publication_side``. A
+header's result is its ``extract_metadata`` fields and warnings,
+``derive_acronym`` and ``build_record``, each a value or the exception
+raised.
 
 Standard library only; pytest does not collect it (see
 ``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself`` and
@@ -121,7 +127,7 @@ def load_gen():
 
 
 def filler(rng):
-    kind = rng.randrange(5)
+    kind = rng.randrange(7)
     if kind == 0:
         return ":"
     if kind == 1:
@@ -130,7 +136,11 @@ def filler(rng):
         return "".join(rng.choice(NON_ASCII) for _ in range(rng.randint(1, 3)))
     if kind == 3:
         return "".join(rng.choice(TOKEN_CHARS) for _ in range(rng.randint(9, 12)))
-    return "(20%02d-0%d-1%d)." % (rng.randrange(100), rng.randint(1, 9), rng.randrange(10))
+    if kind == 4:
+        return "(20%02d-0%d-1%d)." % (rng.randrange(100), rng.randint(1, 9), rng.randrange(10))
+    if kind == 5:
+        return "\x00"
+    return chr(rng.randrange(0xD800, 0xE000))  # a lone surrogate
 
 
 def splice(rng, text):
@@ -143,20 +153,49 @@ def splice(rng, text):
     return text[:start] + filler(rng) + text[end:]
 
 
+def reference_list(gen, rng, strings):
+    """``[record, text, threshold]``: a reference list of some of
+    ``strings`` and maybe a line for ``record``, the record being a
+    ``gen.random_record`` dict."""
+    rec = gen.random_record(rng)
+    canonical = gen.render_canonical(rec)
+    items = rng.sample(strings, min(len(strings), rng.randint(0, 12)))
+    line = rng.choice([canonical, rng.choice(gen.house_style(rng, rec)),
+                       canonical.replace(rec["uri"], rec["uri"] + "x"), None])
+    if line is not None:
+        items.insert(rng.randint(0, len(items)), line)
+    if rng.random() < 0.5:
+        text = "\n".join(items)
+    else:
+        blocks = []
+        for item in items:
+            words = item.split(" ")
+            cut = rng.randint(1, max(1, len(words) - 1))
+            blocks.append(" ".join(words[:cut]) + "\n" + " ".join(words[cut:]))
+        text = "\n\n".join(blocks)
+    text = rng.choice(["", "", "\n"]) + text + rng.choice(["", "\n", "\n", "\n\n"])
+    return [rec, text, rng.choice([0.0, 0.3, 0.6, 0.6, 0.6, 0.9, 1.0])]
+
+
 def make_citation_inputs(seed, count):
-    """``count`` citation-mode inputs for ``seed``: ``["string", text]`` or
-    ``["header", n-triples]``; the same on every machine."""
+    """``count`` citation-mode inputs for ``seed``: ``["string", text]``,
+    ``["mutual", [record, text, threshold]]`` or ``["header", n-triples]``;
+    the same on every machine."""
     gen = load_gen()
     rng = random.Random(seed)
-    inputs, known = [], []
+    inputs, known, strings = [], [], []
     for k in range(count):
         shape = rng.random()
-        if shape < 0.85:
+        if shape < 0.75:
             text = gen.citation_case(rng)["text"]
-            if shape >= 0.35:
+            if shape >= 0.3:
                 for _ in range(rng.randint(1, 3)):
                     text = splice(rng, text)
             inputs.append(["string", text])
+            strings = strings[-49:] + [text]
+            continue
+        if shape < 0.85:
+            inputs.append(["mutual", reference_list(gen, rng, strings)])
             continue
         iri = "http://example.org/onto/h%d" % k
         missing = rng.choice((None,) * 7 + ("title", "creator", "date"))
@@ -210,17 +249,21 @@ def citation_worker(src):
     sys.path.insert(0, src)
     import warnings
 
-    from ontocite import (CitationParseError, build_record, derive_acronym, extract_metadata,
-                          parse_canonical, parse_ntriples, render_bibtex, render_canonical,
-                          render_json, validate_citation_string)
+    from ontocite import (Agent, CitationParseError, CitationRecord, Iri, build_record,
+                          check_publication_side, derive_acronym, extract_metadata,
+                          parse_canonical, parse_ntriples, record_from_json, render_bibtex,
+                          render_canonical, render_json, validate_citation_string)
 
     def agents(creators):
         return [[a.surname, a.initials, a.organization] for a in creators]
 
-    def record(r):
+    def fields(r):
         return [agents(r.creators), r.date, r.full_name, r.uri.value, r.acronym, r.version,
-                r.revision, list(r.formats), render_canonical(r), render_bibtex(r),
-                render_json(r)]
+                r.revision, list(r.formats)]
+
+    def record(r):
+        return fields(r) + [render_canonical(r), render_bibtex(r), render_json(r),
+                            attempt(lambda: fields(record_from_json(render_json(r))))]
 
     def failure(exc):
         if isinstance(exc, CitationParseError):
@@ -238,6 +281,17 @@ def citation_worker(src):
                 "validate": attempt(lambda: [[d.code, d.severity, d.message, d.field]
                                              for d in validate_citation_string(text)])}
 
+    def mutual_result(case):
+        rec, text, threshold = case
+        r = CitationRecord([Agent(*a) for a in rec["creators"]], rec["date"], rec["full_name"],
+                           Iri(rec["uri"]), rec["acronym"], rec["version"], rec["revision"],
+                           rec["formats"])
+
+        def match():
+            m = check_publication_side(text, r, threshold)
+            return [m.found, m.similarity, m.matched_line]
+        return {"mutual": attempt(match)}
+
     def header_result(text):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -253,8 +307,8 @@ def citation_worker(src):
             "build_record": attempt(lambda: record(build_record(meta, derive_acronym(meta)))),
         }
 
-    out = [string_result(text) if kind == "string" else header_result(text)
-           for kind, text in json.load(sys.stdin)]
+    handlers = {"string": string_result, "mutual": mutual_result, "header": header_result}
+    out = [handlers[kind](text) for kind, text in json.load(sys.stdin)]
     json.dump(out, sys.stdout)
 
 

@@ -611,6 +611,39 @@ class TestCheckMutual:
         code, _, _ = run(capsys, "check-mutual", PAV_TTL, "/nonexistent/refs.txt")
         assert code == 2
 
+    WQO_LIST = "\n".join([
+        "Doe, J. (2020). A paper on water. Journal of Examples 1.",
+        "Public, J. Q. (2021-02-03). Water Quality Ontology. http://example.org/wqo [turtle]",
+        "Roe, R. (2019). Another paper. Journal of Examples 2.",
+    ])
+
+    @pytest.mark.parametrize("text, side", [
+        (WQO_LIST + "\n", "true\tsimilarity=1.000"),
+        ("\n" + WQO_LIST + "\n", "true\tsimilarity=1.000"),
+        (WQO_LIST + "\n\n", "true\tsimilarity=1.000"),
+        ("\n \n" + WQO_LIST + "\n\n\n", "true\tsimilarity=1.000"),
+        (WQO_LIST.replace("\nRoe", "\n\nRoe") + "\n", "false\tsimilarity=0.500"),
+    ], ids=["one-per-line", "leading-blank", "trailing-blank", "both", "middle-blank-joins"])
+    def test_blocks_need_a_blank_line_between_references(self, capsys, tmp_path, text, side):
+        refs = tmp_path / "refs.txt"
+        refs.write_text(text, encoding="utf-8")
+        _, out, _ = run(capsys, "check-mutual", str(HEADERS / "wqo.ttl"), str(refs))
+        assert out.splitlines()[1] == "publication-side\t" + side
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.1"])
+    def test_threshold_outside_zero_to_one_exits_2(self, capsys, threshold):
+        code, out, err = run_caught(capsys, ["check-mutual", PAV_TTL, REFLIST,
+                                             "--threshold", threshold])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "threshold" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threshold, found", [("0", "true"), ("1", "false")])
+    def test_threshold_bounds_accepted(self, capsys, threshold, found):
+        code, out, err = run_caught(capsys, ["check-mutual", PAV_TTL, REFLIST,
+                                             "--threshold", threshold])
+        assert (code, err) == (1, "")
+        assert out == f"ontology-side\tfalse\npublication-side\t{found}\tsimilarity=0.857\n"
+
 
 class TestNetwork:
     def test_counts_match_manifest(self, capsys):

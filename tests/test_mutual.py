@@ -1,3 +1,4 @@
+import math
 import string
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontocite import (
+    Agent,
+    CitationRecord,
     Iri,
     Literal,
     NotOntologyNodeError,
@@ -16,7 +19,7 @@ from ontocite import (
     list_references,
     render_canonical,
 )
-from ontocite.mutual import _jaccard, _similarity_tokens
+from ontocite.mutual import _contains_uri_token, _jaccard, _reference_lines, _similarity_tokens
 from ontocite.vocab import DC_RELATION, DCTERMS_REFERENCES
 
 from conftest import PAV_CITATION, PUBLICATION_REF, REFLISTS, pav_record
@@ -141,6 +144,49 @@ class TestCheckPublicationSide:
         result = check_publication_side(render_canonical(record), record)
         assert result.found
 
+    def test_exact_line_wins_over_an_earlier_gated_line(self):
+        reordered = (
+            "Ciccarese, P. and Soiland-Reyes, S. PAV: Provenance, Authoring "
+            "and Versioning. 2.3.1 (2014-08-28). http://purl.org/pav/ [rdf/xml]"
+        )
+        assert check_publication_side(reordered, pav_record()).similarity == 1.0
+        spaced = PAV_CITATION.replace(" ", " \t\u3000")
+        result = check_publication_side(reordered + "\n" + spaced, pav_record())
+        assert (result.found, result.matched_line) == (True, PAV_CITATION)
+
+    def test_first_of_two_equal_gated_lines_wins(self):
+        no_format = PAV_CITATION.replace(" [rdf/xml]", "")
+        no_version = PAV_CITATION.replace(" 2.3.1.", "")
+        for first, second in ((no_format, no_version), (no_version, no_format)):
+            result = check_publication_side(f"{first}\n{second}", pav_record())
+            assert result == check_publication_side(first, pav_record())
+            assert (result.found, result.matched_line) == (True, first)
+            assert result.similarity == check_publication_side(second, pav_record()).similarity
+
+    def test_longer_uri_holding_the_uri_is_not_the_uri(self):
+        record = CitationRecord([Agent("Doe", "J.")], "2020-01-01", "Example Ontology",
+                                Iri("http://ex.org/o"), version="1.0", formats=["turtle"])
+        line = render_canonical(record).replace("http://ex.org/o", "http://ex.org/ontology")
+        result = check_publication_side(line, record)
+        assert not result.found
+        assert result.matched_line == line
+        assert 0.6 < result.similarity < 1.0
+
+    def test_not_found_reports_the_line_whitespace_normalized(self):
+        result = check_publication_side("Ciccarese,\t P.  (2020).\u3000A\xa0paper.",
+                                        pav_record())
+        assert not result.found
+        assert result.matched_line == "Ciccarese, P. (2020). A paper."
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.1, 1.1])
+    def test_threshold_outside_zero_to_one_rejected(self, threshold):
+        with pytest.raises(OntociteError, match="threshold"):
+            check_publication_side(PAV_CITATION, pav_record(), threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0, 1.0])
+    def test_threshold_bounds_accepted(self, threshold):
+        assert check_publication_side(PAV_CITATION, pav_record(), threshold=threshold).found
+
     @given(record=citation_records())
     @settings(max_examples=200, deadline=None)
     def test_never_matches_across_uris(self, record):
@@ -176,3 +222,79 @@ class TestSimilarity:
         union = len(tokens_a | tokens_b)
         expected = len(tokens_a & tokens_b) / union if tokens_a and tokens_b else 0.0
         assert _jaccard(tokens_a, tokens_b) == expected
+
+
+def _one_pass(lines, record, threshold):
+    """The reference scorer: one loop that normalizes and scores every
+    line, as (found, similarity, matched_line)."""
+    canonical = render_canonical(record)
+    canonical_tokens = _similarity_tokens(canonical)
+    year = record.date[:4]
+    best_similarity, best_line = 0.0, None
+    found_similarity, found_line = 0.0, None
+    for raw_line in lines:
+        line = " ".join(raw_line.split())
+        if line == canonical:
+            return True, 1.0, line
+        similarity = _jaccard(_similarity_tokens(line), canonical_tokens)
+        if similarity > best_similarity:
+            best_similarity, best_line = similarity, line
+        if (similarity >= threshold and year in line
+                and _contains_uri_token(line, record.uri.value) and similarity > found_similarity):
+            found_similarity, found_line = similarity, line
+    if found_line is not None:
+        return True, found_similarity, found_line
+    return False, best_similarity, best_line
+
+
+# Whitespace that str.split breaks on but str.splitlines does not.
+_SPACE_RUNS = st.text(alphabet=" \t\x1f\xa0\u1680\u2000\u202f\u3000", min_size=1, max_size=3)
+
+
+@st.composite
+def _candidate_lines(draw, record):
+    """A line of a reference list: random text, the canonical rendering with
+    any spacing, or a house-styled variant of it (tokens dropped or
+    reordered, the URI bracketed, inside a longer URI or replaced, the
+    year changed, a random piece added)."""
+    kind = draw(st.sampled_from(["text", "canonical", "styled", "styled"]))
+    if kind == "text":
+        return draw(_TOKEN_LINES)
+    canonical = render_canonical(record)
+    tokens = canonical.split(" ")
+    if kind == "styled":
+        uri = record.uri.value
+        dropped = draw(st.sets(st.integers(0, len(tokens) - 1), max_size=2))
+        tokens = [t for i, t in enumerate(tokens) if i not in dropped]
+        if draw(st.booleans()):
+            tokens = draw(st.permutations(tokens))
+        shown = draw(st.sampled_from([uri, f"<{uri}>", f"({uri}).", uri + "ology", uri + "/x",
+                                      "x" + uri, "http://other.org/o"]))
+        tokens = [shown if t == uri else t for t in tokens]
+        if draw(st.booleans()):
+            tokens = [t.replace(record.date[:4], "1999") for t in tokens]
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(_TOKEN_LINES))
+    return draw(_SPACE_RUNS).join(tokens)
+
+
+@st.composite
+def _reference_lists(draw):
+    record = draw(citation_records())
+    lines = draw(st.lists(_candidate_lines(record), max_size=8))
+    breaks = draw(st.lists(st.sampled_from(["\n", "\n\n", "\r\n", "\n \n"]),
+                           min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = breaks[0] * draw(st.booleans()) + "".join(
+        line + brk for line, brk in zip(lines, breaks[1:]))
+    return record, text
+
+
+class TestTwoPasses:
+    @given(case=_reference_lists(),
+           threshold=st.one_of(st.sampled_from([0.0, 0.6, 1.0]), st.floats(0.0, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_one_pass_reference(self, case, threshold):
+        record, text = case
+        result = check_publication_side(text, record, threshold)
+        expected = _one_pass(_reference_lines(text), record, threshold)
+        assert (result.found, result.similarity, result.matched_line) == expected
