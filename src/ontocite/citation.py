@@ -68,11 +68,11 @@ def build_record(
 
 
 def draft_fields(
-    meta: OntologyMetadata,
-    acronym_split: tuple[str | None, str] | None = None,
+    meta: OntologyMetadata, acronym_split: tuple[str | None, str] | None
 ) -> dict[str, object]:
     """A partial, validator-ready field mapping: present fields only, no
-    hard failures on missing ones."""
+    hard failures on missing ones. ``acronym_split`` is
+    ``derive_acronym(meta)``, or None exactly when ``meta.title`` is empty."""
     fields: dict[str, object] = {}
     if meta.creators:
         fields["creators"] = list(meta.creators)
@@ -83,8 +83,6 @@ def draft_fields(
         if acronym:
             fields["acronym"] = acronym
         fields["full_name"] = full_name
-    elif meta.title:
-        fields["full_name"] = meta.title
     if meta.version:
         fields["version"] = meta.version
         if meta.revision:
@@ -206,9 +204,10 @@ def render_json(record: CitationRecord) -> str:
     """Canonical JSON for the record (schema in ``docs/citation.schema.json``);
     bit-identical for equal records, single trailing newline.
 
-    The bytes are those of ``json.dumps(record_to_dict(record),
-    ensure_ascii=False, indent=2) + "\\n"``, written in the record's fixed
-    layout: with ``indent`` set, ``json.dumps`` never uses its C encoder.
+    ``record_to_dict`` is the record as plain data, and the bytes are those
+    of ``json.dumps(record_to_dict(record), ensure_ascii=False, indent=2) +
+    "\\n"``, byte for byte, written in the record's fixed layout: with
+    ``indent`` set, ``json.dumps`` never uses its C encoder.
     Strings are quoted by ``encode_basestring``, as ``ensure_ascii=False``
     quotes them."""
     creators = []

@@ -184,7 +184,7 @@ def _cmd_check_mutual(args: argparse.Namespace) -> int:
     graph, label = _load_graph(args.onto_path)
     meta = extract_metadata(graph, fmt=label)
     record = build_record(meta, derive_acronym(meta))
-    refs = list_references(graph, meta.ontology_iri, include_legacy=True)
+    refs = list_references(graph, meta.ontology_iri)
     reflist = _decode(args.reflist_path, _read_bytes(args.reflist_path))
     threshold = DEFAULT_SIMILARITY_THRESHOLD if args.threshold is None else args.threshold
     result = check_publication_side(reflist, record, threshold=threshold)

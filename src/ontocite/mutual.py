@@ -52,26 +52,22 @@ def inject_reference(g: Graph, onto: Iri, ref_text: str, lang: str | None) -> Gr
     return g.insert(Triple(onto, DCTERMS_REFERENCES, Literal(ref_text, lang=lang)))
 
 
-def list_references(
-    g: Graph, onto: Iri, include_legacy: bool = False
-) -> list[tuple[str, str | None]]:
+def list_references(g: Graph, onto: Iri) -> list[tuple[str, str | None]]:
     """All publication references on the ontology node, as (text, lang)
-    pairs in graph iteration order.
-
-    With ``include_legacy`` set, ``dc:relation`` literal values are
-    appended as candidate references, each with an :class:`OntociteWarning`.
+    pairs in graph iteration order: the ``dcterms:references`` literals,
+    then the legacy ``dc:relation`` literals, each read with an
+    :class:`OntociteWarning`.
     """
     refs = [
         (t.object.lexical, t.object.lang)
         for t in g.match(onto, DCTERMS_REFERENCES, None)
         if isinstance(t.object, Literal)
     ]
-    if include_legacy:
-        for t in g.match(onto, DC_RELATION, None):
-            if isinstance(t.object, Literal):
-                refs.append((t.object.lexical, t.object.lang))
-                warnings.warn("treating legacy dc:relation value as a publication reference: "
-                              f"{t.object.lexical[:60]!r}", OntociteWarning, stacklevel=2)
+    for t in g.match(onto, DC_RELATION, None):
+        if isinstance(t.object, Literal):
+            refs.append((t.object.lexical, t.object.lang))
+            warnings.warn("treating legacy dc:relation value as a publication reference: "
+                          f"{t.object.lexical[:60]!r}", OntociteWarning, stacklevel=2)
     return refs
 
 

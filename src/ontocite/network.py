@@ -31,14 +31,6 @@ class Edge(Value):
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "kind", kind)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.src, self.dst, self.kind) == (other.src, other.dst, other.kind)
-
-    def __hash__(self) -> int:
-        return hash((self.src, self.dst, self.kind))
-
 
 class CitationGraph(Value):
     """Directed graph over ontology IRIs with typed edges."""

@@ -83,20 +83,6 @@ def _as_fields(record: CitationRecord | Mapping) -> dict[str, object]:
     return dict(record)
 
 
-def _as_agent(creator: object) -> Agent:
-    """A creator as an :class:`Agent`: a mapping by its keys, a string
-    ``"Surname, I."`` split at its comma, any other string as a surname."""
-    if isinstance(creator, Agent):
-        return creator
-    if isinstance(creator, Mapping):
-        initials = creator.get("initials")
-        return Agent(str(creator.get("surname") or ""),
-                     None if initials is None else str(initials),
-                     bool(creator.get("organization")))
-    surname, comma, initials = str(creator).strip().partition(", ")
-    return Agent(surname, initials) if comma else Agent(surname)
-
-
 def _name_form_problem(creator: Agent) -> str | None:
     """A description of the defect, or None when the name form is fine."""
     if creator.organization:
@@ -114,8 +100,11 @@ def _name_form_problem(creator: Agent) -> str | None:
 
 
 def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
-    """Check a record (or partial field mapping) against the citation
-    completeness and form rules; findings come back sorted by code."""
+    """Check a record, or a mapping of some of its fields as
+    ``citation.draft_fields`` returns it, against the citation completeness
+    and form rules; findings come back sorted by code. A mapping's creators
+    are ``Agent``s; its ``uri`` may be a string, the one way to report a
+    relative URI."""
     f = _as_fields(record)
     out: list[Diagnostic] = []
 
@@ -129,9 +118,9 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
 
     if not creators:
         out.append(_error(E_CREATOR_MISSING, "no creators given", "creators"))
-    if date is None or date == "":
+    if not date:
         out.append(_error(E_DATE_MISSING, "no publication date given", "date"))
-    elif not is_calendar_date(str(date)):
+    elif not is_calendar_date(date):
         out.append(_error(
             E_DATE_FORMAT, f"date {date!r} is not a valid YYYY-MM-DD date", "date"
         ))
@@ -158,7 +147,7 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
                 out.append(_warning(
                     W_FORMAT_UNKNOWN, f"unknown format label {label!r}", "formats"
                 ))
-    if acronym and not is_acronym(str(acronym)):
+    if acronym and not is_acronym(acronym):
         out.append(_warning(
             W_ACRONYM_COLON,
             f"acronym {acronym!r} is not 1 to 10 characters without ':' "
@@ -166,7 +155,7 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
             "acronym",
         ))
     for index, creator in enumerate(creators):
-        problem = _name_form_problem(_as_agent(creator))
+        problem = _name_form_problem(creator)
         if problem:
             out.append(_warning(W_NAME_FORM, problem, f"creators[{index}]"))
 

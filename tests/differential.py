@@ -34,8 +34,9 @@ with the three renderings and ``record_from_json`` of its JSON, or the
 diagnostics of ``validate_citation_string``. A reference list's result is
 the ``(found, similarity, matched_line)`` of ``check_publication_side``. A
 header's result is its ``extract_metadata`` fields and warnings,
-``derive_acronym`` and ``build_record``, each a value or the exception
-raised.
+``derive_acronym``, ``build_record``, and the diagnostics of
+``validate_record`` on its ``draft_fields`` (what ``validate FILE``
+prints), each a value or the exception raised.
 
 Standard library only; pytest does not collect it (see
 ``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself`` and
@@ -250,9 +251,10 @@ def citation_worker(src):
     import warnings
 
     from ontocite import (Agent, CitationParseError, CitationRecord, Iri, build_record,
-                          check_publication_side, derive_acronym, extract_metadata,
-                          parse_canonical, parse_ntriples, record_from_json, render_bibtex,
-                          render_canonical, render_json, validate_citation_string)
+                          check_publication_side, derive_acronym, draft_fields,
+                          extract_metadata, parse_canonical, parse_ntriples, record_from_json,
+                          render_bibtex, render_canonical, render_json,
+                          validate_citation_string, validate_record)
 
     def agents(creators):
         return [[a.surname, a.initials, a.organization] for a in creators]
@@ -276,10 +278,12 @@ def citation_worker(src):
         except Exception as exc:  # any other outcome is a result too
             return failure(exc)
 
+    def diagnostics(found):
+        return [[d.code, d.severity, d.message, d.field] for d in found]
+
     def string_result(text):
         return {"parse": attempt(lambda: record(parse_canonical(text))),
-                "validate": attempt(lambda: [[d.code, d.severity, d.message, d.field]
-                                             for d in validate_citation_string(text)])}
+                "validate": attempt(lambda: diagnostics(validate_citation_string(text)))}
 
     def mutual_result(case):
         rec, text, threshold = case
@@ -305,6 +309,8 @@ def citation_worker(src):
             "warnings": [str(w.message) for w in caught],
             "derive_acronym": attempt(lambda: list(derive_acronym(meta))),
             "build_record": attempt(lambda: record(build_record(meta, derive_acronym(meta)))),
+            "validate_file": attempt(lambda: diagnostics(validate_record(draft_fields(
+                meta, derive_acronym(meta) if meta.title else None)))),
         }
 
     handlers = {"string": string_result, "mutual": mutual_result, "header": header_result}

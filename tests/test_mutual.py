@@ -87,12 +87,13 @@ class TestListReferences:
         assert list_references(g, PAV) == [("A ref.", "en"), ("B ref.", "en")]
 
     def test_legacy_relation_read_with_warning(self, pav_graph):
-        g = pav_graph.insert(Triple(PAV, DC_RELATION, Literal("Legacy ref.")))
-        assert list_references(g, PAV) == []
+        g = inject_reference(pav_graph, PAV, "Current ref.", "en")
+        for obj in (Literal("Legacy B."), Iri("http://example.org/paper"), Literal("Legacy A.")):
+            g = g.insert(Triple(PAV, DC_RELATION, obj))
         with pytest.warns(OntociteWarning, match="legacy dc:relation") as caught:
-            refs = list_references(g, PAV, include_legacy=True)
-        assert ("Legacy ref.", None) in refs
-        assert len(caught) == 1
+            refs = list_references(g, PAV)
+        assert refs == [("Current ref.", "en"), ("Legacy A.", None), ("Legacy B.", None)]
+        assert len(caught) == 2
 
 
 class TestCheckPublicationSide:

