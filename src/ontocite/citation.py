@@ -14,6 +14,7 @@ ambiguities).
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from json.encoder import encode_basestring
@@ -22,13 +23,6 @@ from collections.abc import Sequence
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
 from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_acronym, is_initials
 from .model import Iri, Value
-
-_DATE_GROUP_RE = re.compile(rf"\(({DATE_SHAPE})\)\.(?= |$)")
-_DATE_SHAPE_ANYWHERE_RE = re.compile(rf"\({DATE_SHAPE}\)\.")
-#: A character of a version or revision: ``ver-char`` of docs/grammar.abnf,
-#: printable ASCII other than "(" and ")".
-VER_CHAR = r"[\x21-\x27\x2A-\x7E]"
-_VERSION_TOKEN_RE = re.compile(rf"({VER_CHAR}+?)(?:\(({VER_CHAR}+)\))?")
 
 
 class CitationRecord(Value):
@@ -233,18 +227,14 @@ def render_json(record: CitationRecord) -> str:
 
 
 _JSON_TYPES = {str: "a string", bool: "a boolean", list: "an array"}
+_DATE_SHAPE_RE = re.compile(DATE_SHAPE)
+_DATE_ELEMENT_RE = re.compile(rf"\({DATE_SHAPE}\)\.")
 
 
-def _json_field(data: dict, key: str, kind: type, required: bool = False):
-    """``data[key]`` checked to be a ``kind``; None for an absent or null
-    optional key."""
-    value = data.get(key)
-    if value is None and not required:
-        return None
-    if not isinstance(value, kind):
-        problem = f"must be {_JSON_TYPES[kind]}" if key in data else "is missing"
-        raise CitationJsonError(f"citation JSON {key!r} {problem}")
-    return value
+def _json_type_error(data: dict, key: str, kind: type) -> CitationJsonError:
+    """The error for ``data[key]``, which is not a ``kind``."""
+    problem = f"must be {_JSON_TYPES[kind]}" if key in data else "is missing"
+    return CitationJsonError(f"citation JSON {key!r} {problem}")
 
 
 def record_from_json(text: str) -> CitationRecord:
@@ -253,6 +243,8 @@ def record_from_json(text: str) -> CitationRecord:
     Malformed JSON, a non-object, a missing key, an empty creator list, a
     wrongly typed field or a date not shaped ``YYYY-MM-DD`` raise
     :class:`CitationJsonError`; a bad URI raises :class:`RdfModelError`.
+    The checks run in that order, and a field's type is tested once; an
+    optional field may be null or absent.
     """
     try:
         data = json.loads(text)
@@ -260,71 +252,104 @@ def record_from_json(text: str) -> CitationRecord:
         raise CitationJsonError(f"citation JSON is malformed: {exc}") from None
     if not isinstance(data, dict):
         raise CitationJsonError("citation JSON must be an object")
-    entries = _json_field(data, "creators", list, required=True)
+    entries, formats, date = data.get("creators"), data.get("formats"), data.get("date")
+    if not isinstance(entries, list):
+        raise _json_type_error(data, "creators", list)
     if not entries or not all(isinstance(entry, dict) for entry in entries):
         raise CitationJsonError("citation JSON 'creators' must be a non-empty array of objects")
-    formats = _json_field(data, "formats", list) or []
-    if not all(isinstance(label, str) for label in formats):
+    if formats is None:
+        formats = ()
+    elif not isinstance(formats, list):
+        raise _json_type_error(data, "formats", list)
+    elif not all(isinstance(label, str) for label in formats):
         raise CitationJsonError("citation JSON 'formats' must hold only strings")
-    date = _json_field(data, "date", str, required=True)
-    if not re.fullmatch(DATE_SHAPE, date):
+    if not isinstance(date, str):
+        raise _json_type_error(data, "date", str)
+    if _DATE_SHAPE_RE.fullmatch(date) is None:
         raise CitationJsonError(f"citation JSON 'date' must be YYYY-MM-DD: {date!r}")
-    creators = tuple(
-        Agent(
-            surname=_json_field(entry, "surname", str, required=True),
-            initials=_json_field(entry, "initials", str),
-            organization=_json_field(entry, "organization", bool) or False,
-        )
-        for entry in entries
-    )
-    return CitationRecord(
-        creators=creators,
-        date=date,
-        full_name=_json_field(data, "full_name", str, required=True),
-        uri=Iri(_json_field(data, "uri", str, required=True)),
-        acronym=_json_field(data, "acronym", str),
-        version=_json_field(data, "version", str),
-        revision=_json_field(data, "revision", str),
-        formats=tuple(formats),
-    )
+    creators = []
+    for entry in entries:
+        surname, initials, organization = (entry.get("surname"), entry.get("initials"),
+                                           entry.get("organization"))
+        if not isinstance(surname, str):
+            raise _json_type_error(entry, "surname", str)
+        if not (initials is None or isinstance(initials, str)):
+            raise _json_type_error(entry, "initials", str)
+        if not (organization is None or isinstance(organization, bool)):
+            raise _json_type_error(entry, "organization", bool)
+        creators.append(Agent(surname, initials, organization or False))
+    full_name, uri = data.get("full_name"), data.get("uri")
+    if not isinstance(full_name, str):
+        raise _json_type_error(data, "full_name", str)
+    if not isinstance(uri, str):
+        raise _json_type_error(data, "uri", str)
+    uri = Iri(uri)
+    optional = data.get("acronym"), data.get("version"), data.get("revision")
+    for key, value in zip(("acronym", "version", "revision"), optional):
+        if not (value is None or isinstance(value, str)):
+            raise _json_type_error(data, key, str)
+    return CitationRecord(creators, date, full_name, uri, *optional, formats)
 
 
 # --- parsing -----------------------------------------------------------------
 
+#: A character of a version or revision: ``ver-char`` of docs/grammar.abnf,
+#: printable ASCII other than "(" and ")".
+VER_CHAR = r"[\x21-\x27\x2A-\x7E]"
+# A citation whose whitespace runs are single spaces, as its parts in order.
+# The parts after the date are optional, so that the one match also locates
+# a malformed string's defect. Groups: 1 creators, with the space before the
+# date; 2 date; 3 formats; 4 version; 5 revision; 6 the text before the URI
+# token when it does not end in "." or ","; 7 URI token; 8 its "<"; 9 URI.
+# The title has no group: it runs from the date to the version's ". ", or
+# else to the "." or "," before the URI token.
+_CITATION_PARTS = (
+    # the creators run to the first date element, one followed by a space or the end
+    rf"([^(]*+(?:\((?!{DATE_SHAPE}\)\.(?: |$))[^(]*+)*+)\(({DATE_SHAPE})\)\.(?= |$)",
+    # one space and the rest, whose formats follow its last " [" (greedy)
+    # when it ends in "]"
+    r"(?: (?=(?:(?=.*+(?<=\])).* \[(.*)\]$)?)",
+    # the title part: the version (holding a digit) is the ". "-segment that
+    # ends at the "." or "," before the URI token; (?!...) skips that token fast
+    rf"(?:.*\. (?![^ ]*+(?: \[|$))((?={VER_CHAR}*?[0-9]){VER_CHAR}+)(?:\(({VER_CHAR}+)\))? ?[.,] "
+    r"|.* (?<=[.,] )|(.*) |)",
+    # the URI token, the last before the formats, in angle brackets or not
+    r"((<)?([^ ]+)(?(8)>))(?(3) \[\3\])$)?",
+)
 
-def _parse_creator_cells(cells: list[str]) -> list[Agent]:
-    agents: list[Agent] = []
-    i = 0
-    while i < len(cells):
-        cell = cells[i]
-        if not cell:
-            raise CitationParseError(0, "creators", "empty creator name")
-        if i + 1 < len(cells) and is_initials(cells[i + 1]):
-            agents.append(Agent(surname=cell, initials=cells[i + 1]))
-            i += 2
-        elif " " in cell:
-            agents.append(Agent(surname=cell, organization=True))
-            i += 1
-        else:
-            agents.append(Agent(surname=cell))
-            i += 1
-    return agents
+
+@functools.cache
+def _citation():
+    """The match method of the citation regex, compiled on first use."""
+    return re.compile("".join(_CITATION_PARTS)).match
 
 
 def _parse_creators(section: str) -> tuple[Agent, ...]:
+    """The creators before the date: cells split at the last " and " and at
+    each ", "; a cell followed by initials is a person, else a multi-word
+    cell is an organization and a one-word cell a mononym."""
     if not section:
         raise CitationParseError(0, "creators", "no creators before the date")
-    if _DATE_SHAPE_ANYWHERE_RE.search(section):
+    if "(" in section and _DATE_ELEMENT_RE.search(section):
         # a date element inside a creator name would shift the split point
         # on re-parse; no real name looks like this
-        raise CitationParseError(
-            0, "creators", "creator names may not contain a date element"
-        )
+        raise CitationParseError(0, "creators", "creator names may not contain a date element")
     head, sep, tail = section.rpartition(" and ")
-    groups = [head, tail] if sep else [section]
     agents: list[Agent] = []
-    for group in groups:
-        agents.extend(_parse_creator_cells(group.split(", ")))
+    for group in (head, tail) if sep else (tail,):
+        cells = group.split(", ")
+        if "" in cells:
+            raise CitationParseError(0, "creators", "empty creator name")
+        cells.append("")  # what follows the last cell: no initials
+        i, last = 0, len(cells) - 1
+        while i < last:
+            cell, following = cells[i], cells[i + 1]
+            if is_initials(following):
+                agents.append(Agent(cell, following))
+                i += 2
+            else:
+                agents.append(Agent(cell, None, " " in cell))
+                i += 1
     return tuple(agents)
 
 
@@ -333,82 +358,43 @@ def parse_canonical(text: str) -> CitationRecord:
 
     Tolerated variants normalize away: a comma between version and URI,
     an angle-bracketed URI, and arbitrary surrounding whitespace.
-    Raises :class:`CitationParseError` naming the failing element.
+    Raises :class:`CitationParseError` naming the failing element; of
+    several defects, one in the date, the creators, a lone surrogate, the
+    URI and the title is reported, in that order.
     """
     s = " ".join(text.split())
-    m = _DATE_GROUP_RE.search(s)
-    if not m:
+    m = _citation()(s)
+    if m is None:
         raise CitationParseError(0, "date", "no '(YYYY-MM-DD).' element found")
-    creators = _parse_creators(s[: m.start()].rstrip())
-    date = m.group(1)
-
-    rest_start = m.end() + 1 if m.end() < len(s) else m.end()
-    rest = s[rest_start:]
-    if not rest:
-        raise CitationParseError(m.end(), "title", "nothing follows the date")
-
-    formats: tuple[str, ...] = ()
-    if rest.endswith("]"):
-        bracket = rest.rfind(" [")
-        if bracket >= 0:
-            labels = [t.strip() for t in rest[bracket + 2 : -1].split(",")]
-            seen: list[str] = []
-            for label in labels:
-                if label and label not in seen:
-                    seen.append(label)
-            formats = tuple(seen)
-            rest = rest[:bracket].rstrip()
-
-    space = rest.rfind(" ")
-    uri_token = rest[space + 1 :]
-    before = rest[:space + 1].rstrip() if space >= 0 else ""
-    if uri_token.startswith("<") and uri_token.endswith(">") and len(uri_token) > 2:
-        uri_token = uri_token[1:-1]
-    uri_position = rest_start + (space + 1 if space >= 0 else 0)
+    section, date, labels, version, revision, before, token, _, uri = m.groups()
+    creators = _parse_creators(section.rstrip())
+    date_end = m.end(2) + 2
+    if token is None:
+        raise CitationParseError(date_end, "title", "nothing follows the date")
+    token_start = m.start(7)
     try:
         s.encode()
     except UnicodeEncodeError as exc:  # a lone surrogate, which no text holds
         at = exc.start  # named by code point, as validate prints the message
-        element = ("creators" if at < m.start() else "title" if at < uri_position
-                   else "source" if at < rest_start + len(rest) else "formats")
+        element = ("creators" if at < m.start(2) - 1 else "title" if at < token_start
+                   else "source" if at < m.end(7) else "formats")
         raise CitationParseError(at, element, f"lone surrogate U+{ord(s[at]):04X}") from None
     try:
-        uri = Iri(uri_token)
+        iri = Iri(uri)
     except RdfModelError as exc:
-        raise CitationParseError(uri_position, "source", str(exc)) from None
-
-    if not before:
-        raise CitationParseError(m.end(), "title", "no title between date and URI")
-    if before[-1] not in ".,":
-        raise CitationParseError(
-            uri_position, "source", "expected '.' or ',' before the URI"
-        )
-    body = before[:-1].rstrip()
-    if not body:
-        raise CitationParseError(m.end(), "title", "empty title")
-
-    version: str | None = None
-    revision: str | None = None
-    left, sep, tail = body.rpartition(". ")
-    if sep and tail:
-        vm = _VERSION_TOKEN_RE.fullmatch(tail)
-        if vm and re.search("[0-9]", vm.group(1)):
-            version, revision = vm.group(1), vm.group(2)
-            body = left
-
-    acronym: str | None = None
-    full_name = body
-    head, colon, remainder = body.partition(": ")
-    if colon and is_acronym(head):
-        acronym, full_name = head, remainder
-
-    return CitationRecord(
-        creators=creators,
-        date=date,
-        full_name=full_name,
-        uri=uri,
-        acronym=acronym,
-        version=version,
-        revision=revision,
-        formats=formats,
-    )
+        raise CitationParseError(token_start, "source", str(exc)) from None
+    if token_start == date_end + 1:
+        raise CitationParseError(date_end, "title", "no title between date and URI")
+    if before is not None:
+        raise CitationParseError(token_start, "source", "expected '.' or ',' before the URI")
+    if version is None:
+        title = s[date_end + 1:token_start - 2].rstrip()
+        if not title:
+            raise CitationParseError(date_end, "title", "empty title")
+    else:
+        title = s[date_end + 1:m.start(4) - 2]
+    head, colon, name = title.partition(": ")
+    acronym, full_name = (head, name) if colon and is_acronym(head) else (None, title)
+    labels = () if labels is None else labels.split(",")
+    formats = tuple(dict.fromkeys(filter(None, map(str.strip, labels))))
+    return CitationRecord(creators, date, full_name, iri, acronym, version, revision, formats)

@@ -29,6 +29,9 @@ from .model import Graph, Iri, Literal, Term, Value
 DATE_SHAPE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 # DATE_SHAPE with months 01-12 and days 01-31
 _DATE_RE = re.compile("[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
+# chunks of one character and ".", joined by single spaces; is_initials
+# tests the characters
+_INITIALS_SHAPE_RE = re.compile(r"(?s).\.(?: .\.)*")
 _DOTTED_VERSION_RE = re.compile(r"^v?[0-9]+(\.[0-9]+)*$")
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
@@ -122,12 +125,12 @@ def _initials_of(given: str) -> str:
 def is_initials(text: str) -> bool:
     """True for initials in ``I.`` form: one or more chunks joined by
     single spaces, each a letter that upper-casing leaves unchanged (an
-    upper-case or caseless letter of any script) followed by ``.``."""
-    return all(
-        len(chunk) == 2 and chunk[1] == "." and chunk[0].isalpha()
-        and chunk[0].upper()[0] == chunk[0]
-        for chunk in text.split(" ")
-    )
+    upper-case or caseless letter of any script) followed by ``.``. The
+    shape is a regex; no character class can state the letters' test."""
+    if _INITIALS_SHAPE_RE.fullmatch(text) is None:
+        return False
+    letters = text[::3]
+    return letters.isalpha() and letters.upper() == letters
 
 
 def is_acronym(text: str) -> bool:

@@ -11,6 +11,7 @@ Every line is scored, for the best similarity, only when no line matches.
 
 from __future__ import annotations
 
+import re
 import warnings
 
 from .citation import CitationRecord, render_canonical
@@ -100,11 +101,16 @@ def _jaccard(a: set[str], b: set[str]) -> float:
     return common / (len(a) + len(b) - common)
 
 
-def _contains_uri_token(line: str, uri: str) -> bool:
+def _passes_gates(line: str, uri: str, year: re.Pattern) -> bool:
+    """Does ``line`` carry ``uri`` as a token, bare or in brackets or
+    punctuation, and ``year`` in another token?"""
+    has_uri = has_year = False
     for token in line.split():
         if token == uri or token.strip(_GATE_STRIP) == uri:
-            return True
-    return False
+            has_uri = True
+        elif year.search(token):
+            has_year = True
+    return has_uri and has_year
 
 
 def check_publication_side(
@@ -116,16 +122,18 @@ def check_publication_side(
 
     The first line that equals the canonical rendering after whitespace
     normalization matches with similarity 1.0. Else the first of the best
-    lines that carry the record's URI as a token and its year and reach
-    ``threshold`` (0 to 1) in token similarity against the canonical
-    rendering matches. Else nothing matches, and the best similarity of
-    any line is reported with that line.
+    lines that carry the record's URI as a token, and its year as 4 digits
+    with no digit on either side in another token, and reach ``threshold``
+    (0 to 1) in token similarity against the canonical rendering matches.
+    Else nothing matches, and the best similarity of any line is reported
+    with that line.
     """
     if not 0.0 <= threshold <= 1.0:
         raise OntociteError(f"similarity threshold must lie in [0, 1], not {threshold!r}")
     canonical = render_canonical(record)
     canonical_tokens = _similarity_tokens(canonical)
-    year = record.date[:4]
+    # the year as 4 digits with no digit on either side
+    year = re.compile(rf"(?<![0-9]){re.escape(record.date[:4])}(?![0-9])")
     uri = record.uri.value
     lines = _reference_lines(reference_list_text)
 
@@ -140,12 +148,8 @@ def check_publication_side(
         if line == canonical:
             return MatchResult(found=True, similarity=1.0, matched_line=line)
         similarity = _jaccard(_similarity_tokens(line), canonical_tokens)
-        if (
-            similarity >= threshold
-            and year in line
-            and _contains_uri_token(line, uri)
-            and similarity > found_similarity
-        ):
+        if similarity >= threshold and similarity > found_similarity and _passes_gates(
+                line, uri, year):
             found_similarity, found_line = similarity, line
     if found_line is not None:
         return MatchResult(found=True, similarity=found_similarity, matched_line=found_line)

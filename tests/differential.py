@@ -23,7 +23,10 @@ attributes, sorted and in iteration order, and of its
 ``perfbench/gen.py`` (loaded by path): ``citation_case`` strings (rendered
 records, their tolerated variants and planted defects), the same strings
 with ``:``, digits, non-ASCII letters, 9-12 character tokens, a date
-element, NUL or a lone surrogate spliced in at the grammar's separators;
+element, NUL, a lone surrogate or a piece that meets a parse rule's seam
+(`` and ``, ``, ,``, one half of ``<…>``, a nested `` [``…``]``, ``½.`` or
+``ß.`` initials) spliced in at the grammar's separators or at a space;
+``random_record`` JSON with fields dropped or wrongly typed;
 reference lists of recent such strings around a ``random_record``'s
 canonical line, a ``house_style`` variant of it, the line under a longer
 URI, or none of these, one per line or in blank-line blocks; and
@@ -31,7 +34,9 @@ URI, or none of these, one per line or in blank-line blocks; and
 spliced the same way. A string's result is its ``parse_canonical`` record
 with the three renderings and ``record_from_json`` of its JSON, or the
 ``(position, expected, message)`` of its ``CitationParseError``, and the
-diagnostics of ``validate_citation_string``. A reference list's result is
+diagnostics of ``validate_citation_string``. A JSON text's result is its
+``record_from_json`` record, or the class and message of the exception
+raised. A reference list's result is
 the ``(found, similarity, matched_line)`` of ``check_publication_side``. A
 header's result is its ``extract_metadata`` fields and warnings,
 ``derive_acronym``, ``build_record``, and the diagnostics of
@@ -114,10 +119,15 @@ def make_inputs(seed, count):
     return inputs
 
 
-# The citation grammar's separators, and what the citation mode splices in there.
+# The citation grammar's separators, and what the citation mode splices in there
+# or at a space: among others, the pieces that meet a parse rule's seams.
 SEPARATORS = (", ", " and ", ". ", ": ", "(", ")", "[", "]", "<", ">")
+SEAMS = (" and ", ", ,", ", , ", "<", ">", " [a [b]]", " [a] [b]", " [", "]", ", ½.", ", ß.",
+         " ß.", "½.")
 NON_ASCII = "éÖßΩЖ小ǅ"
 TOKEN_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+# What a JSON field is set to when it is given a wrong type.
+WRONG_JSON = (None, 0, 1.5, True, "", "x", "onto/x", [], ["x", 1], {}, {"surname": 1})
 
 
 def load_gen():
@@ -128,7 +138,9 @@ def load_gen():
 
 
 def filler(rng):
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
+    if kind == 7:
+        return rng.choice(SEAMS)
     if kind == 0:
         return ":"
     if kind == 1:
@@ -146,9 +158,9 @@ def filler(rng):
 
 def splice(rng, text):
     """``text`` with a filler put before, after or in place of one of its
-    separators (or at either end of a text that holds none)."""
-    spots = [(i, len(sep)) for sep in SEPARATORS
-             for i in range(len(text)) if text.startswith(sep, i)]
+    separators, or of a space (or at either end of a text that holds none)."""
+    seps = SEPARATORS if rng.random() < 0.75 else (" ",)
+    spots = [(i, len(sep)) for sep in seps for i in range(len(text)) if text.startswith(sep, i)]
     at, size = rng.choice(spots) if spots else rng.choice([(0, 0), (len(text), 0)])
     start, end = rng.choice([(at, at), (at + size, at + size), (at, at + size)])
     return text[:start] + filler(rng) + text[end:]
@@ -178,24 +190,47 @@ def reference_list(gen, rng, strings):
     return [rec, text, rng.choice([0.0, 0.3, 0.6, 0.6, 0.6, 0.9, 1.0])]
 
 
+def json_case(gen, rng):
+    """A ``random_record``'s JSON with one or two fields of the record or of
+    a creator dropped or given a wrong type, or with a relative URI and a
+    wrongly typed acronym."""
+    data = json.loads(gen.render_json(gen.random_record(rng)))
+    if rng.random() < 0.2:
+        data.update(uri="onto/x", acronym=rng.choice(WRONG_JSON[1:]))
+        return json.dumps(data)
+    for _ in range(rng.randint(1, 2)):
+        entries = data.get("creators")
+        entries = [e for e in entries if isinstance(e, dict)] if isinstance(entries, list) else []
+        target = rng.choice(entries) if entries and rng.random() < 0.3 else data
+        key = rng.choice(sorted(target) + ["initials", "acronym", "version"])
+        if rng.random() < 0.3:
+            target.pop(key, None)
+        else:
+            target[key] = rng.choice(WRONG_JSON)
+    return json.dumps(data)
+
+
 def make_citation_inputs(seed, count):
     """``count`` citation-mode inputs for ``seed``: ``["string", text]``,
-    ``["mutual", [record, text, threshold]]`` or ``["header", n-triples]``;
-    the same on every machine."""
+    ``["json", text]``, ``["mutual", [record, text, threshold]]`` or
+    ``["header", n-triples]``; the same on every machine."""
     gen = load_gen()
     rng = random.Random(seed)
     inputs, known, strings = [], [], []
     for k in range(count):
         shape = rng.random()
-        if shape < 0.75:
+        if shape < 0.7:
             text = gen.citation_case(rng)["text"]
-            if shape >= 0.3:
+            if shape >= 0.25:
                 for _ in range(rng.randint(1, 3)):
                     text = splice(rng, text)
             inputs.append(["string", text])
             strings = strings[-49:] + [text]
             continue
-        if shape < 0.85:
+        if shape < 0.78:
+            inputs.append(["json", json_case(gen, rng)])
+            continue
+        if shape < 0.87:
             inputs.append(["mutual", reference_list(gen, rng, strings)])
             continue
         iri = "http://example.org/onto/h%d" % k
@@ -313,7 +348,11 @@ def citation_worker(src):
                 meta, derive_acronym(meta) if meta.title else None)))),
         }
 
-    handlers = {"string": string_result, "mutual": mutual_result, "header": header_result}
+    def json_result(text):
+        return {"json": attempt(lambda: fields(record_from_json(text)))}
+
+    handlers = {"string": string_result, "json": json_result, "mutual": mutual_result,
+                "header": header_result}
     out = [handlers[kind](text) for kind, text in json.load(sys.stdin)]
     json.dump(out, sys.stdout)
 

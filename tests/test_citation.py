@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -18,6 +19,7 @@ from ontocite import (
     MissingFieldError,
     OntociteError,
     OntologyMetadata,
+    RdfModelError,
     build_record,
     derive_acronym,
     extract_metadata,
@@ -143,7 +145,57 @@ class TestRenderCanonical:
             assert head.count(", ") == (n - 2) + person_commas
 
 
+# Strings with two defects, and the (position, element, message) of the one
+# that parse_canonical reports: the date, the creators, nothing after the
+# date, a lone surrogate, the URI, then the title's shape, in that order.
+ERROR_ORDER = [
+    # no date element, a lone surrogate
+    ("Doe, J. 2020. T\ud800. http://example.org/o", 0, "date",
+     "no '(YYYY-MM-DD).' element found"),
+    ("Do\udcffe (2020-01-01) T. http://example.org/o", 0, "date",
+     "no '(YYYY-MM-DD).' element found"),
+    # a date element inside a creator, a relative URI
+    ("Doe (2020-01-01).x, J. (2021-01-01). T. rel/o", 0, "creators",
+     "creator names may not contain a date element"),
+    ("(2020-01-01).x and Doe (2021-01-01). T. http://example.org/o", 0, "creators",
+     "creator names may not contain a date element"),
+    # no creators, a lone surrogate and a relative URI
+    ("(2020-01-01). T\ud800. rel/o", 0, "creators", "no creators before the date"),
+    # an empty creator cell, a relative URI, nothing after the date or a lone surrogate
+    ("Doe, , J. (2020-01-01). T. rel/o", 0, "creators", "empty creator name"),
+    ("Doe, , J. (2020-01-01).", 0, "creators", "empty creator name"),
+    ("Doe and , J. (2020-01-01). T\ud800. http://example.org/o", 0, "creators",
+     "empty creator name"),
+    # nothing after the date, a lone surrogate
+    ("Do\ud800e, J. (2020-01-01).", 22, "title", "nothing follows the date"),
+    # no "." or "," before the URI, and a lone surrogate or a relative URI
+    ("Doe, J. (2020-01-01). T\ud800 rel/o", 23, "title", "lone surrogate U+D800"),
+    ("Doe, J. (2020-01-01). Title rel/o", 28, "source", "IRI lacks a scheme: 'rel/o'"),
+    ("Doe, J. (2020-01-01). Title <http://example.org/o", 28, "source",
+     "IRI lacks a scheme: '<http://example.org/o'"),
+    # no title, a relative URI
+    ("Doe, J. (2020-01-01). rel/o", 22, "source", "IRI lacks a scheme: 'rel/o'"),
+    # an empty title, a URI in angle brackets, relative, or a lone surrogate after it
+    ("Doe, J. (2020-01-01). . <http://example.org/o>", 21, "title", "empty title"),
+    ("Doe, J. (2020-01-01). . <rel/o>", 24, "source", "IRI lacks a scheme: 'rel/o'"),
+    ("Doe, J. (2020-01-01). . <http://example.org/o> [tur\udcfftle]", 51, "formats",
+     "lone surrogate U+DCFF"),
+    # an unclosed "<", formats after the last " [" and the URI token before them
+    ("Doe, J. (2020-01-01). T. <http://example.org/o [turtle]", 25, "source",
+     "IRI lacks a scheme: '<http://example.org/o'"),
+    ("Doe, J. (2020-01-01). T. http://example.org/o [turtle] [obo]", 46, "source",
+     "IRI lacks a scheme: '[turtle]'"),
+]
+
+
 class TestParseCanonical:
+    @pytest.mark.parametrize("text,position,expected,message", ERROR_ORDER)
+    def test_first_error_is_reported(self, text, position, expected, message):
+        with pytest.raises(CitationParseError) as exc:
+            parse_canonical(text)
+        assert (exc.value.position, exc.value.expected, exc.value.message) == (
+            position, expected, message)
+
     def test_pav_string(self):
         assert parse_canonical(PAV_CITATION) == pav_record()
 
@@ -261,6 +313,14 @@ class TestParseCanonical:
             assert isinstance(parse_canonical(text), CitationRecord)
         except OntociteError:
             pass
+
+    def test_an_unclosed_bracket_run_parses_in_linear_time(self):
+        # the formats are looked for only in a string that ends in "]"
+        text = "Doe, J. (2020-01-01). T. http://example.org/o" + " [a" * 50_000
+        start = time.perf_counter()
+        with pytest.raises(CitationParseError, match="lacks a scheme"):
+            parse_canonical(text)
+        assert time.perf_counter() - start < 2.0
 
     def test_duplicate_formats_collapse(self):
         record = parse_canonical(
@@ -462,6 +522,14 @@ class TestRecordFromJson:
     def test_defective_json_raises_citation_json_error(self, text):
         with pytest.raises(CitationJsonError):
             record_from_json(text)
+
+    @pytest.mark.parametrize("changes", [
+        {"uri": "onto/x", "acronym": 5},
+        {"uri": "onto/x", "version": ["1"], "revision": False},
+    ])
+    def test_a_bad_uri_is_reported_before_the_optional_fields(self, changes):
+        with pytest.raises(RdfModelError, match="lacks a scheme"):
+            record_from_json(_pav_json(**changes))
 
     def test_missing_key_is_still_a_value_error(self):
         with pytest.raises(ValueError, match="'uri' is missing"):

@@ -27,7 +27,7 @@ from ontocite import (
     resolve_agent_name,
     validate_record,
 )
-from ontocite.extract import is_acronym, is_calendar_date
+from ontocite.extract import is_acronym, is_calendar_date, is_initials
 from ontocite.vocab import (
     DCTERMS_CREATOR,
     DCTERMS_ISSUED,
@@ -322,6 +322,44 @@ class TestIsAcronym:
     ])
     def test_the_grammars_acronym(self, text, expected):
         assert is_acronym(text) is expected
+
+
+def _reference_initials(text):
+    """The definition of initials, chunk by chunk: one or more chunks
+    joined by single spaces, each a letter whose upper case starts with
+    itself, followed by "."."""
+    return all(
+        len(chunk) == 2 and chunk[1] == "." and chunk[0].isalpha()
+        and chunk[0].upper()[0] == chunk[0]
+        for chunk in text.split(" ")
+    )
+
+
+_INITIAL_CHUNKS = st.lists(
+    st.one_of(st.sampled_from(["A.", "Ö.", "Ω.", "Я.", "小.", "ß.", "ǅ.", "½.", "a.", "1.", "..",
+                               "A", ". ", "A.B.", "\t.", "\n."]),
+              st.characters().map(lambda c: c + ".")),
+    min_size=1, max_size=5)
+
+
+class TestIsInitials:
+    def test_every_code_point_agrees_with_the_definition(self):
+        wrong = [hex(cp) for cp in range(0x110000)
+                 if is_initials(chr(cp) + ".") != _reference_initials(chr(cp) + ".")]
+        assert wrong == []
+
+    @given(chunks=_INITIAL_CHUNKS, separator=st.sampled_from([" ", " ", " ", "  ", "\t", "\n", ""]))
+    @settings(max_examples=500)
+    def test_several_chunks_agree_with_the_definition(self, chunks, separator):
+        text = separator.join(chunks)
+        assert is_initials(text) is _reference_initials(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("A. B.", True), ("ß.", False), ("ǅ.", False), ("½.", False), ("A.\tB.", False),
+        ("A.\nB.", False), ("A. ß.", False), ("", False), ("A. ", False), ("Я. 小.", True),
+    ])
+    def test_initials(self, text, expected):
+        assert is_initials(text) is expected
 
 
 class TestDeriveAcronym:

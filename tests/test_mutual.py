@@ -19,7 +19,7 @@ from ontocite import (
     list_references,
     render_canonical,
 )
-from ontocite.mutual import _contains_uri_token, _jaccard, _reference_lines, _similarity_tokens
+from ontocite.mutual import _jaccard, _reference_lines, _similarity_tokens
 from ontocite.vocab import DC_RELATION, DCTERMS_REFERENCES
 
 from conftest import PAV_CITATION, PUBLICATION_REF, REFLISTS, pav_record
@@ -173,6 +173,21 @@ class TestCheckPublicationSide:
         assert result.matched_line == line
         assert 0.6 < result.similarity < 1.0
 
+    @pytest.mark.parametrize("uri,version,revision,found", [
+        ("http://example.org/2014/o", None, None, False),
+        ("http://example.org/o", "1", "20140328", False),
+        ("http://example.org/o", "2014", None, True),
+        ("http://example.org/o", "v2014b", None, True),
+    ])
+    def test_year_counts_as_four_digits_outside_the_uri(self, uri, version, revision, found):
+        record = CitationRecord([Agent("Doe", "J.")], "2014-05-01", "Example Ontology",
+                                Iri(uri), version=version, revision=revision, formats=["turtle"])
+        line = render_canonical(record).replace("(2014-05-01)", "(2019-05-01)")
+        result = check_publication_side(line, record)
+        assert result.similarity >= 0.6
+        assert result.found is found
+        assert check_publication_side(line.replace("2019", "2014"), record).found
+
     def test_not_found_reports_the_line_whitespace_normalized(self):
         result = check_publication_side("Ciccarese,\t P.  (2020).\u3000A\xa0paper.",
                                         pav_record())
@@ -225,6 +240,18 @@ class TestSimilarity:
         assert _jaccard(tokens_a, tokens_b) == expected
 
 
+def _gated(line, uri, year):
+    """The reference gates: a token is the URI, bare or stripped of
+    brackets and punctuation, and another token holds the year as 4 digits
+    with no digit on either side."""
+    digits = set(string.digits)
+    uri_tokens = [t == uri or t.strip("<>()[]{}\"';,.") == uri for t in line.split()]
+    return any(uri_tokens) and any(
+        token[i:i + 4] == year and token[i - 1:i] not in digits and token[i + 4:i + 5] not in digits
+        for token, is_uri in zip(line.split(), uri_tokens) if not is_uri
+        for i in range(len(token)))
+
+
 def _one_pass(lines, record, threshold):
     """The reference scorer: one loop that normalizes and scores every
     line, as (found, similarity, matched_line)."""
@@ -240,8 +267,8 @@ def _one_pass(lines, record, threshold):
         similarity = _jaccard(_similarity_tokens(line), canonical_tokens)
         if similarity > best_similarity:
             best_similarity, best_line = similarity, line
-        if (similarity >= threshold and year in line
-                and _contains_uri_token(line, record.uri.value) and similarity > found_similarity):
+        if (similarity >= threshold and similarity > found_similarity
+                and _gated(line, record.uri.value, year)):
             found_similarity, found_line = similarity, line
     if found_line is not None:
         return True, found_similarity, found_line
