@@ -77,8 +77,8 @@ def find_ontology_iri(g: Graph) -> Iri:
     :class:`OntociteWarning` is issued.
     """
     subjects = sorted(
-        {t.subject.value for t in g.match(None, vocab.RDF_TYPE, vocab.OWL_ONTOLOGY)
-         if isinstance(t.subject, Iri)}
+        {t.subject for t in g.match(None, vocab.RDF_TYPE, vocab.OWL_ONTOLOGY)
+         if isinstance(t.subject, Iri)}, key=str
     )
     if not subjects:
         raise NoOntologyNodeError(
@@ -88,7 +88,7 @@ def find_ontology_iri(g: Graph) -> Iri:
         others = ", ".join(f"<{s}>" for s in subjects[1:])
         warnings.warn(f"multiple ontology nodes; using <{subjects[0]}>, ignoring {others}",
                       OntociteWarning, stacklevel=2)
-    return Iri(subjects[0])
+    return subjects[0]
 
 
 def normalize_person_name(raw: str) -> Agent:

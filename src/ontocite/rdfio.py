@@ -20,12 +20,17 @@ regexes reject goes to one error finder, :meth:`_Scanner.fail`, which
 names what broke the term there and builds none; an N-Triples statement
 first builds the terms before its broken part, which the statement's
 parts, nested as optionals, locate. Line and column are worked out only
-then. Each distinct IRI is validated once per document; its later
-occurrences reuse the same :class:`Iri`.
+then. A well-formed ``@prefix`` declaration is one ``_PREFIX_DECL`` match;
+any other is read token by token, which finds its error. Each distinct IRI
+is validated once per process while it is among the 4,096 most recently
+validated; a failed validation is never kept. Within a document, the later
+occurrences of an IRI reuse the same :class:`Iri` however many the table
+has dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
@@ -43,6 +48,11 @@ from .vocab import (
 
 #: Deepest nesting of anonymous ``[ ... ]`` nodes that Turtle input may use.
 MAX_NESTING = 128
+
+# Every IRI read from input is built here, so that a vocabulary that many
+# documents share is validated once per process. A failed validation raises
+# and is not kept.
+_IRI_TABLE = functools.lru_cache(maxsize=4096)(Iri)
 
 # The terminals, each written once and shared by the regexes below. A body
 # that may hold escapes is a run of plain characters with a well-formed
@@ -117,6 +127,9 @@ _TOKEN = _SKIP + "(?:" + "|".join([
     _NUMBER,
     r"@(?P<directive>prefix|base)(?![A-Za-z0-9\-])",
 ]) + ")"
+# A well-formed '@prefix' declaration after its keyword, through its '.'.
+# Groups: 1 prefix, 2 IRI body. What it does not match, the token path reads.
+_PREFIX_DECL = rf"{_SKIP}({_PN_PREFIX}):{_SKIP}<({_IRI})>{_SKIP}\."
 
 
 class _Scanner:
@@ -156,11 +169,12 @@ class _Scanner:
             self.error(str(exc), start)
 
     def intern(self, start: int, value: str) -> Iri:
-        """The document's one :class:`Iri` for ``value``, validated when
-        first seen; its validation errors point at ``start``."""
+        """The document's one :class:`Iri` for ``value``, taken from the
+        process table when first seen; its validation errors point at
+        ``start``."""
         iri = self.iris.get(value)
         if iri is None:
-            iri = self.iris[value] = self.make(start, Iri, value)
+            iri = self.iris[value] = self.make(start, _IRI_TABLE, value)
         return iri
 
     # -- term builders
@@ -395,6 +409,10 @@ class _Turtle(_Scanner):
         its keyword; return the offset after its '.'."""
         text = self.text
         if name == "prefix":
+            m = re.compile(_PREFIX_DECL).match(text, pos)
+            if m:
+                self.prefixes[m.group(1)] = self.iri(*m.span(2)).value
+                return m.end()
             # read as a prefixed name, whose local part must then be the IRI
             m = self.token(text, pos)
             if not m or m.lastgroup != "local":

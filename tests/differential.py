@@ -17,7 +17,9 @@ well-formed term or a piece. Each is parsed with ``parse_turtle`` and
 ``parse_ntriples``; a result is digests of the graph's triples as term
 attributes, sorted and in iteration order, and of its
 ``serialize_ntriples`` text; the ``(line, column, message)`` of a
-``ParseError``; or the name of any other exception.
+``ParseError``; or the name of any other exception. The new tree parses
+each chunk of inputs in reverse order, so that a result that depends on
+what earlier inputs left behind in the process shows up as a mismatch.
 
 ``--citation`` is the citation layer. Its inputs come from
 ``perfbench/gen.py`` (loaded by path): ``citation_case`` strings (rendered
@@ -72,9 +74,10 @@ PIECES = [
     # literals and their suffixes
     '"x"', '"""x"""', '"', '"""', "'", "@en", "@en-GB", "@1a", "@toolongtag", "^^", "^",
     "^^<http://d>", "^^x:t", "^^1x:t", ".5", "-3", "1e3", "true", "a",
-    # names, directives and punctuation
+    # names, directives (whole and cut short) and punctuation
     "x:", "x:y", "1x:t", "_x:t", ":", "_:b1", "_:", "@prefix", "@base", "@prefix x: <http://x/> .",
-    "@prefix 1x: <http://x/> .", "@base <http://b/> .", "[", "]", "(", ")", ".", ";", ",",
+    "@prefix 1x: <http://x/> .", "@prefix x:", "@prefix x: <http://x/>", "@prefix x:<http://x/>.",
+    "@prefix : <http://x/> .", "@base <http://b/> .", "[", "]", "(", ")", ".", ";", ",",
     " ", "\n", "\t", "# c\n",
 ]
 # A well-formed subject, predicate, object and tail of a one-line statement.
@@ -390,8 +393,11 @@ def main(argv=None):
     compared = mismatches = 0
     for first in range(0, len(inputs), CHUNK):
         chunk = inputs[first:first + CHUNK]
-        for text, old, new in zip(chunk, run_tree(args.old_src, chunk, args.citation),
-                                  run_tree(args.new_src, chunk, args.citation)):
+        old_results = run_tree(args.old_src, chunk, args.citation)
+        # the new tree parses RDF inputs in reverse order (see the module docstring)
+        new_results = (run_tree(args.new_src, chunk, citation=True) if args.citation
+                       else run_tree(args.new_src, chunk[::-1])[::-1])
+        for text, old, new in zip(chunk, old_results, new_results):
             for part, a, b in results(old, new, args.citation):
                 compared += 1
                 if a != b:

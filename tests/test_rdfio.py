@@ -24,7 +24,7 @@ from ontocite import (
     serialize_ntriples,
 )
 from ontocite.model import nt
-from ontocite.rdfio import MAX_NESTING, _Scanner
+from ontocite.rdfio import _IRI_TABLE, MAX_NESTING, _Scanner
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
 from conftest import FIXTURES, HEADERS, NETWORK
@@ -546,6 +546,19 @@ class TestSerializer:
 class TestInterning:
     TEXT = "<http://a> <http://p> <http://a> .\n<http://b> <http://p> <http://a> .\n"
 
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        """The values that Iri validates from now on, in order."""
+        values = []
+        init = Iri.__init__
+
+        def counting(iri, value):
+            values.append(value)
+            init(iri, value)
+
+        monkeypatch.setattr(Iri, "__init__", counting)
+        return values
+
     @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
     def test_repeated_iri_is_one_object(self, parse):
         (first, second) = list(parse(self.TEXT))
@@ -571,10 +584,15 @@ class TestInterning:
         (parse_turtle, "<http://a> <http://p> <http://a\\u0020b> .\n",
          "IRI contains forbidden character(s) ' ': 'http://a b'"),
     ])
-    def test_repeated_invalid_iri_reports_its_first_occurrence(self, parse, text, message):
-        with pytest.raises(ParseError) as exc:
-            parse(text * 2)
-        assert str(exc.value) == f"line 1, column 23: {message}"
+    def test_repeated_invalid_iri_reports_its_first_occurrence(self, parse, text, message,
+                                                               validated):
+        # a failed validation is not kept: the second parse validates and fails again
+        for _ in range(2):
+            validated.clear()
+            with pytest.raises(ParseError) as exc:
+                parse(text * 2)
+            assert str(exc.value) == f"line 1, column 23: {message}"
+            assert validated[-1] in message
 
     @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
     def test_escapes_are_decoded_before_lookup(self, parse):
@@ -583,19 +601,36 @@ class TestInterning:
         assert (t.subject, t.object) == (Iri("http://a\\u0041"), Iri("http://aA"))
 
     @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
-    def test_each_distinct_iri_is_validated_once(self, parse, monkeypatch):
-        validated = []
-        init = Iri.__init__
-
-        def counting(iri, value):
-            validated.append(value)
-            init(iri, value)
-
+    def test_each_distinct_iri_is_validated_once(self, parse, validated):
         text = "".join(f'<http://s> <http://p> "{i}"^^<http://dt> .\n' for i in range(200))
-        monkeypatch.setattr(Iri, "__init__", counting)
+        # earlier parses in this process have validated these IRIs already
+        _IRI_TABLE.cache_clear()
         g = parse(text)
         assert len(g) == 200
         assert sorted(validated) == ["http://dt", "http://p", "http://s"]
+        validated.clear()
+        assert parse(text) == g
+        assert validated == []
+
+    def test_later_documents_share_the_objects_of_earlier_ones(self):
+        (first,) = parse_turtle("<http://a> <http://p> <http://o> .")
+        (second,) = parse_ntriples("<http://a> <http://q> <http://o2> .\n")
+        assert second.subject is first.subject
+
+    @pytest.mark.parametrize("parse", [parse_ntriples, parse_turtle])
+    def test_a_document_larger_than_the_table_keeps_one_object_per_iri(self, parse):
+        # every subject is evicted from the process table before it recurs as an object
+        names = [f"http://s/{i}" for i in range(5000)]
+        assert len(names) > _IRI_TABLE.cache_info().maxsize
+        g = parse("".join(f'<{name}> <http://p> "x" .\n' for name in names)
+                  + "".join(f"<http://o> <http://p> <{name}> .\n" for name in names))
+        objects = {}
+        for t in g:
+            for term in (t.subject, t.predicate, t.object):
+                if isinstance(term, Iri):
+                    objects.setdefault(term.value, set()).add(id(term))
+        assert len(objects) == len(names) + 2
+        assert all(len(ids) == 1 for ids in objects.values())
 
 
 class TestTurtle:
@@ -644,6 +679,30 @@ class TestTurtle:
                                       "@base<http://x/>.<s> <p> <o> ."])
     def test_directive_keyword_needs_no_space(self, text):
         assert parse_turtle(text) == parse_ntriples("<http://x/s> <http://x/p> <http://x/o> .")
+
+    @pytest.mark.parametrize("text, name, namespace", [
+        ("@prefix x: # c\n <http://x/> # d\n .", "x", "http://x/"),
+        ("@prefix x:<http://x/>.", "x", "http://x/"),
+        ("@prefix : <http://x/> .", "", "http://x/"),
+        ("@base <http://b/> . @prefix x: <rel/> .", "x", "http://b/rel/"),
+    ])
+    def test_prefix_declaration_shapes(self, text, name, namespace):
+        g = parse_turtle(f"{text}\n{name}:s {name}:p {name}:o .")
+        assert g == parse_ntriples(f"<{namespace}s> <{namespace}p> <{namespace}o> .")
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("@prefix x: <http://x/> # c", 27, "expected '.' after @prefix declaration"),
+        ("@prefix x:y <http://x/> .", 11, "expected IRI in @prefix declaration"),
+        ("@prefix x: <rel> .", 12, "relative IRI without @base: 'rel'"),
+        ("@prefix x: <http://x\\u0020/> .", 12,
+         "IRI contains forbidden character(s) ' ': 'http://x /'"),
+        ("@prefix x: <http://x/> .5", 25, "expected subject"),
+        ("@prefix x: <http://x/>", 23, "expected '.' after @prefix declaration"),
+    ])
+    def test_malformed_prefix_declaration_shapes(self, text, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (1, column, message)
 
     def test_anonymous_node_labels_in_document_order(self):
         g = parse_turtle(
