@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
 from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_acronym, is_initials
-from .model import Iri, Value
+from .model import _IRI_TABLE, Iri, Value
 
 
 class CitationRecord(Value):
@@ -283,7 +283,7 @@ def record_from_json(text: str) -> CitationRecord:
         raise _json_type_error(data, "full_name", str)
     if not isinstance(uri, str):
         raise _json_type_error(data, "uri", str)
-    uri = Iri(uri)
+    uri = _IRI_TABLE(uri)
     optional = data.get("acronym"), data.get("version"), data.get("revision")
     for key, value in zip(("acronym", "version", "revision"), optional):
         if not (value is None or isinstance(value, str)):
@@ -353,6 +353,7 @@ def _parse_creators(section: str) -> tuple[Agent, ...]:
     return tuple(agents)
 
 
+@functools.lru_cache(maxsize=256)
 def parse_canonical(text: str) -> CitationRecord:
     """Parse a canonical citation string back into a record.
 
@@ -361,6 +362,10 @@ def parse_canonical(text: str) -> CitationRecord:
     Raises :class:`CitationParseError` naming the failing element; of
     several defects, one in the date, the creators, a lone surrogate, the
     URI and the title is reported, in that order.
+
+    A string among the last 256 that parsed returns its shared, immutable
+    record again without a parse; a failure is never kept. An argument
+    that is not a string raises AttributeError, or TypeError if unhashable.
     """
     s = " ".join(text.split())
     m = _citation()(s)
@@ -380,7 +385,7 @@ def parse_canonical(text: str) -> CitationRecord:
                    else "source" if at < m.end(7) else "formats")
         raise CitationParseError(at, element, f"lone surrogate U+{ord(s[at]):04X}") from None
     try:
-        iri = Iri(uri)
+        iri = _IRI_TABLE(uri)
     except RdfModelError as exc:
         raise CitationParseError(token_start, "source", str(exc)) from None
     if token_start == date_end + 1:

@@ -10,6 +10,7 @@ file ordering. A graph indexes its triples by subject on its first
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable, Iterator
 
@@ -126,6 +127,12 @@ class Iri(Value):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Every IRI read from input (by rdfio, parse_canonical and record_from_json)
+# is built here, so that an IRI that many documents and citations share is
+# validated once per process. A failed validation raises and is not kept.
+_IRI_TABLE = functools.lru_cache(maxsize=4096)(Iri)
 
 
 class Literal(Value):

@@ -23,20 +23,20 @@ parts, nested as optionals, locate. Line and column are worked out only
 then. A well-formed ``@prefix`` declaration is one ``_PREFIX_DECL`` match;
 any other is read token by token, which finds its error. Each distinct IRI
 is validated once per process while it is among the 4,096 most recently
-validated; a failed validation is never kept. Within a document, the later
+validated, through ``model._IRI_TABLE``, which the citation parsers share;
+a failed validation is never kept. Within a document, the later
 occurrences of an IRI reuse the same :class:`Iri` however many the table
 has dropped.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 
 from .exceptions import ParseError, RdfModelError, UnknownFormatError
-from .model import (_IRIREF_EXCLUDED, _SCHEME_RE, BlankNode, Graph, Iri, Literal, Term,
-                    Triple, nt_line)
+from .model import (_IRI_TABLE, _IRIREF_EXCLUDED, _SCHEME_RE, BlankNode, Graph, Iri, Literal,
+                    Term, Triple, nt_line)
 from .vocab import (
     EXTENSION_LABELS,
     RDF_TYPE,
@@ -48,11 +48,6 @@ from .vocab import (
 
 #: Deepest nesting of anonymous ``[ ... ]`` nodes that Turtle input may use.
 MAX_NESTING = 128
-
-# Every IRI read from input is built here, so that a vocabulary that many
-# documents share is validated once per process. A failed validation raises
-# and is not kept.
-_IRI_TABLE = functools.lru_cache(maxsize=4096)(Iri)
 
 # The terminals, each written once and shared by the regexes below. A body
 # that may hold escapes is a run of plain characters with a well-formed

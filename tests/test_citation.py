@@ -24,12 +24,15 @@ from ontocite import (
     derive_acronym,
     extract_metadata,
     parse_canonical,
+    parse_turtle,
     record_from_json,
     record_to_dict,
     render_bibtex,
     render_canonical,
     render_json,
+    validate_citation_string,
 )
+from ontocite import citation
 
 from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
 from strategies import citation_records, json_records, mutations
@@ -354,6 +357,78 @@ class TestParseCanonical:
         first = parse_canonical(s)
         normal_form = render_canonical(first)
         assert parse_canonical(normal_form) == first
+
+
+def _outcome(parse, text):
+    """A parse's record, or the (position, element, message) of its error."""
+    try:
+        return parse(text)
+    except CitationParseError as exc:
+        return exc.position, exc.expected, exc.message
+
+
+class TestParseMemo:
+    """parse_canonical keeps the records of the last 256 strings that parsed."""
+
+    def test_a_second_call_is_a_cache_hit_with_an_equal_record(self):
+        text = "Memo, A. (2020-01-01). Second Call. http://example.org/memo/second"
+        first = parse_canonical(text)
+        hits = parse_canonical.cache_info().hits
+        assert parse_canonical(text) == first
+        assert parse_canonical.cache_info().hits == hits + 1
+
+    def test_validate_then_parse_runs_the_citation_regex_once(self, monkeypatch):
+        match = citation._citation()
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return match(text)
+
+        monkeypatch.setattr(citation, "_citation", lambda: counting)
+        text = ("Memo, A. (2020-01-01). Validated First. 1.0. http://example.org/memo/validated"
+                " [turtle]")
+        assert validate_citation_string(text) == []
+        assert parse_canonical(text).full_name == "Validated First"
+        assert calls == [text]
+
+    @pytest.mark.parametrize("text,position,expected,message", ERROR_ORDER[::4])
+    def test_a_failure_is_raised_anew_and_never_kept(self, text, position, expected, message):
+        size = parse_canonical.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(CitationParseError) as exc:
+                parse_canonical(text)
+            assert (exc.value.position, exc.value.expected, exc.value.message) == (
+                position, expected, message)
+        assert parse_canonical.cache_info().currsize == size
+
+    def test_the_memo_holds_256_records(self):
+        for i in range(257):
+            parse_canonical(f"Memo, A. (2020-01-01). Bound {i}. http://example.org/memo/{i}")
+        assert parse_canonical.cache_info().currsize == 256
+
+    @given(text=st.one_of(citation_records().map(render_canonical),
+                          mutations(SAMPLE_CITATIONS), st.text()))
+    @settings(max_examples=300, deadline=None)
+    def test_a_memoised_result_equals_a_cold_parse(self, text):
+        cold = _outcome(parse_canonical.__wrapped__, text)
+        assert _outcome(parse_canonical, text) == cold
+        assert _outcome(parse_canonical, text) == cold
+
+    def test_an_argument_that_is_not_a_string(self):
+        # None reaches the parser, which has no str method to call on it; an
+        # unhashable argument is refused by the memo before the parser runs
+        with pytest.raises(AttributeError):
+            parse_canonical(None)
+        with pytest.raises(TypeError, match="unhashable"):
+            parse_canonical(["Doe, J. (2020-01-01). T. http://example.org/o"])
+
+    def test_one_iri_object_per_uri_across_parsers(self):
+        uri = "http://example.org/memo/shared"
+        (triple,) = parse_turtle(f'<{uri}> <http://example.org/memo/p> "x" .')
+        record = parse_canonical(f"Memo, A. (2020-01-01). Shared. {uri}")
+        assert record.uri is triple.subject
+        assert record_from_json(render_json(record)).uri is triple.subject
 
 
 class TestRenderBibtex:

@@ -23,8 +23,8 @@ from ontocite import (
     parse_turtle,
     serialize_ntriples,
 )
-from ontocite.model import nt
-from ontocite.rdfio import _IRI_TABLE, MAX_NESTING, _Scanner
+from ontocite.model import _IRI_TABLE, nt
+from ontocite.rdfio import MAX_NESTING, _Scanner
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
 
 from conftest import FIXTURES, HEADERS, NETWORK
