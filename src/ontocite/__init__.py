@@ -13,15 +13,15 @@ __version__ = "0.1.0"
 # first access (PEP 562), so ``import ontocite`` loads no submodule and a
 # command loads only the modules it runs.
 _EXPORTS = {
-    **dict.fromkeys(("CitationRecord", "build_record", "draft_fields", "parse_canonical",
-                     "record_from_json", "record_to_dict", "render_bibtex",
+    **dict.fromkeys(("Agent", "CitationRecord", "build_record", "draft_fields",
+                     "parse_canonical", "record_from_json", "record_to_dict", "render_bibtex",
                      "render_canonical", "render_json"), "citation"),
-    **dict.fromkeys(("CitationJsonError", "CitationParseError", "DuplicateOntologyError",
-                     "EmptyNameError", "EmptyReferenceError", "MissingFieldError",
-                     "NoOntologyNodeError", "NotOntologyNodeError", "OntociteError",
-                     "OntociteWarning", "ParseError", "RdfModelError", "UnknownFormatError",
-                     "UnresolvableAgentError"), "exceptions"),
-    **dict.fromkeys(("Agent", "OntologyMetadata", "derive_acronym", "extract_metadata",
+    **dict.fromkeys(("CitationJsonError", "CitationParseError", "CitationRecordError",
+                     "DuplicateOntologyError", "EmptyNameError", "EmptyReferenceError",
+                     "MissingFieldError", "NoOntologyNodeError", "NotOntologyNodeError",
+                     "OntociteError", "OntociteWarning", "ParseError", "RdfModelError",
+                     "UnknownFormatError", "UnresolvableAgentError"), "exceptions"),
+    **dict.fromkeys(("OntologyMetadata", "derive_acronym", "extract_metadata",
                      "find_ontology_iri", "normalize_person_name", "resolve_agent_name"),
                     "extract"),
     **dict.fromkeys(("BlankNode", "Graph", "Iri", "Literal", "Term", "Triple"), "model"),

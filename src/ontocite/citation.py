@@ -1,4 +1,6 @@
-"""The citation record: assembly, rendering, and round-trip parsing.
+"""The citation record: assembly, rendering, and round-trip parsing, with
+the grammar's shared terminals and predicates and the creator value
+:class:`Agent`, which the extractor and the validator import from here.
 
 The canonical plain-text form is::
 
@@ -20,9 +22,70 @@ import re
 from json.encoder import encode_basestring
 from collections.abc import Sequence
 
-from .exceptions import CitationJsonError, CitationParseError, MissingFieldError, RdfModelError
-from .extract import DATE_SHAPE, Agent, OntologyMetadata, is_acronym, is_initials
+from .exceptions import (CitationJsonError, CitationParseError, CitationRecordError,
+                         MissingFieldError, RdfModelError)
 from .model import _IRI_TABLE, Iri, Value
+
+# --- the grammar's terminals and creators (docs/grammar.abnf) ----------------
+
+#: The one date shape, ``YYYY-MM-DD`` in ASCII digits. The canonical
+#: grammar and the JSON reader check only this shape; the calendar is
+#: checked by :func:`is_calendar_date`.
+DATE_SHAPE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+#: A character of a version or revision: ``ver-char`` of docs/grammar.abnf,
+#: printable ASCII other than "(" and ")".
+VER_CHAR = r"[\x21-\x27\x2A-\x7E]"
+# DATE_SHAPE with months 01-12 and days 01-31
+_DATE_RE = re.compile("[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# chunks of one character and ".", joined by single spaces; is_initials
+# tests the characters
+_INITIALS_SHAPE_RE = re.compile(r"(?s).\.(?: .\.)*")
+
+
+class Agent(Value):
+    """One creator: a person (surname plus optional initials) or an
+    organization (``surname`` holds the full group name).
+    """
+
+    __slots__ = _fields = ("surname", "initials", "organization")
+
+    def __init__(self, surname: str, initials: str | None = None,
+                 organization: bool = False):
+        object.__setattr__(self, "surname", surname)
+        object.__setattr__(self, "initials", initials)
+        object.__setattr__(self, "organization", organization)
+
+
+def is_calendar_date(value: str) -> bool:
+    """True for a ``YYYY-MM-DD`` string that names a real calendar day."""
+    if not _DATE_RE.fullmatch(value) or value.startswith("0000"):
+        return False
+    if value[8:] <= "28":
+        return True
+    year, month = int(value[:4]), int(value[5:7])
+    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return int(value[8:]) <= _MONTH_DAYS[month - 1] + leap
+
+
+def is_initials(text: str) -> bool:
+    """True for initials in ``I.`` form: one or more chunks joined by
+    single spaces, each a letter that upper-casing leaves unchanged (an
+    upper-case or caseless letter of any script) followed by ``.``. The
+    shape is a regex; no character class can state the letters' test."""
+    if _INITIALS_SHAPE_RE.fullmatch(text) is None:
+        return False
+    letters = text[::3]
+    return letters.isalpha() and letters.upper() == letters
+
+
+def is_acronym(text: str) -> bool:
+    """True for the grammar's ``acronym``: 1 to 10 characters, no ``:``
+    (the acronym/name separator), and no whitespace at either end."""
+    return 0 < len(text) <= 10 and ":" not in text and text == text.strip()
+
+
+# --- the record --------------------------------------------------------------
 
 
 class CitationRecord(Value):
@@ -99,7 +162,10 @@ def _render_creators(creators: Sequence[Agent]) -> str:
     rendered = [_render_agent(a) for a in creators]
     if len(rendered) == 1:
         return rendered[0]
-    return ", ".join(rendered[:-1]) + " and " + rendered[-1]
+    try:
+        return ", ".join(rendered[:-1]) + " and " + rendered[-1]
+    except IndexError:
+        raise CitationRecordError("creators", "is empty") from None
 
 
 def _title_text(record: CitationRecord) -> str:
@@ -115,7 +181,8 @@ def _version_text(record: CitationRecord) -> str:
 
 
 def render_canonical(record: CitationRecord) -> str:
-    """The canonical plain-text reference for a record."""
+    """The canonical plain-text reference for a record; a record with no
+    creators raises :class:`CitationRecordError`."""
     parts = [
         f"{_render_creators(record.creators)} ({record.date}).",
         f"{_title_text(record)}.",
@@ -134,9 +201,14 @@ def _slug(name: str) -> str:
 
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
-    double-braced so reference managers do not split them."""
+    double-braced so reference managers do not split them. A date that
+    does not split into three ``-``-separated parts raises
+    :class:`CitationRecordError`."""
     key = (record.acronym or _slug(record.full_name)) + record.date[:4]
-    year, month, day = record.date.split("-")
+    try:
+        year, month, day = record.date.split("-")
+    except ValueError:
+        raise CitationRecordError("date", f"is not shaped YYYY-MM-DD: {record.date!r}") from None
     authors = ("{" + a.surname + "}" if a.organization else _render_agent(a)
                for a in record.creators)
     fields = [
@@ -293,9 +365,6 @@ def record_from_json(text: str) -> CitationRecord:
 
 # --- parsing -----------------------------------------------------------------
 
-#: A character of a version or revision: ``ver-char`` of docs/grammar.abnf,
-#: printable ASCII other than "(" and ")".
-VER_CHAR = r"[\x21-\x27\x2A-\x7E]"
 # A citation whose whitespace runs are single spaces, as its parts in order.
 # The parts after the date are optional, so that the one match also locates
 # a malformed string's defect. Groups: 1 creators, with the space before the

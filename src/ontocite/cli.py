@@ -17,28 +17,19 @@ import sys
 import warnings
 
 from . import _EXPORTS
-from .citation import (
-    build_record,
-    draft_fields,
-    parse_canonical,
-    render_bibtex,
-    render_canonical,
-    render_json,
-)
 from .exceptions import OntociteError, OntociteWarning
-from .extract import derive_acronym, extract_metadata, find_ontology_iri
-from .model import Graph, Iri
 from .vocab import EXTENSION_LABELS, KNOWN_FORMAT_LABELS
 
 _PARSEABLE = {"turtle", "n-triples"}
 
-# The modules that only some commands run. Each command binds the names
-# that ``ontocite._EXPORTS`` gives these modules with ``_bind`` before its
-# first call, and a name read from this module before that
-# (perfbench/spans.py wraps them by ``setattr``) is bound by ``__getattr__``.
-# A bound name is never rebound, so a wrapper set here stays in the
-# command's call path.
-_DEFERRED = {"rdfio", "principles", "mutual", "network"}
+# Every other module is loaded by the first command that runs it: each
+# command binds the names that ``ontocite._EXPORTS`` gives its modules with
+# ``_bind`` before its first call, and a name read from this module before
+# that (perfbench/spans.py wraps them by ``setattr``) is bound by
+# ``__getattr__``. A bound name is never rebound, so a wrapper set here
+# stays in the command's call path. The annotations name ``Graph`` and
+# ``Iri`` without binding them; ``from __future__ import annotations``
+# never evaluates them.
 _bound: set[str] = set()
 
 
@@ -58,10 +49,10 @@ def _bind(*modules: str) -> None:
 
 def __getattr__(name: str):
     module = _EXPORTS.get(name)
-    if module in _DEFERRED:
-        _bind(module)
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 def _write(text: str) -> None:
@@ -129,7 +120,7 @@ def _looks_like_file(argument: str) -> bool:
 
 
 def _cmd_cite(args: argparse.Namespace) -> int:
-    _bind("rdfio")
+    _bind("rdfio", "extract", "citation")
     graph, label = _load_graph(args.path)
     meta = extract_metadata(graph, fmt=args.format_label or label)
     record = build_record(meta, derive_acronym(meta))
@@ -148,6 +139,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         graph, _ = _load_graph(args.input)
         _write(serialize_ntriples(graph))
         return 0
+    _bind("citation")
     record = parse_canonical(args.input)
     _write(render_json(record))
     return 0
@@ -156,7 +148,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     _bind("principles")
     if _looks_like_file(args.input):
-        _bind("rdfio")
+        _bind("rdfio", "extract", "citation")
         graph, label = _load_graph(args.input)
         meta = extract_metadata(graph, fmt=label)
         split = derive_acronym(meta) if meta.title else None
@@ -168,7 +160,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    _bind("rdfio", "mutual")
+    _bind("rdfio", "extract", "mutual")
     graph, _ = _load_graph(args.path)
     injected = inject_reference(graph, find_ontology_iri(graph), args.reference, args.lang)
     try:
@@ -180,7 +172,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_mutual(args: argparse.Namespace) -> int:
-    _bind("rdfio", "mutual")
+    _bind("rdfio", "extract", "citation", "mutual")
     graph, label = _load_graph(args.onto_path)
     meta = extract_metadata(graph, fmt=label)
     record = build_record(meta, derive_acronym(meta))
@@ -196,7 +188,7 @@ def _cmd_check_mutual(args: argparse.Namespace) -> int:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    _bind("rdfio", "network")
+    _bind("rdfio", "extract", "network")
     corpus: list[tuple[Graph, Iri]] = []
     for path in args.paths:
         graph, _ = _load_graph(path)

@@ -83,5 +83,14 @@ class CitationJsonError(OntociteError, ValueError):
     """Citation JSON does not hold a well-formed citation record."""
 
 
+class CitationRecordError(OntociteError, ValueError):
+    """A citation record holds a field that cannot be rendered or read;
+    ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"citation record {field!r} {message}")
+
+
 class DuplicateOntologyError(OntociteError):
     """The same ontology IRI appeared twice in a corpus."""

@@ -14,6 +14,7 @@ import warnings
 from collections.abc import Sequence
 
 from . import vocab
+from .citation import Agent, is_acronym, is_calendar_date
 from .exceptions import (
     EmptyNameError,
     MissingFieldError,
@@ -23,31 +24,7 @@ from .exceptions import (
 )
 from .model import Graph, Iri, Literal, Term, Value
 
-#: The one date shape, ``YYYY-MM-DD`` in ASCII digits. The canonical
-#: grammar and the JSON reader check only this shape; the calendar is
-#: checked by :func:`is_calendar_date`.
-DATE_SHAPE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
-# DATE_SHAPE with months 01-12 and days 01-31
-_DATE_RE = re.compile("[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])")
-# chunks of one character and ".", joined by single spaces; is_initials
-# tests the characters
-_INITIALS_SHAPE_RE = re.compile(r"(?s).\.(?: .\.)*")
 _DOTTED_VERSION_RE = re.compile(r"^v?[0-9]+(\.[0-9]+)*$")
-_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-class Agent(Value):
-    """One creator: a person (surname plus optional initials) or an
-    organization (``surname`` holds the full group name).
-    """
-
-    __slots__ = _fields = ("surname", "initials", "organization")
-
-    def __init__(self, surname: str, initials: str | None = None,
-                 organization: bool = False):
-        object.__setattr__(self, "surname", surname)
-        object.__setattr__(self, "initials", initials)
-        object.__setattr__(self, "organization", organization)
 
 
 class OntologyMetadata(Value):
@@ -122,23 +99,6 @@ def _initials_of(given: str) -> str:
     return " ".join(parts)
 
 
-def is_initials(text: str) -> bool:
-    """True for initials in ``I.`` form: one or more chunks joined by
-    single spaces, each a letter that upper-casing leaves unchanged (an
-    upper-case or caseless letter of any script) followed by ``.``. The
-    shape is a regex; no character class can state the letters' test."""
-    if _INITIALS_SHAPE_RE.fullmatch(text) is None:
-        return False
-    letters = text[::3]
-    return letters.isalpha() and letters.upper() == letters
-
-
-def is_acronym(text: str) -> bool:
-    """True for the grammar's ``acronym``: 1 to 10 characters, no ``:``
-    (the acronym/name separator), and no whitespace at either end."""
-    return 0 < len(text) <= 10 and ":" not in text and text == text.strip()
-
-
 def resolve_agent_name(g: Graph, t: Term) -> Agent:
     """Resolve a creator-property object to an :class:`Agent`.
 
@@ -198,17 +158,6 @@ def _preferred_literal(values: Sequence[Literal]) -> str | None:
     if tagged:
         return tagged[0][1]
     return sorted(v.lexical for v in values)[0]
-
-
-def is_calendar_date(value: str) -> bool:
-    """True for a ``YYYY-MM-DD`` string that names a real calendar day."""
-    if not _DATE_RE.fullmatch(value) or value.startswith("0000"):
-        return False
-    if value[8:] <= "28":
-        return True
-    year, month = int(value[:4]), int(value[5:7])
-    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-    return int(value[8:]) <= _MONTH_DAYS[month - 1] + leap
 
 
 def _normalize_date(value: str) -> str | None:

@@ -4,7 +4,7 @@ The twelve record-level codes are a frozen public vocabulary. A record
 passes (empty diagnostic list) exactly when it is complete: creators,
 date, title, and URI present, a real calendar date in YYYY-MM-DD form, an
 absolute URI, known format labels, a version, person names in
-"Surname, I." form, and an acronym that ``extract.is_acronym`` accepts.
+"Surname, I." form, and an acronym that ``citation.is_acronym`` accepts.
 
 ``E-PARSE`` sits outside the record vocabulary: it reports a citation
 string that does not match the grammar at all.
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .citation import CitationRecord, parse_canonical
-from .exceptions import CitationParseError
-from .extract import Agent, is_acronym, is_calendar_date, is_initials
+from .citation import (Agent, CitationRecord, is_acronym, is_calendar_date, is_initials,
+                        parse_canonical)
+from .exceptions import CitationParseError, CitationRecordError
 from .model import Iri, Value, is_absolute_iri
 from .vocab import KNOWN_FORMAT_LABELS
 
@@ -103,8 +103,9 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     """Check a record, or a mapping of some of its fields as
     ``citation.draft_fields`` returns it, against the citation completeness
     and form rules; findings come back sorted by code. A mapping's creators
-    are ``Agent``s; its ``uri`` may be a string, the one way to report a
-    relative URI."""
+    are ``Agent``s, and any other creator raises
+    :class:`CitationRecordError`; its ``uri`` may be a string, the one way
+    to report a relative URI."""
     f = _as_fields(record)
     out: list[Diagnostic] = []
 
@@ -155,7 +156,11 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
             "acronym",
         ))
     for index, creator in enumerate(creators):
-        problem = _name_form_problem(creator)
+        try:
+            problem = _name_form_problem(creator)
+        except AttributeError:
+            raise CitationRecordError(f"creators[{index}]",
+                                      f"is not an Agent: {creator!r}") from None
         if problem:
             out.append(_warning(W_NAME_FORM, problem, f"creators[{index}]"))
 

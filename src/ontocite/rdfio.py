@@ -408,7 +408,9 @@ class _Turtle(_Scanner):
             if m:
                 self.prefixes[m.group(1)] = self.iri(*m.span(2)).value
                 return m.end()
-            # read as a prefixed name, whose local part must then be the IRI
+            # _PREFIX_DECL reads every declaration that the tokens below
+            # accept, so they only find this one's error: the prefixed
+            # name, whose local part must then be the IRI, the IRI or the '.'
             m = self.token(text, pos)
             if not m or m.lastgroup != "local":
                 self.error("expected ':' in @prefix declaration", self.skip(pos))
@@ -420,10 +422,7 @@ class _Turtle(_Scanner):
         dot = self.token(text, iri.end())
         if not dot or dot.lastgroup != "dot":
             self.error(f"expected '.' after @{name} declaration", self.skip(iri.end()))
-        if name == "prefix":
-            self.prefixes[m.group("pfx")] = value
-        else:
-            self.base = value
+        self.base = value
         return dot.end()
 
     # -- statements

@@ -2,6 +2,7 @@
 
     python3 tests/differential.py OLD_SRC NEW_SRC --seed 1 --count 100000
     python3 tests/differential.py OLD_SRC NEW_SRC --citation --seed 1 --count 20000
+    python3 tests/differential.py OLD_SRC NEW_SRC --cli --seed 3
 
 Generates ``count`` inputs from ``seed``; each tree handles every input in
 a subprocess of its own, which imports ontocite from that tree only, and
@@ -49,18 +50,32 @@ then warm (the second ``parse_canonical`` of a string is a hit in its
 memo); both results are compared with the old tree's, so that a result
 that depends on earlier inputs shows up as a mismatch.
 
+``--cli`` is the command line: ``cli.main`` of each tree runs every
+fixture command (each command on each fixture file, ``check-mutual``
+against each reference list, ``network`` over each syntax's network files,
+and usage and input errors) and every operation of the ``seed`` plans of
+the three benchmark workloads, which ``perfbench/gen.py`` writes to a
+temporary directory; a plan's citation string is the argument of a
+``validate`` and of a ``parse``. ``--count N`` takes the first N commands
+of each of these four sources, and all of them when it is not given. A
+result is the exit code, standard output and standard error (each in full
+up to 300 characters, else a digest), and the digest of the file an
+``--out`` option names. The new tree runs each chunk in reverse order.
+
 Standard library only; pytest does not collect it (see
-``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself`` and
-``test_citation.py::TestDifferential``).
+``test_rdfio.py::TestBothSyntaxes::test_differential_against_itself``,
+``test_citation.py::TestDifferential`` and ``test_cli.py::TestDifferential``).
 """
 
 import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -253,15 +268,92 @@ def make_citation_inputs(seed, count):
     return inputs
 
 
+def fixture_commands(out):
+    """The fixture commands; ``inject`` writes to ``out``."""
+    files = [str(p) for p in sorted(FIXTURES.rglob("*"))
+             if p.suffix in (".ttl", ".nt", ".rdf", ".obo", ".xyz")]
+    reflists = [str(p) for p in sorted((FIXTURES / "reflists").iterdir())]
+    commands = []
+    for path in files:
+        commands += [["cite", path], ["cite", path, "--style", "bibtex"],
+                     ["cite", path, "--style", "json", "--format-label", "rdf/xml"],
+                     ["parse", path], ["validate", path],
+                     ["inject", path, "--reference", "Doe, J. (2020). A paper.", "--out", out]]
+        commands += [["check-mutual", path, reflist] for reflist in reflists]
+    for pattern in ("*.ttl", "*.nt"):
+        paths = [str(p) for p in sorted((FIXTURES / "network").glob(pattern))]
+        commands += [["network", "--counts", *paths], ["network", "--dot", *paths]]
+    return commands + [
+        [], ["--help"], ["cite"], ["cite", files[0], "--style", "apa"], ["cite", "missing.ttl"],
+        ["validate", "missing.ttl"], ["parse", "no date here"], ["validate", "http://a/o"],
+        ["check-mutual", files[0], reflists[0], "--threshold", "nan"],
+        ["network", "--dot", files[0], files[0]],
+    ]
+
+
+def make_cli_inputs(seed, count, work):
+    """``[directory, argv]`` of each command: the fixture commands, then the
+    commands of each workload's ``seed`` plan, whose inputs gen.py writes
+    under ``work``; at most ``count`` of each, or all."""
+    gen = load_gen()
+    sources = [[[work, argv] for argv in fixture_commands(os.path.join(work, "out.nt"))]]
+    for workload in gen.WORKLOADS:
+        directory = os.path.join(work, workload)
+        plan = gen.generate(workload, seed, directory)
+        commands = [plan["setup_argv"]]
+        for op in plan["ops"]:
+            commands += [op["argv"]] if "argv" in op else [["validate", op["text"]],
+                                                            ["parse", op["text"]]]
+        sources.append([[directory, argv] for argv in commands])
+    return [command for source in sources for command in source[:count]]
+
+
+def digest(text):
+    return hashlib.sha1(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def cli_worker(src):
+    """Read a JSON list of ``[directory, argv]`` on stdin; print one result
+    per command, run by ``cli.main`` of the ontocite under ``src`` in that
+    directory."""
+    sys.path.insert(0, src)
+    import contextlib
+    import io
+
+    from ontocite import cli
+
+    def shown(text):
+        return text if len(text) <= 300 else digest(text)
+
+    def result(directory, argv):
+        os.chdir(directory)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # any other outcome is a result too
+                code = f"raised {type(exc).__name__}"
+        written = None
+        if "--out" in argv:
+            path = argv[argv.index("--out") + 1]
+            if os.path.exists(path):
+                with open(path, encoding="utf-8", newline="") as handle:
+                    written = digest(handle.read())
+                os.remove(path)
+        return [code, shown(out.getvalue()), shown(err.getvalue()), written]
+
+    out = [result(directory, argv) for directory, argv in json.load(sys.stdin)]
+    json.dump(out, sys.stdout)
+
+
 def worker(src):
     """Read a JSON list of inputs on stdin; print one result per parser and
     input, parsed by the ontocite under ``src``."""
     sys.path.insert(0, src)
     from ontocite import (BlankNode, Iri, ParseError, parse_ntriples, parse_turtle,
                           serialize_ntriples)
-
-    def digest(text):
-        return hashlib.sha1(text.encode("utf-8", "surrogatepass")).hexdigest()
 
     def term(t):
         if isinstance(t, Iri):
@@ -364,58 +456,75 @@ def citation_worker(src):
     json.dump(out, sys.stdout)
 
 
-def run_tree(src, inputs, citation=False):
-    argv = [sys.executable, __file__, "--worker", src] + (["--citation"] if citation else [])
+def run_tree(src, inputs, mode=None):
+    argv = [sys.executable, __file__, "--worker", src] + ([f"--{mode}"] if mode else [])
     proc = subprocess.run(argv, input=json.dumps(inputs), capture_output=True, text=True,
                           check=True)
     return json.loads(proc.stdout)
 
 
-def results(old, new, citation):
+def results(old, new, mode):
     """``(part, old, new)`` for each part of one input's results."""
-    if citation:
+    if mode == "citation":
         return [(part, old.get(part), new.get(part)) for part in sorted(old.keys() | new.keys())]
-    return list(zip(("turtle", "ntriples"), old, new))
+    parts = ("exit", "stdout", "stderr", "out") if mode == "cli" else ("turtle", "ntriples")
+    return list(zip(parts, old, new))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
-    parser.add_argument("--citation", action="store_true",
-                        help="compare the citation layer, not the RDF parsers")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--citation", action="store_const", const="citation", dest="mode",
+                       help="compare the citation layer, not the RDF parsers")
+    modes.add_argument("--cli", action="store_const", const="cli", dest="mode",
+                       help="compare cli.main on the fixture and benchmark commands")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--count", type=int, default=1000)
+    parser.add_argument("--count", type=int, default=None,
+                        help="inputs (default 1000), or commands per source with --cli (all)")
     parser.add_argument("--show", type=int, default=10, help="mismatches to print")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        return (citation_worker if args.citation else worker)(args.worker)
+        workers = {"citation": citation_worker, "cli": cli_worker, None: worker}
+        return workers[args.mode](args.worker)
     if not (args.old_src and args.new_src):
         parser.error("two source directories are needed")
-    inputs = (make_citation_inputs if args.citation else make_inputs)(args.seed, args.count)
+    if args.mode == "cli":
+        with tempfile.TemporaryDirectory() as work:
+            mismatches, compared = compare(args, make_cli_inputs(args.seed, args.count, work))
+    else:
+        make = make_citation_inputs if args.mode == "citation" else make_inputs
+        count = 1000 if args.count is None else args.count
+        mismatches, compared = compare(args, make(args.seed, count))
+    unit = "parses" if args.mode is None else "results"
+    print(f"{mismatches} mismatches in {compared} {unit} (seed {args.seed})")
+    return 1 if mismatches else 0
+
+
+def compare(args, inputs):
+    """(mismatches, results compared) of the two trees on ``inputs``."""
     compared = mismatches = 0
     for first in range(0, len(inputs), CHUNK):
         chunk = inputs[first:first + CHUNK]
-        old_results = run_tree(args.old_src, chunk, args.citation)
+        old_results = run_tree(args.old_src, chunk, args.mode)
         # the new tree takes the chunk in reverse order, and in citation mode
         # handles each input twice in a row (see the module docstring)
-        if args.citation:
-            twice = run_tree(args.new_src, [x for x in chunk[::-1] for _ in (0, 1)], True)
+        if args.mode == "citation":
+            twice = run_tree(args.new_src, [x for x in chunk[::-1] for _ in (0, 1)], "citation")
             runs = [(" cold", twice[0::2][::-1]), (" warm", twice[1::2][::-1])]
         else:
-            runs = [("", run_tree(args.new_src, chunk[::-1])[::-1])]
+            runs = [("", run_tree(args.new_src, chunk[::-1], args.mode)[::-1])]
         for label, new_results in runs:
             for text, old, new in zip(chunk, old_results, new_results):
-                for part, a, b in results(old, new, args.citation):
+                for part, a, b in results(old, new, args.mode):
                     compared += 1
                     if a != b:
                         mismatches += 1
                         if mismatches <= args.show:
                             print(f"{part}{label} {text!r}\n  old {a}\n  new {b}")
-    unit = "results" if args.citation else "parses"
-    print(f"{mismatches} mismatches in {compared} {unit} (seed {args.seed})")
-    return 1 if mismatches else 0
+    return mismatches, compared
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from ontocite import (
     CitationJsonError,
     CitationParseError,
     CitationRecord,
+    CitationRecordError,
     Iri,
     MissingFieldError,
     OntociteError,
@@ -189,6 +190,26 @@ ERROR_ORDER = [
     ("Doe, J. (2020-01-01). T. http://example.org/o [turtle] [obo]", 46, "source",
      "IRI lacks a scheme: '[turtle]'"),
 ]
+
+
+class TestRecordErrors:
+    """A record that a renderer cannot render raises CitationRecordError,
+    which names the field."""
+
+    @pytest.mark.parametrize("render,changes,field,message", [
+        (render_canonical, {"creators": ()}, "creators", "citation record 'creators' is empty"),
+        (render_bibtex, {"date": "2020"}, "date",
+         "citation record 'date' is not shaped YYYY-MM-DD: '2020'"),
+    ], ids=["canonical-no-creators", "bibtex-year-only"])
+    def test_unrenderable_field(self, render, changes, field, message):
+        base = pav_record()
+        record = CitationRecord(**{**{name: getattr(base, name) for name in base._fields},
+                                   **changes})
+        with pytest.raises(CitationRecordError) as exc:
+            render(record)
+        assert exc.value.field == field
+        assert str(exc.value) == message
+        assert isinstance(exc.value, OntociteError) and isinstance(exc.value, ValueError)
 
 
 class TestParseCanonical:
@@ -617,6 +638,7 @@ class TestRecordFromJson:
         ("creators", [], "creators"),
         ("creators", [{"surname": "X", "organization": "no"}], "organization"),
         ("date", "２０１４-０８-２８", "date"),
+        ("creators", [{"surname": "X", "initials": 1}], "'initials' must be a string"),
     ])
     def test_wrongly_typed_fields_rejected(self, field, value, named):
         with pytest.raises(CitationJsonError, match=named):

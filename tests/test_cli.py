@@ -216,14 +216,15 @@ class TestImports:
         (["cite", PAV_TTL], {"principles", "mutual", "network"}),
         (["cite", str(HEADERS / "go.nt"), "--style", "bibtex"],
          {"principles", "mutual", "network"}),
-        (["validate", PAV_CITATION], {"rdfio", "mutual", "network"}),
-        (["parse", PAV_CITATION], {"rdfio", "mutual", "network"}),
+        (["validate", PAV_CITATION], {"extract", "rdfio", "mutual", "network"}),
+        (["parse", PAV_CITATION], {"extract", "principles", "rdfio", "mutual", "network"}),
+        (["parse", PAV_TTL], {"citation", "extract", "principles", "mutual", "network"}),
         (["validate", PAV_TTL], {"mutual", "network"}),
         (["check-mutual", PAV_TTL, REFLIST], {"principles", "network"}),
         (["inject", PAV_TTL, "--reference", "x", "--out", "{out}"], {"principles", "network"}),
         (["network", "--counts", *NET_PATHS], {"principles", "mutual"}),
-    ], ids=["cite", "cite-bibtex", "validate-string", "parse-string", "validate-file",
-            "check-mutual", "inject", "network"])
+    ], ids=["cite", "cite-bibtex", "validate-string", "parse-string", "parse-file",
+            "validate-file", "check-mutual", "inject", "network"])
     def test_each_command_loads_only_its_modules(self, argv, unused, tmp_path):
         argv = [arg.replace("{out}", str(tmp_path / "out.nt")) for arg in argv]
         code, added = run_fresh(self.COMMAND, *argv)
@@ -232,6 +233,16 @@ class TestImports:
         assert "cli" in loaded
         assert unused.isdisjoint(loaded)
         assert self.UNNEEDED.isdisjoint(added)
+
+    def test_library_validate_loads_no_extractor(self):
+        script = ("import json, sys\nimport ontocite\n"
+                  "found = ontocite.validate_citation_string(sys.argv[1])\n"
+                  "loaded = sorted(m for m in sys.modules if m.startswith('ontocite'))\n"
+                  "print(json.dumps([[d.code for d in found], loaded]))\n")
+        codes, loaded = run_fresh(script, PAV_CITATION)
+        assert codes == []
+        assert "ontocite.principles" in loaded
+        assert {"ontocite.extract", "ontocite.rdfio", "ontocite.cli"}.isdisjoint(loaded)
 
     def test_import_ontocite_loads_no_submodule(self):
         script = ("import json, sys\nimport ontocite\n"
@@ -866,3 +877,14 @@ class TestInputFiles:
                             lambda path, *a, **k: opened.append(path) or real_open(path, *a, **k))
         assert run(capsys, "cite", PAV_TTL)[0] == 0
         assert opened == [PAV_TTL]
+
+
+class TestDifferential:
+    def test_cli_differential_against_itself(self):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        proc = subprocess.run(
+            [sys.executable, os.path.join(tests, "differential.py"), src, src, "--cli",
+             "--seed", "3", "--count", "40"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert re.fullmatch(r"0 mismatches in \d+ results \(seed 3\)\n", proc.stdout)

@@ -27,7 +27,7 @@ from ontocite import (
     resolve_agent_name,
     validate_record,
 )
-from ontocite.extract import is_acronym, is_calendar_date, is_initials
+from ontocite.citation import is_acronym, is_calendar_date, is_initials
 from ontocite.vocab import (
     DCTERMS_CREATOR,
     DCTERMS_ISSUED,

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ontocite import BlankNode, Graph, Iri, Literal, RdfModelError, Triple
+from ontocite.model import nt
 
 from strategies import graphs, triples
 
@@ -63,6 +64,22 @@ class TestTerms:
     def test_triple_predicate_only_iri(self):
         with pytest.raises(RdfModelError):
             Triple(A, BlankNode("b"), A)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Literal("x", datatype="http://d"), "literal datatype must be an Iri"),
+        (lambda: Triple(Literal("x"), P, A),
+         "triple subject must be an IRI or blank node, got Literal"),
+        (lambda: Triple(A, "http://p", A), "triple predicate must be an IRI, got str"),
+        (lambda: Triple(A, P, None), "triple object must be an RDF term, got NoneType"),
+        (lambda: Graph([t(Literal("x")), (A, P, A)]), "graph elements must be triples, got tuple"),
+        (lambda: Graph().insert("x"), "cannot insert str into a graph"),
+        (lambda: nt("x"), "not an RDF term: 'x'"),
+    ], ids=["literal-datatype", "triple-subject", "triple-predicate", "triple-object",
+            "graph-element", "graph-insert", "nt"])
+    def test_constructors_check_types(self, build, message):
+        with pytest.raises(RdfModelError) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_structural_equality(self):
         assert t(Literal("x", lang="en")) == t(Literal("x", lang="en"))

@@ -10,6 +10,7 @@ from ontocite import (
     Graph,
     Iri,
     Literal,
+    RdfModelError,
     Triple,
     build_network,
     export_dot,
@@ -204,6 +205,20 @@ def citation_graphs(draw):
                                          st.sampled_from([IMPORTS, REFERENCES])), max_size=16))
         edges = {Edge(*edge) for edge in drawn if not (edge[2] == IMPORTS and edge[0] == edge[1])}
     return CitationGraph(nodes=frozenset(nodes), edges=frozenset(edges))
+
+
+@pytest.mark.parametrize("edge,message", [
+    (Edge(A, Iri("http://example.org/net/z"), REFERENCES),
+     "edge endpoint missing from node set: Edge(src=Iri(value='http://example.org/net/a'), "
+     "dst=Iri(value='http://example.org/net/z'), kind='references')"),
+    (Edge(A, A, IMPORTS),
+     "self-loop import edge: Edge(src=Iri(value='http://example.org/net/a'), "
+     "dst=Iri(value='http://example.org/net/a'), kind='imports')"),
+], ids=["endpoint-missing", "self-loop-import"])
+def test_citation_graph_rejects_bad_edges(edge, message):
+    with pytest.raises(RdfModelError) as exc:
+        CitationGraph(nodes=frozenset({A, B}), edges=frozenset({edge}))
+    assert str(exc.value) == message
 
 
 def _dot_quote(value):

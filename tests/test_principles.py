@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ontocite import (
     Agent,
+    CitationRecordError,
     Diagnostic,
     Iri,
     OntociteError,
@@ -13,7 +14,7 @@ from ontocite import (
     validate_citation_string,
     validate_record,
 )
-from ontocite.extract import is_acronym
+from ontocite.citation import is_acronym
 from ontocite.principles import DIAGNOSTIC_CODES, E_PARSE
 
 from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
@@ -152,6 +153,13 @@ class TestValidateRecord:
     def test_each_creator_form_is_read_as_an_agent(self, creator, flagged):
         fields = with_value(base_fields(), "creators", [creator])
         assert [d.code for d in validate_record(fields)] == (["W-NAME-FORM"] if flagged else [])
+
+    def test_a_creator_that_is_no_agent_is_a_record_error(self):
+        fields = with_value(base_fields(), "creators", [Agent(surname="Plato"), "Doe, J."])
+        with pytest.raises(CitationRecordError) as exc:
+            validate_record(fields)
+        assert exc.value.field == "creators[1]"
+        assert str(exc.value) == "citation record 'creators[1]' is not an Agent: 'Doe, J.'"
 
     @pytest.mark.parametrize("name", ["ßtraße Müller", "ﬁona Smith", "小明 王", "Özgür Müller"])
     def test_normalized_names_pass_the_name_form_rule(self, name):
