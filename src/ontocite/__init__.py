@@ -40,17 +40,23 @@ __all__ = sorted(_EXPORTS)
 _MODULES = set(_EXPORTS.values())
 
 
-def __getattr__(name: str):
-    """An export, or a submodule that defines exports, on first access."""
-    module = _EXPORTS.get(name, name)
-    if module not in _MODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _load(name: str, scope: dict):
+    """The export ``name``, read from the module that defines it and kept
+    in ``scope``, the globals of the module whose ``__getattr__`` asks; a
+    name bound there is never rebound."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {scope['__name__']!r} has no attribute {name!r}")
     # the import statement's path, which -X importtime reports
     source = __import__(f"{__name__}.{module}", fromlist=["*"])
-    if module == name:
-        return source
-    value = globals()[name] = getattr(source, name)
-    return value
+    return scope.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """An export, or a submodule that defines exports, on first access."""
+    if name in _MODULES:
+        return __import__(f"{__name__}.{name}", fromlist=["*"])
+    return _load(name, globals())
 
 
 def __dir__() -> list[str]:

@@ -16,43 +16,24 @@ import re
 import sys
 import warnings
 
-from . import _EXPORTS
+from . import _load
 from .exceptions import OntociteError, OntociteWarning
 from .vocab import EXTENSION_LABELS, KNOWN_FORMAT_LABELS
 
 _PARSEABLE = {"turtle", "n-triples"}
 
-# Every other module is loaded by the first command that runs it: each
-# command binds the names that ``ontocite._EXPORTS`` gives its modules with
-# ``_bind`` before its first call, and a name read from this module before
-# that (perfbench/spans.py wraps them by ``setattr``) is bound by
-# ``__getattr__``. A bound name is never rebound, so a wrapper set here
+# Every other module is loaded by the first command that runs it: the
+# commands read each library name as an attribute of this module, ``_cli``,
+# and ``__getattr__`` binds it on its first read. A bound name is never
+# rebound, so a wrapper set here (perfbench/spans.py wraps by ``setattr``)
 # stays in the command's call path. The annotations name ``Graph`` and
 # ``Iri`` without binding them; ``from __future__ import annotations``
 # never evaluates them.
-_bound: set[str] = set()
-
-
-def _bind(*modules: str) -> None:
-    """Bind each name taken from ``modules`` that is not bound yet; after
-    the first call for a module this is one set lookup."""
-    for module in modules:
-        if module not in _bound:
-            # the import statement's path, which -X importtime reports
-            source = __import__(f"{__package__}.{module}", fromlist=["*"])
-            scope = globals()
-            for name, home in _EXPORTS.items():
-                if home == module and name not in scope:
-                    scope[name] = getattr(source, name)
-            _bound.add(module)
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(module)
-    return globals()[name]
+    return _load(name, globals())
 
 
 def _write(text: str) -> None:
@@ -88,9 +69,10 @@ def _decode(path: str, data: bytes) -> str:
 
 def _load_graph(path: str) -> tuple[Graph, str]:
     """Read a file once, detect its format from the first 2,048 bytes, and
-    parse it; returns (graph, format label). The caller binds ``rdfio``."""
+    parse it; returns (graph, format label)."""
     data = _read_bytes(path)
-    label = detect_format_label(os.path.basename(path), data[:2048].decode("utf-8", "replace"))
+    head = data[:2048].decode("utf-8", "replace")
+    label = _cli.detect_format_label(os.path.basename(path), head)
     if label not in _PARSEABLE:
         raise OntociteError(
             f"{_shown(path)}: {label} input is not parsed natively; "
@@ -100,8 +82,8 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     del data  # not needed while parsing
     try:
         if label == "turtle":
-            return parse_turtle(text), label
-        return parse_ntriples(text), label
+            return _cli.parse_turtle(text), label
+        return _cli.parse_ntriples(text), label
     except OntociteError as exc:
         raise OntociteError(f"{_shown(path)}: {exc}") from None
 
@@ -120,66 +102,60 @@ def _looks_like_file(argument: str) -> bool:
 
 
 def _cmd_cite(args: argparse.Namespace) -> int:
-    _bind("rdfio", "extract", "citation")
     graph, label = _load_graph(args.path)
-    meta = extract_metadata(graph, fmt=args.format_label or label)
-    record = build_record(meta, derive_acronym(meta))
+    meta = _cli.extract_metadata(graph, fmt=args.format_label or label)
+    record = _cli.build_record(meta, _cli.derive_acronym(meta))
     if args.style == "canonical":
-        _write(render_canonical(record) + "\n")
+        _write(_cli.render_canonical(record) + "\n")
     elif args.style == "bibtex":
-        _write(render_bibtex(record))
+        _write(_cli.render_bibtex(record))
     else:
-        _write(render_json(record))
+        _write(_cli.render_json(record))
     return 0
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     if _looks_like_file(args.input):
-        _bind("rdfio")
         graph, _ = _load_graph(args.input)
-        _write(serialize_ntriples(graph))
+        _write(_cli.serialize_ntriples(graph))
         return 0
-    _bind("citation")
-    record = parse_canonical(args.input)
-    _write(render_json(record))
+    record = _cli.parse_canonical(args.input)
+    _write(_cli.render_json(record))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _bind("principles")
     if _looks_like_file(args.input):
-        _bind("rdfio", "extract", "citation")
         graph, label = _load_graph(args.input)
-        meta = extract_metadata(graph, fmt=label)
-        split = derive_acronym(meta) if meta.title else None
-        diagnostics = validate_record(draft_fields(meta, split))
+        meta = _cli.extract_metadata(graph, fmt=label)
+        split = _cli.derive_acronym(meta) if meta.title else None
+        diagnostics = _cli.validate_record(_cli.draft_fields(meta, split))
     else:
-        diagnostics = validate_citation_string(args.input)
+        diagnostics = _cli.validate_citation_string(args.input)
     _write("".join(f"{d.code}\t{d.severity}\t{d.message}\n" for d in diagnostics))
     return 1 if any(d.severity == "error" for d in diagnostics) else 0
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    _bind("rdfio", "extract", "mutual")
     graph, _ = _load_graph(args.path)
-    injected = inject_reference(graph, find_ontology_iri(graph), args.reference, args.lang)
+    iri = _cli.find_ontology_iri(graph)
+    injected = _cli.inject_reference(graph, iri, args.reference, args.lang)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(serialize_ntriples(injected))
+            handle.write(_cli.serialize_ntriples(injected))
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise OntociteError(f"cannot write {_shown(args.out)}: {exc}") from None
     return 0
 
 
 def _cmd_check_mutual(args: argparse.Namespace) -> int:
-    _bind("rdfio", "extract", "citation", "mutual")
     graph, label = _load_graph(args.onto_path)
-    meta = extract_metadata(graph, fmt=label)
-    record = build_record(meta, derive_acronym(meta))
-    refs = list_references(graph, meta.ontology_iri)
+    meta = _cli.extract_metadata(graph, fmt=label)
+    record = _cli.build_record(meta, _cli.derive_acronym(meta))
+    refs = _cli.list_references(graph, meta.ontology_iri)
     reflist = _decode(args.reflist_path, _read_bytes(args.reflist_path))
-    threshold = DEFAULT_SIMILARITY_THRESHOLD if args.threshold is None else args.threshold
-    result = check_publication_side(reflist, record, threshold=threshold)
+    threshold = _cli.DEFAULT_SIMILARITY_THRESHOLD if args.threshold is None else args.threshold
+    result = _cli.check_publication_side(reflist, record, threshold=threshold)
     ontology_side = bool(refs)
     _write(f"ontology-side\t{'true' if ontology_side else 'false'}\n"
            f"publication-side\t{'true' if result.found else 'false'}"
@@ -188,17 +164,16 @@ def _cmd_check_mutual(args: argparse.Namespace) -> int:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    _bind("rdfio", "extract", "network")
     corpus: list[tuple[Graph, Iri]] = []
     for path in args.paths:
         graph, _ = _load_graph(path)
-        corpus.append((graph, find_ontology_iri(graph)))
+        corpus.append((graph, _cli.find_ontology_iri(graph)))
     unparsed: list[tuple[Iri, str]] = []
-    network = build_network(corpus, unparsed=unparsed)
+    network = _cli.build_network(corpus, unparsed=unparsed)
     if args.dot:
-        _write(export_dot(network))
+        _write(_cli.export_dot(network))
     else:
-        _write(render_counts_report(network, unparsed))
+        _write(_cli.render_counts_report(network, unparsed))
     return 0
 
 

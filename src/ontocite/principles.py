@@ -77,10 +77,29 @@ _URI_ONLY = _error(
 )
 
 
+_TEXT = (str, type(None))
+_SEQUENCE = (list, tuple, type(None))
+#: The types that a mapping's field may have.
+_FIELD_TYPES = {"date": _TEXT, "full_name": _TEXT, "acronym": _TEXT, "version": _TEXT,
+                "revision": _TEXT, "uri": (Iri, str, type(None)), "creators": _SEQUENCE,
+                "formats": _SEQUENCE}
+
+
 def _as_fields(record: CitationRecord | Mapping) -> dict[str, object]:
+    """The fields of ``record``; a mapping's field of the wrong type raises
+    :class:`CitationRecordError`."""
     if isinstance(record, CitationRecord):
         return {name: getattr(record, name) for name in record._fields}
-    return dict(record)
+    fields = dict(record)
+    for name, types in _FIELD_TYPES.items():
+        value = fields.get(name)
+        if not isinstance(value, types):
+            raise CitationRecordError(name, f"is of type {type(value).__name__}: {value!r}")
+    for index, label in enumerate(fields.get("formats") or ()):
+        if not isinstance(label, str):
+            raise CitationRecordError(f"formats[{index}]",
+                                      f"is of type {type(label).__name__}: {label!r}")
+    return fields
 
 
 def _name_form_problem(creator: Agent) -> str | None:
@@ -102,9 +121,10 @@ def _name_form_problem(creator: Agent) -> str | None:
 def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     """Check a record, or a mapping of some of its fields as
     ``citation.draft_fields`` returns it, against the citation completeness
-    and form rules; findings come back sorted by code. A mapping's creators
-    are ``Agent``s, and any other creator raises
-    :class:`CitationRecordError`; its ``uri`` may be a string, the one way
+    and form rules; findings come back sorted by code. A mapping's text
+    fields are strings or None, its ``creators`` a list or tuple of
+    ``Agent``s and its ``formats`` one of strings; any other value raises
+    :class:`CitationRecordError`. Its ``uri`` may be a string, the one way
     to report a relative URI."""
     f = _as_fields(record)
     out: list[Diagnostic] = []
@@ -128,7 +148,7 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     if not title:
         out.append(_error(E_TITLE_MISSING, "no ontology name given", "full_name"))
 
-    uri_value = uri.value if isinstance(uri, Iri) else (str(uri) if uri else "")
+    uri_value = uri.value if isinstance(uri, Iri) else (uri or "")
     if not uri_value:
         out.append(_error(E_URI_MISSING, "no URI given", "uri"))
     elif not is_absolute_iri(uri_value):

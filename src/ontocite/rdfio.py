@@ -20,13 +20,14 @@ regexes reject goes to one error finder, :meth:`_Scanner.fail`, which
 names what broke the term there and builds none; an N-Triples statement
 first builds the terms before its broken part, which the statement's
 parts, nested as optionals, locate. Line and column are worked out only
-then. A well-formed ``@prefix`` declaration is one ``_PREFIX_DECL`` match;
-any other is read token by token, which finds its error. Each distinct IRI
-is validated once per process while it is among the 4,096 most recently
-validated, through ``model._IRI_TABLE``, which the citation parsers share;
-a failed validation is never kept. Within a document, the later
-occurrences of an IRI reuse the same :class:`Iri` however many the table
-has dropped.
+then. A well-formed ``@prefix`` or ``@base`` declaration is one
+``_DIRECTIVE`` match; the tokens read any other only to find its error.
+Whitespace and comments are skipped by one rule, ``_SKIP``, everywhere.
+Each distinct IRI is validated once per process while it is among the
+4,096 most recently validated, through ``model._IRI_TABLE``, which the
+citation parsers share; a failed validation is never kept. Within a
+document, the later occurrences of an IRI reuse the same :class:`Iri`
+however many the table has dropped.
 """
 
 from __future__ import annotations
@@ -71,17 +72,15 @@ _PN_LOCAL = r"(?:[A-Za-z0-9_\-%]+|\.(?=[A-Za-z0-9_\-.%]))*"
 # A keyword ends where a prefixed name would not: 'a:b' is a name.
 _KEYWORD_END = r"(?![A-Za-z0-9_\-:])"
 _NUMBER = r"(?P<number>[+-]?(?:[0-9]*\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-# Whitespace and whole comment lines. A comment that ends the input without
-# a newline is left to _WS_RE, so that the skip never backtracks into itself.
-_SKIP = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
+# Whitespace and comments, a last comment without its newline included;
+# possessive, so that the skip never backtracks into itself.
+_SKIP = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
 
 # The statement and token regexes, and what only escapes and malformed input
 # need, are compiled on first use, from re's cache, so that a command that
 # parses no RDF, or only one syntax, compiles none or one of them.
 _DECODE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))"
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
-_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 
 # One N-Triples statement as its parts, in order: subject, predicate, object
 # (a literal is no object when an '@' or '^^' follows that starts no language
@@ -122,9 +121,10 @@ _TOKEN = _SKIP + "(?:" + "|".join([
     _NUMBER,
     r"@(?P<directive>prefix|base)(?![A-Za-z0-9\-])",
 ]) + ")"
-# A well-formed '@prefix' declaration after its keyword, through its '.'.
-# Groups: 1 prefix, 2 IRI body. What it does not match, the token path reads.
-_PREFIX_DECL = rf"{_SKIP}({_PN_PREFIX}):{_SKIP}<({_IRI})>{_SKIP}\."
+# A well-formed directive after its keyword, through its '.': '@prefix'
+# when group 1, the prefix, is present and '@base' when it is not. Group 2
+# is the IRI body. What it does not match, the tokens read to find the error.
+_DIRECTIVE = rf"{_SKIP}(?:({_PN_PREFIX}):{_SKIP})?<({_IRI})>{_SKIP}\."
 
 
 class _Scanner:
@@ -154,7 +154,7 @@ class _Scanner:
     def skip(self, pos: int) -> int:
         """The first offset at or after ``pos`` that is not whitespace or
         comment."""
-        return _WS_RE.match(self.text, pos).end()
+        return re.compile(_SKIP).match(self.text, pos).end()
 
     def make(self, start: int, factory, *args):
         """Build a model term; its validation errors point at ``start``."""
@@ -403,14 +403,18 @@ class _Turtle(_Scanner):
         """Read an ``@prefix`` or ``@base`` declaration from ``pos``, after
         its keyword; return the offset after its '.'."""
         text = self.text
+        m = re.compile(_DIRECTIVE).match(text, pos)
+        if m and (m.group(1) is None) == (name == "base"):
+            value = self.iri(*m.span(2)).value
+            if name == "base":
+                self.base = value
+            else:
+                self.prefixes[m.group(1)] = value
+            return m.end()
+        # _DIRECTIVE reads every declaration that the tokens below accept,
+        # so they only find this one's error: the prefixed name, whose
+        # local part must then be the IRI, the IRI or the '.'
         if name == "prefix":
-            m = re.compile(_PREFIX_DECL).match(text, pos)
-            if m:
-                self.prefixes[m.group(1)] = self.iri(*m.span(2)).value
-                return m.end()
-            # _PREFIX_DECL reads every declaration that the tokens below
-            # accept, so they only find this one's error: the prefixed
-            # name, whose local part must then be the IRI, the IRI or the '.'
             m = self.token(text, pos)
             if not m or m.lastgroup != "local":
                 self.error("expected ':' in @prefix declaration", self.skip(pos))
@@ -418,12 +422,8 @@ class _Turtle(_Scanner):
         iri = self.token(text, pos)
         if not iri or iri.lastgroup != "iri":
             self.fail(self.skip(pos), "@" + name)
-        value = self.iri(*iri.span("iri")).value
-        dot = self.token(text, iri.end())
-        if not dot or dot.lastgroup != "dot":
-            self.error(f"expected '.' after @{name} declaration", self.skip(iri.end()))
-        self.base = value
-        return dot.end()
+        self.iri(*iri.span("iri"))
+        self.error(f"expected '.' after @{name} declaration", self.skip(iri.end()))
 
     # -- statements
 

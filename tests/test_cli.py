@@ -3,6 +3,7 @@ import json
 import os
 import re
 import subprocess
+import symtable
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -233,6 +234,21 @@ class TestImports:
         assert "cli" in loaded
         assert unused.isdisjoint(loaded)
         assert self.UNNEEDED.isdisjoint(added)
+
+    def test_commands_read_library_names_as_attributes(self):
+        """A function of cli that reads a library name as a bare global
+        works in-process once ``__getattr__`` has bound that name, and
+        raises NameError in a fresh process; cli reads each as ``_cli.``."""
+        with open(cli.__file__, encoding="utf-8") as handle:
+            table = symtable.symtable(handle.read(), cli.__file__, "exec")
+        bound = {s.get_name() for s in table.get_symbols() if s.is_assigned() or s.is_imported()}
+        bare, scopes = [], table.get_children()
+        while scopes:
+            scope = scopes.pop()
+            scopes += scope.get_children()
+            bare += [f"{scope.get_name()}: {s.get_name()}" for s in scope.get_symbols()
+                     if s.is_global() and s.get_name() in ontocite._EXPORTS.keys() - bound]
+        assert bare == []
 
     def test_library_validate_loads_no_extractor(self):
         script = ("import json, sys\nimport ontocite\n"

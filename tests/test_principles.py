@@ -161,6 +161,21 @@ class TestValidateRecord:
         assert exc.value.field == "creators[1]"
         assert str(exc.value) == "citation record 'creators[1]' is not an Agent: 'Doe, J.'"
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("formats", "turtle", "formats"),
+        ("formats", ["turtle", 5], "formats[1]"),
+        ("date", 20200101, "date"),
+        ("acronym", 5, "acronym"),
+        ("full_name", 5, "full_name"),
+        ("version", 2.3, "version"),
+        ("uri", 5, "uri"),
+        ("creators", 5, "creators"),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_record_error(self, key, value, field):
+        with pytest.raises(CitationRecordError) as exc:
+            validate_record(with_value(base_fields(), key, value))
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("name", ["ßtraße Müller", "ﬁona Smith", "小明 王", "Özgür Müller"])
     def test_normalized_names_pass_the_name_form_rule(self, name):
         fields = with_value(base_fields(), "creators", [normalize_person_name(name)])

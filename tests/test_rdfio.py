@@ -671,6 +671,8 @@ class TestTurtle:
          "_:b1 <http://x> <http://y> .\n"),
         ("<http://a> <http://p> [] .", "<http://a> <http://p> _:b1 .\n"),
         ("[ <http://p> <http://o> ] .", "_:b1 <http://p> <http://o> .\n"),
+        # a last comment without its newline, in both syntaxes
+        ("<http://a> <http://p> <http://a> ; . # c", "<http://a> <http://p> <http://a> .\n# c"),
     ])
     def test_repeated_semicolons(self, text, twin):
         assert parse_turtle(text) == parse_ntriples(twin)
@@ -690,6 +692,14 @@ class TestTurtle:
         g = parse_turtle(f"{text}\n{name}:s {name}:p {name}:o .")
         assert g == parse_ntriples(f"<{namespace}s> <{namespace}p> <{namespace}o> .")
 
+    @pytest.mark.parametrize("text, base", [
+        ("@base <http://b/> . @base <c/> .", "http://b/c/"),
+        ("@base # c\n <http://x/> # d\n .", "http://x/"),
+    ])
+    def test_base_declaration_shapes(self, text, base):
+        g = parse_turtle(f"{text}\n<s> <p> <o> .")
+        assert g == parse_ntriples(f"<{base}s> <{base}p> <{base}o> .")
+
     @pytest.mark.parametrize("text, column, message", [
         ("@prefix x: <http://x/> # c", 27, "expected '.' after @prefix declaration"),
         ("@prefix x:y <http://x/> .", 11, "expected IRI in @prefix declaration"),
@@ -698,6 +708,10 @@ class TestTurtle:
          "IRI contains forbidden character(s) ' ': 'http://x /'"),
         ("@prefix x: <http://x/> .5", 25, "expected subject"),
         ("@prefix x: <http://x/>", 23, "expected '.' after @prefix declaration"),
+        ("@base x: <http://x/> .", 7, "expected IRI in @base declaration"),
+        ("@base <http://x/> # c", 22, "expected '.' after @base declaration"),
+        ("@base <http://x/>", 18, "expected '.' after @base declaration"),
+        ("@base <rel> .", 7, "relative IRI without @base: 'rel'"),
     ])
     def test_malformed_prefix_declaration_shapes(self, text, column, message):
         with pytest.raises(ParseError) as exc:
