@@ -24,7 +24,7 @@ from .exceptions import (
 )
 from .model import Graph, Iri, Literal, Term, Value
 
-_DOTTED_VERSION_RE = re.compile(r"^v?[0-9]+(\.[0-9]+)*$")
+_DOTTED_VERSION_RE = re.compile(r"v?[0-9]+(\.[0-9]+)*")
 
 
 class OntologyMetadata(Value):
@@ -173,7 +173,7 @@ def _version_of(prop: Iri, value: str) -> str:
     text = " ".join(value.split())
     if prop == vocab.OWL_VERSION_INFO:
         for token in text.split(" "):
-            if _DOTTED_VERSION_RE.match(token):
+            if _DOTTED_VERSION_RE.fullmatch(token):
                 return token
     return text
 

@@ -22,8 +22,11 @@ _FORBIDDEN_IRI_CHARS = set(' \t\n\r\x0b\x0c<>"')
 # rest, which an N-Triples token writes as \u00XX; rdfio's IRI terminal excludes it.
 _IRIREF_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
 _IRIREF_ESCAPE_RE = re.compile(f"[{_IRIREF_EXCLUDED}]")
-_LANG_RE = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
-_BNODE_LABEL_RE = re.compile(r"^[A-Za-z0-9_]+$")
+# Checked by fullmatch, as '$' matches before a final newline too. _LABEL, a
+# blank-node label character, is also rdfio's.
+_LANG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
+_LABEL = "[A-Za-z0-9_]"
+_BNODE_LABEL_RE = re.compile(_LABEL + "+")
 
 
 def _reject_surrogate(text: str, what: str) -> None:
@@ -31,16 +34,6 @@ def _reject_surrogate(text: str, what: str) -> None:
         text.encode()
     except UnicodeEncodeError as exc:  # a lone surrogate, which no UTF-8 text holds
         raise RdfModelError(f"lone surrogate U+{ord(text[exc.start]):04X} in {what}") from None
-
-
-def is_absolute_iri(value: str) -> bool:
-    """True when the string starts with a scheme and contains no character
-    forbidden in an IRI."""
-    return bool(
-        value
-        and _SCHEME_RE.match(value)
-        and not _FORBIDDEN_IRI_CHARS.intersection(value)
-    )
 
 
 # Sets a field in __init__; a name of its own, as Triple has a field "object".
@@ -147,7 +140,7 @@ class Literal(Value):
         if lang is not None:
             if datatype is not None:
                 raise RdfModelError("literal cannot carry both a language tag and a datatype")
-            if not _LANG_RE.match(lang):
+            if not _LANG_RE.fullmatch(lang):
                 raise RdfModelError(f"malformed language tag: {lang!r}")
             head, sep, rest = lang.partition("-")
             lang = head.lower() + sep + rest
@@ -156,12 +149,6 @@ class Literal(Value):
         _set(self, "lexical", lexical)
         _set(self, "lang", lang)
         _set(self, "datatype", datatype)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.lexical, self.lang, self.datatype)
-                == (other.lexical, other.lang, other.datatype))
 
     def __hash__(self) -> int:
         return hash((self.lexical, self.lang, self.datatype))
@@ -173,7 +160,7 @@ class BlankNode(Value):
     __slots__ = _fields = ("label",)
 
     def __init__(self, label: str):
-        if not _BNODE_LABEL_RE.match(label):
+        if not _BNODE_LABEL_RE.fullmatch(label):
             raise RdfModelError(f"malformed blank node label: {label!r}")
         _set(self, "label", label)
 
@@ -235,13 +222,6 @@ class Triple(Value):
         _set(self, "subject", subject)
         _set(self, "predicate", predicate)
         _set(self, "object", object)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # tuples compare identical (interned) terms without calling their __eq__
-        return ((self.subject, self.predicate, self.object)
-                == (other.subject, other.predicate, other.object))
 
     def __hash__(self) -> int:
         return hash((self.subject, self.predicate, self.object))

@@ -16,8 +16,8 @@ from collections.abc import Mapping
 
 from .citation import (Agent, CitationRecord, is_acronym, is_calendar_date, is_initials,
                         parse_canonical)
-from .exceptions import CitationParseError, CitationRecordError
-from .model import Iri, Value, is_absolute_iri
+from .exceptions import CitationParseError, CitationRecordError, RdfModelError
+from .model import _IRI_TABLE, Iri, Value
 from .vocab import KNOWN_FORMAT_LABELS
 
 E_CREATOR_MISSING = "E-CREATOR-MISSING"
@@ -148,14 +148,11 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     if not title:
         out.append(_error(E_TITLE_MISSING, "no ontology name given", "full_name"))
 
-    uri_value = uri.value if isinstance(uri, Iri) else (uri or "")
-    if not uri_value:
+    if not uri:
         out.append(_error(E_URI_MISSING, "no URI given", "uri"))
-    elif not is_absolute_iri(uri_value):
-        out.append(_error(
-            E_URI_RELATIVE, f"URI {uri_value!r} is not absolute", "uri"
-        ))
-    if uri_value and not creators and not date and not title:
+    elif not isinstance(uri, Iri) and not _is_iri(uri):
+        out.append(_error(E_URI_RELATIVE, f"URI {uri!r} is not absolute", "uri"))
+    if uri and not creators and not date and not title:
         out.append(_URI_ONLY)
 
     if not version:
@@ -188,13 +185,22 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     return out
 
 
-def _bare_iri(text: str) -> str | None:
+def _is_iri(text: str) -> bool:
+    """Whether ``text`` is an absolute IRI, as :class:`Iri` decides it."""
+    try:
+        _IRI_TABLE(text)
+    except RdfModelError:
+        return False
+    return True
+
+
+def _bare_iri(text: str) -> bool:
     candidate = text.strip()
     if candidate.startswith("<") and candidate.endswith(">") and len(candidate) > 2:
         candidate = candidate[1:-1]
     if not candidate or any(ch.isspace() for ch in candidate):
-        return None
-    return candidate if is_absolute_iri(candidate) else None
+        return False
+    return _is_iri(candidate)
 
 
 def validate_citation_string(text: str) -> list[Diagnostic]:

@@ -20,8 +20,8 @@ regexes reject goes to one error finder, :meth:`_Scanner.fail`, which
 names what broke the term there and builds none; an N-Triples statement
 first builds the terms before its broken part, which the statement's
 parts, nested as optionals, locate. Line and column are worked out only
-then. A well-formed ``@prefix`` or ``@base`` declaration is one
-``_DIRECTIVE`` match; the tokens read any other only to find its error.
+then. An ``@prefix`` or ``@base`` declaration, well formed or not, is
+one ``_DIRECTIVE`` match, whose optional parts locate its error.
 Whitespace and comments are skipped by one rule, ``_SKIP``, everywhere.
 Each distinct IRI is validated once per process while it is among the
 4,096 most recently validated, through ``model._IRI_TABLE``, which the
@@ -36,8 +36,8 @@ import os
 import re
 
 from .exceptions import ParseError, RdfModelError, UnknownFormatError
-from .model import (_IRI_TABLE, _IRIREF_EXCLUDED, _SCHEME_RE, BlankNode, Graph, Iri, Literal,
-                    Term, Triple, nt_line)
+from .model import (_IRI_TABLE, _IRIREF_EXCLUDED, _LABEL, _SCHEME_RE, BlankNode, Graph, Iri,
+                    Literal, Term, Triple, nt_line)
 from .vocab import (
     EXTENSION_LABELS,
     RDF_TYPE,
@@ -63,7 +63,6 @@ _SHORT = rf"{_SHORT_CHAR}*+(?:{_ESCAPE}{_SHORT_CHAR}*+)*+"
 # the last three of a longer run: the run stops at exactly '"""'.
 _LONG_RUN = r'[^"\\]*(?:(?:"{1,2}(?!")|"(?="""))[^"\\]*)*'
 _LONG = rf"{_LONG_RUN}(?:{_ESCAPE}{_LONG_RUN})*"
-_LABEL = r"[A-Za-z0-9_]"
 _LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
 # A prefix is empty or starts with a letter, as W3C PN_PREFIX does.
 _PN_PREFIX = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?"
@@ -121,10 +120,11 @@ _TOKEN = _SKIP + "(?:" + "|".join([
     _NUMBER,
     r"@(?P<directive>prefix|base)(?![A-Za-z0-9\-])",
 ]) + ")"
-# A well-formed directive after its keyword, through its '.': '@prefix'
-# when group 1, the prefix, is present and '@base' when it is not. Group 2
-# is the IRI body. What it does not match, the tokens read to find the error.
-_DIRECTIVE = rf"{_SKIP}(?:({_PN_PREFIX}):{_SKIP})?<({_IRI})>{_SKIP}\."
+# A directive after its keyword, its parts nested as optionals, as in
+# _NT_PREFIX: group 1 the prefix, which '@prefix' has and '@base' has not,
+# group 2 the IRI body and group 3 the '.'. Where a part is missing, the
+# directive is malformed.
+_DIRECTIVE = rf"{_SKIP}(?:({_PN_PREFIX}):{_SKIP})?(?:<({_IRI})>{_SKIP}(\.)?)?"
 
 
 class _Scanner:
@@ -402,28 +402,22 @@ class _Turtle(_Scanner):
     def directive(self, name: str, pos: int) -> int:
         """Read an ``@prefix`` or ``@base`` declaration from ``pos``, after
         its keyword; return the offset after its '.'."""
-        text = self.text
-        m = re.compile(_DIRECTIVE).match(text, pos)
-        if m and (m.group(1) is None) == (name == "base"):
-            value = self.iri(*m.span(2)).value
+        m = re.compile(_DIRECTIVE).match(self.text, pos)
+        prefix = m.group(1)
+        if (prefix is None) != (name == "base"):
             if name == "base":
-                self.base = value
-            else:
-                self.prefixes[m.group(1)] = value
-            return m.end()
-        # _DIRECTIVE reads every declaration that the tokens below accept,
-        # so they only find this one's error: the prefixed name, whose
-        # local part must then be the IRI, the IRI or the '.'
-        if name == "prefix":
-            m = self.token(text, pos)
-            if not m or m.lastgroup != "local":
-                self.error("expected ':' in @prefix declaration", self.skip(pos))
-            pos = m.start("local")
-        iri = self.token(text, pos)
-        if not iri or iri.lastgroup != "iri":
-            self.fail(self.skip(pos), "@" + name)
-        self.iri(*iri.span("iri"))
-        self.error(f"expected '.' after @{name} declaration", self.skip(iri.end()))
+                self.fail(self.skip(pos), "@base")
+            self.error("expected ':' in @prefix declaration", self.skip(pos))
+        if m.group(2) is None:
+            self.fail(m.end(), "@" + name)
+        value = self.iri(*m.span(2)).value
+        if m.group(3) is None:
+            self.error(f"expected '.' after @{name} declaration", m.end())
+        if prefix is None:
+            self.base = value
+        else:
+            self.prefixes[prefix] = value
+        return m.end()
 
     # -- statements
 

@@ -373,6 +373,11 @@ class TestValidate:
         assert code == 1
         assert out == "E-URI-ONLY\terror\tcitation is a mere link: a URI reveals neither creators, title, date, nor version\n"
 
+    def test_bare_uri_with_a_lone_surrogate_is_a_parse_error(self, capsys):
+        code, out, _ = run(capsys, "validate", "http://e.org/x\udcff")
+        assert code == 1
+        assert out.startswith("E-PARSE\terror\t") and out.count("\n") == 1
+
     def test_file_with_warning_only(self, capsys):
         code, out, _ = run(capsys, "validate", str(HEADERS / "wqo.ttl"))
         assert code == 0
@@ -436,6 +441,14 @@ class TestInject:
         run(capsys, "inject", PAV_TTL, "--reference", "Ref.", "--lang", "EN",
             "--out", str(out_path))
         assert '"Ref."@en' in out_path.read_text("utf-8")
+
+    def test_lang_ending_in_a_newline_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "o.nt"
+        code, out, err = run(capsys, "inject", PAV_TTL, "--reference", "x",
+                             "--lang", "en\n", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_parse_failure_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "inject", str(MISC / "broken.ttl"),

@@ -47,7 +47,7 @@ class TestTerms:
         # the first code point is named, never the character itself
         assert str(exc.value) == f"lone surrogate U+{code} in literal"
 
-    @pytest.mark.parametrize("bad", ["", "-en", "en-", "toolongtag9", "e n"])
+    @pytest.mark.parametrize("bad", ["", "-en", "en-", "toolongtag9", "e n", "en\n"])
     def test_literal_bad_lang(self, bad):
         with pytest.raises(RdfModelError):
             Literal("x", lang=bad)
@@ -56,6 +56,8 @@ class TestTerms:
         assert BlankNode("b1").label == "b1"
         with pytest.raises(RdfModelError):
             BlankNode("not ok")
+        with pytest.raises(RdfModelError):
+            BlankNode("b1\n")
 
     def test_triple_subject_never_literal(self):
         with pytest.raises(RdfModelError):

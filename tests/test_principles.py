@@ -99,6 +99,11 @@ class TestValidateRecord:
         assert (read_back == record.acronym) is is_acronym(record.acronym)
         assert ("W-ACRONYM-COLON" in codes) is not is_acronym(record.acronym)
 
+    def test_uri_holding_a_lone_surrogate_is_relative(self):
+        # Iri rejects a lone surrogate, so no IRI holds one
+        diagnostics = validate_record(with_value(base_fields(), "uri", "http://a\udcff"))
+        assert [d.code for d in diagnostics] == ["E-URI-RELATIVE"]
+
     def test_uri_only_record(self):
         diagnostics = validate_record({"uri": "http://purl.org/pav/"})
         codes = {d.code for d in diagnostics}

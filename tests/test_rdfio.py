@@ -16,6 +16,7 @@ from ontocite import (
     Iri,
     Literal,
     ParseError,
+    RdfModelError,
     Triple,
     UnknownFormatError,
     detect_format_label,
@@ -532,6 +533,19 @@ class TestSerializer:
     def test_round_trip_property(self, g):
         assert parse_ntriples(serialize_ntriples(g)) == g
 
+    @settings(max_examples=300)
+    @given(lang=st.text(alphabet="aZ9-_ \n", max_size=6),
+           label=st.text(alphabet="aZ9-_ \n", max_size=6))
+    def test_every_term_the_model_accepts_round_trips(self, lang, label):
+        terms = []
+        for build in (lambda: Literal("x", lang=lang), lambda: BlankNode(label)):
+            try:
+                terms.append(build())
+            except RdfModelError:
+                pass
+        g = Graph(Triple(Iri("http://a"), Iri("http://p"), term) for term in terms)
+        assert parse_ntriples(serialize_ntriples(g)) == g
+
     @settings(max_examples=200)
     @given(g=graphs)
     def test_lines_follow_graph_order(self, g):
@@ -712,6 +726,15 @@ class TestTurtle:
         ("@base <http://x/> # c", 22, "expected '.' after @base declaration"),
         ("@base <http://x/>", 18, "expected '.' after @base declaration"),
         ("@base <rel> .", 7, "relative IRI without @base: 'rel'"),
+        ("@prefix ex: ex:foo .", 13, "expected IRI in @prefix declaration"),
+        ("@prefix <http://x/> .", 9, "expected ':' in @prefix declaration"),
+        ("@prefix x: <http://x", 12, "unterminated IRI"),
+        ("@prefix x: <http://x/> <http://y/> .", 24, "expected '.' after @prefix declaration"),
+        ("@prefix x: _:b .", 12, "expected IRI in @prefix declaration"),
+        ("@prefix x: <http://x\\u12G4/> .", 21, "\\u escape needs 4 hex digits"),
+        ("@base :<http://x/> .", 7, "expected IRI in @base declaration"),
+        ("@base <http://x/> <http://y/> .", 19, "expected '.' after @base declaration"),
+        ("@base", 6, "expected IRI in @base declaration"),
     ])
     def test_malformed_prefix_declaration_shapes(self, text, column, message):
         with pytest.raises(ParseError) as exc:
