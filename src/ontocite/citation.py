@@ -226,12 +226,8 @@ def render_bibtex(record: CitationRecord) -> str:
         note_parts.append(", ".join(record.formats))
     if note_parts:
         fields.append(("note", ", ".join(note_parts)))
-    lines = [f"@misc{{{key},"]
-    lines.extend(f"  {name} = {{{value}}}," for name, value in fields[:-1])
-    last_name, last_value = fields[-1]
-    lines.append(f"  {last_name} = {{{last_value}}}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    body = ",\n".join(f"  {name} = {{{value}}}" for name, value in fields)
+    return f"@misc{{{key},\n{body}\n}}\n"
 
 
 def record_to_dict(record: CitationRecord) -> dict[str, object]:

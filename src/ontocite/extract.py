@@ -151,13 +151,8 @@ def _preferred_literal(values: Sequence[Literal]) -> str | None:
     language tag, else the untagged literal."""
     if not values:
         return None
-    english = sorted(v.lexical for v in values if v.lang == "en")
-    if english:
-        return english[0]
-    tagged = sorted((v.lang, v.lexical) for v in values if v.lang is not None)
-    if tagged:
-        return tagged[0][1]
-    return sorted(v.lexical for v in values)[0]
+    return min(values, key=lambda v: (v.lang != "en", v.lang is None, v.lang or "",
+                                      v.lexical)).lexical
 
 
 def _normalize_date(value: str) -> str | None:

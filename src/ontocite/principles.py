@@ -79,18 +79,17 @@ _URI_ONLY = _error(
 
 _TEXT = (str, type(None))
 _SEQUENCE = (list, tuple, type(None))
-#: The types that a mapping's field may have.
+#: The types that a record's or a mapping's field may have.
 _FIELD_TYPES = {"date": _TEXT, "full_name": _TEXT, "acronym": _TEXT, "version": _TEXT,
                 "revision": _TEXT, "uri": (Iri, str, type(None)), "creators": _SEQUENCE,
                 "formats": _SEQUENCE}
 
 
 def _as_fields(record: CitationRecord | Mapping) -> dict[str, object]:
-    """The fields of ``record``; a mapping's field of the wrong type raises
+    """The fields of ``record``; a field of the wrong type raises
     :class:`CitationRecordError`."""
-    if isinstance(record, CitationRecord):
-        return {name: getattr(record, name) for name in record._fields}
-    fields = dict(record)
+    fields = ({name: getattr(record, name) for name in record._fields}
+              if isinstance(record, CitationRecord) else dict(record))
     for name, types in _FIELD_TYPES.items():
         value = fields.get(name)
         if not isinstance(value, types):
@@ -121,11 +120,11 @@ def _name_form_problem(creator: Agent) -> str | None:
 def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     """Check a record, or a mapping of some of its fields as
     ``citation.draft_fields`` returns it, against the citation completeness
-    and form rules; findings come back sorted by code. A mapping's text
-    fields are strings or None, its ``creators`` a list or tuple of
-    ``Agent``s and its ``formats`` one of strings; any other value raises
-    :class:`CitationRecordError`. Its ``uri`` may be a string, the one way
-    to report a relative URI."""
+    and form rules; findings come back sorted by code. The text fields of
+    either are strings or None, ``creators`` a list or tuple of ``Agent``s
+    and ``formats`` one of strings; any other value raises
+    :class:`CitationRecordError`. ``uri`` may be a string, the one way to
+    report a relative URI."""
     f = _as_fields(record)
     out: list[Diagnostic] = []
 

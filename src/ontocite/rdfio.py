@@ -164,13 +164,11 @@ class _Scanner:
             self.error(str(exc), start)
 
     def intern(self, start: int, value: str) -> Iri:
-        """The document's one :class:`Iri` for ``value``, taken from the
-        process table when first seen; its validation errors point at
-        ``start``."""
-        iri = self.iris.get(value)
-        if iri is None:
-            iri = self.iris[value] = self.make(start, _IRI_TABLE, value)
-        return iri
+        """The document's one :class:`Iri` for ``value``, from the process
+        table; its validation errors point at ``start``. Callers call it on
+        a miss in ``self.iris``; a relative IRI, looked up unresolved, keeps
+        the object stored for its resolved value."""
+        return self.iris.setdefault(value, self.make(start, _IRI_TABLE, value))
 
     # -- term builders
 
@@ -362,7 +360,8 @@ class _Turtle(_Scanner):
         namespace = self.prefixes.get(name)
         if namespace is None:
             self.error(f"undeclared prefix: {name!r}:", start)
-        return self.intern(start, namespace + m.group(local))
+        value = namespace + m.group(local)
+        return self.iris.get(value) or self.intern(start, value)
 
     def token_literal(self, m: re.Match, kind: str) -> Literal:
         """The literal of the token ``m`` whose last group is ``kind``."""
@@ -496,9 +495,7 @@ class _Turtle(_Scanner):
                 if kind != "comma":
                     break
                 pos = m.end()
-            if kind == closer:
-                return m.end()
-            if kind != "semi":
+            if kind != "semi" and kind != closer:
                 self.error(f"expected {_CLOSING[closer]}", self.skip(pos))
             # any run of ';' may separate pairs or end the list
             while kind == "semi":

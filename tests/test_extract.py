@@ -250,6 +250,21 @@ class TestExtractMetadata:
         )
         assert extract_metadata(g).title == "Titel"
 
+    @given(drawn=st.lists(st.tuples(st.sampled_from([None, "en", "EN", "en-GB", "fr", "de"]),
+                                    st.text("abc", min_size=1, max_size=3)),
+                          min_size=1, max_size=5))
+    @settings(max_examples=300)
+    def test_language_choice_is_the_three_pass_rule(self, drawn):
+        values = [Literal(lexical, lang=lang) for lang, lexical in drawn]
+        # the oracle: the least English lexical form, else the least
+        # (tag, lexical) pair's form, else the least untagged form
+        english = sorted(v.lexical for v in values if v.lang == "en")
+        tagged = sorted((v.lang, v.lexical) for v in values if v.lang is not None)
+        expected = (english[0] if english else tagged[0][1] if tagged
+                    else sorted(v.lexical for v in values)[0])
+        g = header(*(Triple(ONTO, DCTERMS_TITLE, v) for v in values))
+        assert extract_metadata(g).title == expected
+
     def test_contributors_ignored(self):
         g = header(
             Triple(ONTO, Iri("http://purl.org/dc/terms/contributor"), Literal("Con Tributor")),

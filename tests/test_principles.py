@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ontocite import (
     Agent,
+    CitationRecord,
     CitationRecordError,
     Diagnostic,
     Iri,
@@ -175,11 +176,21 @@ class TestValidateRecord:
         ("version", 2.3, "version"),
         ("uri", 5, "uri"),
         ("creators", 5, "creators"),
+        ("uri", b"http://a", "uri"),
+        ("revision", 7, "revision"),
+        ("formats", (5,), "formats[0]"),
     ])
     def test_a_field_of_the_wrong_type_is_a_record_error(self, key, value, field):
-        with pytest.raises(CitationRecordError) as exc:
-            validate_record(with_value(base_fields(), key, value))
-        assert exc.value.field == field
+        fields = with_value(base_fields(), key, value)
+        shapes = [fields]
+        # the constructor handles these itself: tuple(5) raises TypeError, and
+        # tuple("turtle") is six labels
+        if (key, value) not in (("creators", 5), ("formats", "turtle")):
+            shapes.append(CitationRecord(**fields))
+        for shape in shapes:
+            with pytest.raises(CitationRecordError) as exc:
+                validate_record(shape)
+            assert exc.value.field == field
 
     @pytest.mark.parametrize("name", ["ßtraße Müller", "ﬁona Smith", "小明 王", "Özgür Müller"])
     def test_normalized_names_pass_the_name_form_rule(self, name):

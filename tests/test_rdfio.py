@@ -24,6 +24,7 @@ from ontocite import (
     parse_turtle,
     serialize_ntriples,
 )
+from ontocite import rdfio
 from ontocite.model import _IRI_TABLE, nt
 from ontocite.rdfio import MAX_NESTING, _Scanner
 from ontocite.vocab import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
@@ -590,6 +591,33 @@ class TestInterning:
                    | {id(t.object) for t in g if isinstance(t.object, Iri)}) == 1
         assert len({id(t.predicate) for t in g}) == 1
         assert len({id(t.object.datatype) for t in g if isinstance(t.object, Literal)}) == 1
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_turtle, "@prefix e: <http://example.org/> .\n"
+                       'e:a e:p <http://example.org/a>, "x"^^e:a .\n'),
+        (parse_turtle, "@prefix e: <http://example.org/> .\n"
+                       '<http://example.org/a> <http://example.org/p> e:a, "x"^^e:a .\n'),
+        (parse_turtle, "@base <http://example.org/> .\n@prefix e: <http://example.org/> .\n"
+                       '<a> e:p e:a, "x"^^<a> .\ne:a <p> <a> .\n'),
+        (parse_ntriples, "<http://example.org/a> <http://p> <http://example.org/a> .\n"
+                         '<http://example.org/\\u0061> <http://p> "x"^^<http://example.org/a> .\n'),
+        (parse_ntriples, '<http://example.org/\\u0061> <http://p> "x" .\n'
+                         "<http://example.org/a> <http://p> <http://example.org/a> .\n"
+                         '<http://s> <http://p> "y"^^<http://example.org/\\U00000061> .\n'),
+    ], ids=["turtle-prefixed-first", "turtle-full-first", "turtle-relative",
+            "ntriples-plain-first", "ntriples-escaped-first"])
+    def test_the_document_keeps_one_object_per_iri(self, parse, text, monkeypatch):
+        # without the process table, every object the parser shares comes from
+        # the document's own table
+        monkeypatch.setattr(rdfio, "_IRI_TABLE", Iri)
+        objects = {}
+        for t in parse(text):
+            terms = (t.subject, t.predicate, t.object, getattr(t.object, "datatype", None))
+            for term in terms:
+                if isinstance(term, Iri):
+                    objects.setdefault(term.value, set()).add(id(term))
+        assert len(objects["http://example.org/a"]) == 1
+        assert all(len(ids) == 1 for ids in objects.values())
 
     @pytest.mark.parametrize("parse, text, message", [
         (parse_ntriples, "<http://a> <http://p> <bad> .\n", "IRI lacks a scheme: 'bad'"),
