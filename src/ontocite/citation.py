@@ -202,13 +202,13 @@ def _slug(name: str) -> str:
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
     double-braced so reference managers do not split them. A date that
-    does not split into three ``-``-separated parts raises
+    is not a string of three ``-``-separated parts raises
     :class:`CitationRecordError`."""
-    key = (record.acronym or _slug(record.full_name)) + record.date[:4]
     try:
         year, month, day = record.date.split("-")
-    except ValueError:
+    except (AttributeError, TypeError, ValueError):
         raise CitationRecordError("date", f"is not shaped YYYY-MM-DD: {record.date!r}") from None
+    key = (record.acronym or _slug(record.full_name)) + year
     authors = ("{" + a.surname + "}" if a.organization else _render_agent(a)
                for a in record.creators)
     fields = [

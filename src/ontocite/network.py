@@ -57,13 +57,11 @@ def build_network(
     to ``unparsed`` (when given) instead of producing an edge.
     """
     entries = list(corpus)
-    seen = set()
+    nodes = set()
     for _, onto in entries:
-        if onto in seen:
+        if onto in nodes:
             raise DuplicateOntologyError(f"ontology appears twice in the corpus: <{onto.value}>")
-        seen.add(onto)
-
-    nodes = set(seen)
+        nodes.add(onto)
     edges = set()
     for g, onto in entries:
         for t in g.match(onto, OWL_IMPORTS, None):

@@ -40,6 +40,7 @@ from .model import (_IRI_TABLE, _IRIREF_EXCLUDED, _LABEL, _SCHEME_RE, BlankNode,
                     Literal, Term, Triple, nt_line)
 from .vocab import (
     EXTENSION_LABELS,
+    OWL_NS,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -522,8 +523,6 @@ def parse_turtle(text: str) -> Graph:
 
 # --- format detection -------------------------------------------------------
 
-_OWL_XML_NS = "http://www.w3.org/2002/07/owl#"
-
 
 def detect_format_label(filename: str, content_prefix: str) -> str:
     """Determine the serialization label for a file.
@@ -535,7 +534,7 @@ def detect_format_label(filename: str, content_prefix: str) -> str:
     if "<?xml" in head:
         if "rdf:RDF" in head:
             return "rdf/xml"
-        if "<Ontology" in head and _OWL_XML_NS in head:
+        if "<Ontology" in head and OWL_NS in head:
             return "owl/xml"
     if head.lstrip().startswith("format-version:"):
         return "obo"

@@ -19,8 +19,6 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 DCTERMS_NS = "http://purl.org/dc/terms/"
 DC_NS = "http://purl.org/dc/elements/1.1/"
 FOAF_NS = "http://xmlns.com/foaf/0.1/"
-OMV_NS = "http://omv.ontoware.org/2005/05/ontology#"
-IDOT_NS = "http://identifiers.org/idot/"
 VANN_NS = "http://purl.org/vocab/vann/"
 
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -34,26 +32,14 @@ XSD_DECIMAL = Iri(XSD_NS + "decimal")
 XSD_DOUBLE = Iri(XSD_NS + "double")
 XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 
-DCTERMS_TITLE = Iri(DCTERMS_NS + "title")
-DCTERMS_CREATOR = Iri(DCTERMS_NS + "creator")
-DCTERMS_ISSUED = Iri(DCTERMS_NS + "issued")
 DCTERMS_REFERENCES = Iri(DCTERMS_NS + "references")
 
-DC_TITLE = Iri(DC_NS + "title")
 DC_RELATION = Iri(DC_NS + "relation")
 
-FOAF_NAME = Iri(FOAF_NS + "name")
 FOAF_GIVEN_NAME = Iri(FOAF_NS + "givenName")
 FOAF_FAMILY_NAME = Iri(FOAF_NS + "familyName")
-FOAF_ORGANIZATION = Iri(FOAF_NS + "Organization")
 
-OMV_ACRONYM = Iri(OMV_NS + "acronym")
-IDOT_PREFERRED_PREFIX = Iri(IDOT_NS + "preferredPrefix")
 VANN_PREFERRED_NAMESPACE_PREFIX = Iri(VANN_NS + "preferredNamespacePrefix")
-
-# Custom slot for the citation's revision element; no standard vocabulary
-# publishes one.
-ONTOCITE_REVISION = Iri("http://purl.org/ontocite/revision")
 
 # Serialization labels used in the citation's bracketed format element.
 KNOWN_FORMAT_LABELS = ("rdf/xml", "owl/xml", "obo", "n3", "turtle", "n-triples")

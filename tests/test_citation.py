@@ -200,7 +200,11 @@ class TestRecordErrors:
         (render_canonical, {"creators": ()}, "creators", "citation record 'creators' is empty"),
         (render_bibtex, {"date": "2020"}, "date",
          "citation record 'date' is not shaped YYYY-MM-DD: '2020'"),
-    ], ids=["canonical-no-creators", "bibtex-year-only"])
+        (render_bibtex, {"date": None}, "date",
+         "citation record 'date' is not shaped YYYY-MM-DD: None"),
+        (render_bibtex, {"date": b"2020-01-01"}, "date",
+         "citation record 'date' is not shaped YYYY-MM-DD: b'2020-01-01'"),
+    ], ids=["canonical-no-creators", "bibtex-year-only", "bibtex-no-date", "bibtex-bytes-date"])
     def test_unrenderable_field(self, render, changes, field, message):
         base = pav_record()
         record = CitationRecord(**{**{name: getattr(base, name) for name in base._fields},

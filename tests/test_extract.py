@@ -29,17 +29,15 @@ from ontocite import (
 )
 from ontocite.citation import is_acronym, is_calendar_date, is_initials
 from ontocite.vocab import (
-    DCTERMS_CREATOR,
-    DCTERMS_ISSUED,
-    DCTERMS_TITLE,
-    DC_TITLE,
-    FOAF_NAME,
-    FOAF_ORGANIZATION,
-    IDOT_PREFERRED_PREFIX,
-    OMV_ACRONYM,
+    ACRONYM_LADDER,
+    AGENT_NAME_LADDER,
+    CREATOR_LADDER,
+    DATE_LADDER,
+    ORGANIZATION_TYPES,
     OWL_ONTOLOGY,
     OWL_VERSION_INFO,
     RDF_TYPE,
+    TITLE_LADDER,
     VANN_PREFERRED_NAMESPACE_PREFIX,
 )
 
@@ -181,8 +179,8 @@ class TestResolveAgentName:
     def test_organization_node(self):
         node = BlankNode("org")
         g = header(
-            Triple(node, RDF_TYPE, FOAF_ORGANIZATION),
-            Triple(node, FOAF_NAME, Literal("Gene Ontology Consortium")),
+            Triple(node, RDF_TYPE, ORGANIZATION_TYPES[0]),
+            Triple(node, AGENT_NAME_LADDER[0], Literal("Gene Ontology Consortium")),
         )
         agent = resolve_agent_name(g, node)
         assert agent.organization
@@ -216,37 +214,37 @@ class TestExtractMetadata:
         assert meta.revision is None
 
     def test_datetime_truncated(self):
-        g = header(Triple(ONTO, DCTERMS_ISSUED, Literal("2014-08-28T14:00:00Z")))
+        g = header(Triple(ONTO, DATE_LADDER[0], Literal("2014-08-28T14:00:00Z")))
         assert extract_metadata(g).date == "2014-08-28"
 
     def test_invalid_date_stays_absent(self):
-        g = header(Triple(ONTO, DCTERMS_ISSUED, Literal("August 2014")))
+        g = header(Triple(ONTO, DATE_LADDER[0], Literal("August 2014")))
         assert extract_metadata(g).date is None
 
     @pytest.mark.parametrize("value", ["2023-02-31", "2014-13-01", "0000-01-01", "２０１４-０８-２８"])
     def test_impossible_date_stays_absent(self, value):
-        g = header(Triple(ONTO, DCTERMS_ISSUED, Literal(value)))
+        g = header(Triple(ONTO, DATE_LADDER[0], Literal(value)))
         assert extract_metadata(g).date is None
 
     def test_title_ladder_precedence(self):
         g = header(
-            Triple(ONTO, DC_TITLE, Literal("Lower Rung")),
-            Triple(ONTO, DCTERMS_TITLE, Literal("Winning Rung")),
+            Triple(ONTO, TITLE_LADDER[1], Literal("Lower Rung")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Winning Rung")),
         )
         assert extract_metadata(g).title == "Winning Rung"
 
     def test_language_preference(self):
         g = header(
-            Triple(ONTO, DCTERMS_TITLE, Literal("Titre", lang="fr")),
-            Triple(ONTO, DCTERMS_TITLE, Literal("Title", lang="en")),
-            Triple(ONTO, DCTERMS_TITLE, Literal("Untagged")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Titre", lang="fr")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Title", lang="en")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Untagged")),
         )
         assert extract_metadata(g).title == "Title"
 
     def test_language_fallback_first_tag(self):
         g = header(
-            Triple(ONTO, DCTERMS_TITLE, Literal("Titel", lang="de")),
-            Triple(ONTO, DCTERMS_TITLE, Literal("Titre", lang="fr")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Titel", lang="de")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Titre", lang="fr")),
         )
         assert extract_metadata(g).title == "Titel"
 
@@ -262,7 +260,7 @@ class TestExtractMetadata:
         tagged = sorted((v.lang, v.lexical) for v in values if v.lang is not None)
         expected = (english[0] if english else tagged[0][1] if tagged
                     else sorted(v.lexical for v in values)[0])
-        g = header(*(Triple(ONTO, DCTERMS_TITLE, v) for v in values))
+        g = header(*(Triple(ONTO, TITLE_LADDER[0], v) for v in values))
         assert extract_metadata(g).title == expected
 
     def test_contributors_ignored(self):
@@ -273,15 +271,15 @@ class TestExtractMetadata:
 
     def test_creators_sorted(self):
         g = header(
-            Triple(ONTO, DCTERMS_CREATOR, Literal("Zed Omega")),
-            Triple(ONTO, DCTERMS_CREATOR, Literal("Ann Alpha")),
+            Triple(ONTO, CREATOR_LADDER[0], Literal("Zed Omega")),
+            Triple(ONTO, CREATOR_LADDER[0], Literal("Ann Alpha")),
         )
         assert [a.surname for a in extract_metadata(g).creators] == ["Alpha", "Omega"]
 
     def test_unresolvable_creator_skipped_with_warning(self):
         g = header(
-            Triple(ONTO, DCTERMS_CREATOR, Iri("http://example.org/nobody")),
-            Triple(ONTO, DCTERMS_CREATOR, Literal("Ann Alpha")),
+            Triple(ONTO, CREATOR_LADDER[0], Iri("http://example.org/nobody")),
+            Triple(ONTO, CREATOR_LADDER[0], Literal("Ann Alpha")),
         )
         with pytest.warns(OntociteWarning, match="skipping creator") as caught:
             meta = extract_metadata(g)
@@ -302,8 +300,8 @@ class TestExtractMetadata:
         assert extract_metadata(g).version == version
 
     @pytest.mark.parametrize("prop,value,acronym", [
-        (OMV_ACRONYM, " MOD ", "MOD"),
-        (IDOT_PREFERRED_PREFIX, "go", "go"),
+        (ACRONYM_LADDER[0], " MOD ", "MOD"),
+        (ACRONYM_LADDER[1], "go", "go"),
         (VANN_PREFERRED_NAMESPACE_PREFIX, "bfo", "BFO"),
     ])
     def test_acronym_rungs(self, prop, value, acronym):
@@ -318,9 +316,9 @@ class TestExtractMetadata:
         assert extract_metadata(Graph(triples)) == extract_metadata(g)
 
     def test_ladder_monotonicity(self):
-        g = header(Triple(ONTO, DCTERMS_TITLE, Literal("Winning Rung")))
+        g = header(Triple(ONTO, TITLE_LADDER[0], Literal("Winning Rung")))
         filled = extract_metadata(g).title
-        g2 = g.insert(Triple(ONTO, DC_TITLE, Literal("Lower Rung")))
+        g2 = g.insert(Triple(ONTO, TITLE_LADDER[1], Literal("Lower Rung")))
         assert extract_metadata(g2).title == filled
 
 
@@ -401,7 +399,7 @@ class TestDeriveAcronym:
 
     def test_vann_prefix_smallest_value_before_upper_casing(self):
         g = header(
-            Triple(ONTO, DCTERMS_TITLE, Literal("Some Ontology")),
+            Triple(ONTO, TITLE_LADDER[0], Literal("Some Ontology")),
             Triple(ONTO, VANN_PREFERRED_NAMESPACE_PREFIX, Literal("a")),
             Triple(ONTO, VANN_PREFERRED_NAMESPACE_PREFIX, Literal("B")),
         )
@@ -415,7 +413,7 @@ class TestDeriveAcronym:
         assert derive_acronym(meta) == (None, "Water Quality Ontology")
 
     def test_lowercase_only_token_not_an_acronym(self):
-        g = header(Triple(ONTO, DCTERMS_TITLE, Literal("e-commerce vocabulary")))
+        g = header(Triple(ONTO, TITLE_LADDER[0], Literal("e-commerce vocabulary")))
         meta = extract_metadata(g)
         assert derive_acronym(meta) == (None, "e-commerce vocabulary")
 
@@ -423,11 +421,11 @@ class TestDeriveAcronym:
         "ab:CD - Foo", "ABCDEFGHIJK - Foo", "Gene Ontology: the resource",
     ])
     def test_token_that_is_no_acronym_stays_in_the_title(self, title):
-        meta = extract_metadata(header(Triple(ONTO, DCTERMS_TITLE, Literal(title))))
+        meta = extract_metadata(header(Triple(ONTO, TITLE_LADDER[0], Literal(title))))
         assert derive_acronym(meta) == (None, title)
 
     def test_colon_separator(self):
-        g = header(Triple(ONTO, DCTERMS_TITLE, Literal("SUMO: Suggested Upper Merged Ontology")))
+        g = header(Triple(ONTO, TITLE_LADDER[0], Literal("SUMO: Suggested Upper Merged Ontology")))
         meta = extract_metadata(g)
         assert derive_acronym(meta) == ("SUMO", "Suggested Upper Merged Ontology")
 

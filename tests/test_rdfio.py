@@ -789,6 +789,12 @@ class TestTurtle:
         assert triple.subject == Iri("http://example.org/dir/name")
         assert triple.object == Iri("http://example.org/dir/")
 
+    def test_relative_iri_follows_each_base(self):
+        g = parse_turtle('@base <http://b/> . <a> <http://p> "1" .\n'
+                         '@base <http://c/> . <a> <http://p> "2" .\n')
+        assert g == parse_ntriples('<http://b/a> <http://p> "1" .\n'
+                                   '<http://c/a> <http://p> "2" .\n')
+
     def test_relative_iri_without_base_rejected(self):
         with pytest.raises(ParseError) as exc:
             parse_turtle("<name> <http://p> <http://o> .")

@@ -56,8 +56,7 @@ def test_acronym_ladder_pinned():
 
 
 def test_revision_property_pinned():
-    assert vocab.ONTOCITE_REVISION.value == "http://purl.org/ontocite/revision"
-    assert vocab.REVISION_LADDER == (vocab.ONTOCITE_REVISION,)
+    assert [p.value for p in vocab.REVISION_LADDER] == ["http://purl.org/ontocite/revision"]
 
 
 def test_agent_name_ladder_pinned():
