@@ -168,10 +168,19 @@ def _render_creators(creators: Sequence[Agent]) -> str:
         raise CitationRecordError("creators", "is empty") from None
 
 
+def _text(value: object, field: str) -> str:
+    """``value``, the record's text field ``field``; any value that is not a
+    ``str`` raises :class:`CitationRecordError` naming the field."""
+    if isinstance(value, str):
+        return value
+    raise CitationRecordError(field, f"is not a string: {value!r}")
+
+
 def _title_text(record: CitationRecord) -> str:
+    full_name = _text(record.full_name, "full_name")
     if record.acronym:
-        return f"{record.acronym}: {record.full_name}"
-    return record.full_name
+        return f"{record.acronym}: {full_name}"
+    return full_name
 
 
 def _version_text(record: CitationRecord) -> str:
@@ -182,9 +191,10 @@ def _version_text(record: CitationRecord) -> str:
 
 def render_canonical(record: CitationRecord) -> str:
     """The canonical plain-text reference for a record; a record with no
-    creators raises :class:`CitationRecordError`."""
+    creators, or whose date or title is not a string, raises
+    :class:`CitationRecordError`."""
     parts = [
-        f"{_render_creators(record.creators)} ({record.date}).",
+        f"{_render_creators(record.creators)} ({_text(record.date, 'date')}).",
         f"{_title_text(record)}.",
     ]
     if record.version:
@@ -202,18 +212,19 @@ def _slug(name: str) -> str:
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
     double-braced so reference managers do not split them. A date that
-    is not a string of three ``-``-separated parts raises
-    :class:`CitationRecordError`."""
+    is not a string of three ``-``-separated parts, or a title that is not
+    a string, raises :class:`CitationRecordError`."""
     try:
         year, month, day = record.date.split("-")
     except (AttributeError, TypeError, ValueError):
         raise CitationRecordError("date", f"is not shaped YYYY-MM-DD: {record.date!r}") from None
+    title = _title_text(record)
     key = (record.acronym or _slug(record.full_name)) + year
     authors = ("{" + a.surname + "}" if a.organization else _render_agent(a)
                for a in record.creators)
     fields = [
         ("author", " and ".join(authors)),
-        ("title", _title_text(record)),
+        ("title", title),
         ("year", year),
         ("month", month),
         ("day", day),
@@ -271,7 +282,8 @@ def render_json(record: CitationRecord) -> str:
     "\\n"``, byte for byte, written in the record's fixed layout: with
     ``indent`` set, ``json.dumps`` never uses its C encoder.
     Strings are quoted by ``encode_basestring``, as ``ensure_ascii=False``
-    quotes them."""
+    quotes them. A date or title that is not a string raises
+    :class:`CitationRecordError`."""
     creators = []
     for agent in record.creators:
         initials = (f'"initials": {encode_basestring(agent.initials)},\n      '
@@ -280,10 +292,10 @@ def render_json(record: CitationRecord) -> str:
         creators.append(f'{{\n      "surname": {encode_basestring(agent.surname)},\n      '
                         f'{initials}"organization": {organization}\n    }}')
     members = [f'"creators": {_json_block(creators, "  ")}',
-               f'"date": {encode_basestring(record.date)}']
+               f'"date": {encode_basestring(_text(record.date, "date"))}']
     if record.acronym:
         members.append(f'"acronym": {encode_basestring(record.acronym)}')
-    members.append(f'"full_name": {encode_basestring(record.full_name)}')
+    members.append(f'"full_name": {encode_basestring(_text(record.full_name, "full_name"))}')
     if record.version:
         members.append(f'"version": {encode_basestring(record.version)}')
     if record.revision:

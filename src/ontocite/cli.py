@@ -164,10 +164,9 @@ def _cmd_check_mutual(args: argparse.Namespace) -> int:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    corpus: list[tuple[Graph, Iri]] = []
-    for path in args.paths:
-        graph, _ = _load_graph(path)
-        corpus.append((graph, _cli.find_ontology_iri(graph)))
+    # each file is read and parsed only when build_network asks for its pair
+    corpus = ((graph, _cli.find_ontology_iri(graph))
+              for graph, _ in map(_load_graph, args.paths))
     unparsed: list[tuple[Iri, str]] = []
     network = _cli.build_network(corpus, unparsed=unparsed)
     if args.dot:

@@ -53,17 +53,19 @@ def build_network(
 ) -> CitationGraph:
     """Build the citation graph for a corpus of (graph, ontology IRI) pairs.
 
-    Reference texts that do not parse as canonical citations are appended
-    to ``unparsed`` (when given) instead of producing an edge.
+    The corpus is read once, in order, and no pair is kept past the next.
+    A duplicate ontology raises :class:`DuplicateOntologyError` once the
+    whole corpus is read, after any error raised while reading it.
+    Reference texts that do not parse as canonical citations make no
+    edge; they are appended to ``unparsed`` (when given) only on return.
     """
-    entries = list(corpus)
-    nodes = set()
-    for _, onto in entries:
-        if onto in nodes:
-            raise DuplicateOntologyError(f"ontology appears twice in the corpus: <{onto.value}>")
+    nodes, edges, texts = set(), set(), []
+    duplicate = None
+    for g, onto in corpus:
+        if duplicate is not None or onto in nodes:
+            duplicate = duplicate or onto
+            continue
         nodes.add(onto)
-    edges = set()
-    for g, onto in entries:
         for t in g.match(onto, OWL_IMPORTS, None):
             if isinstance(t.object, Iri) and t.object != onto:
                 edges.add(Edge(onto, t.object, IMPORTS))
@@ -74,10 +76,13 @@ def build_network(
                 try:
                     record = parse_canonical(t.object.lexical)
                 except CitationParseError:
-                    if unparsed is not None:
-                        unparsed.append((onto, t.object.lexical))
+                    texts.append((onto, t.object.lexical))
                 else:
                     edges.add(Edge(onto, record.uri, REFERENCES))
+    if duplicate is not None:
+        raise DuplicateOntologyError(f"ontology appears twice in the corpus: <{duplicate.value}>")
+    if unparsed is not None:
+        unparsed.extend(texts)
     nodes.update(edge.dst for edge in edges)
     return CitationGraph(nodes=frozenset(nodes), edges=frozenset(edges))
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ontocite import Agent, CitationRecord, Iri, parse_turtle
+from ontocite import Agent, CitationRecord, Graph, Iri, parse_turtle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HEADERS = FIXTURES / "headers"
@@ -31,6 +31,13 @@ PUBLICATION_REF = (
     "Goble, C. and Clark, T. (2013). PAV ontology: provenance, authoring and "
     "versioning. Journal of biomedical semantics, 4, 37. doi:10.1186/2041-1480-4-37"
 )
+
+
+class WeakGraph(Graph):
+    """A graph that a weak reference can watch: tests use it to see when a
+    graph is dropped."""
+
+    __slots__ = ("__weakref__",)
 
 
 def pav_record() -> CitationRecord:

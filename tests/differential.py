@@ -52,11 +52,13 @@ that depends on earlier inputs shows up as a mismatch.
 
 ``--cli`` is the command line: ``cli.main`` of each tree runs every
 fixture command (each command on each fixture file, ``check-mutual``
-against each reference list, ``network`` over each syntax's network files,
-and usage and input errors) and every operation of the ``seed`` plans of
-the three benchmark workloads, which ``perfbench/gen.py`` writes to a
-temporary directory; a plan's citation string is the argument of a
-``validate`` and of a ``parse``. ``--count N`` takes the first N commands
+against each reference list, ``network`` over each syntax's network files
+and over lists that mix a duplicate ontology, a file that fails and a file
+that warns, each list in both orders, and usage and input errors) and
+every operation of the ``seed`` plans of the three benchmark workloads,
+which ``perfbench/gen.py`` writes to a temporary directory; a plan's
+citation string is the argument of a ``validate`` and of a ``parse``.
+``--count N`` takes the first N commands
 of each of these four sources, and all of them when it is not given. A
 result is the exit code, standard output and standard error (each in full
 up to 300 characters, else a digest), and the digest of the file an
@@ -283,6 +285,15 @@ def fixture_commands(out):
     for pattern in ("*.ttl", "*.nt"):
         paths = [str(p) for p in sorted((FIXTURES / "network").glob(pattern))]
         commands += [["network", "--counts", *paths], ["network", "--dot", *paths]]
+    # error precedence: lists that mix a duplicate ontology, a file that
+    # fails and a file that warns, each run in both orders
+    net_a, net_b = (str(FIXTURES / "network" / name) for name in ("net_a.ttl", "net_b.nt"))
+    misc, multi = FIXTURES / "misc", str(FIXTURES / "headers" / "multi.ttl")
+    for mix in ([net_a, net_b, net_a], [net_a, net_a, str(misc / "broken.ttl")],
+                [net_a, str(misc / "mystery.xyz"), net_b],
+                [net_b, str(misc / "pav.rdf"), net_a, net_b],
+                [multi, net_a, multi, str(misc / "broken.ttl")]):
+        commands += [["network", "--counts", *mix], ["network", "--dot", *mix[::-1]]]
     return commands + [
         [], ["--help"], ["cite"], ["cite", files[0], "--style", "apa"], ["cite", "missing.ttl"],
         ["validate", "missing.ttl"], ["parse", "no date here"], ["validate", "http://a/o"],

@@ -204,7 +204,17 @@ class TestRecordErrors:
          "citation record 'date' is not shaped YYYY-MM-DD: None"),
         (render_bibtex, {"date": b"2020-01-01"}, "date",
          "citation record 'date' is not shaped YYYY-MM-DD: b'2020-01-01'"),
-    ], ids=["canonical-no-creators", "bibtex-year-only", "bibtex-no-date", "bibtex-bytes-date"])
+        (render_canonical, {"date": None}, "date", "citation record 'date' is not a string: None"),
+        (render_json, {"date": None}, "date", "citation record 'date' is not a string: None"),
+        (render_canonical, {"full_name": None}, "full_name",
+         "citation record 'full_name' is not a string: None"),
+        (render_bibtex, {"full_name": None}, "full_name",
+         "citation record 'full_name' is not a string: None"),
+        (render_json, {"full_name": None}, "full_name",
+         "citation record 'full_name' is not a string: None"),
+    ], ids=["canonical-no-creators", "bibtex-year-only", "bibtex-no-date", "bibtex-bytes-date",
+            "canonical-no-date", "json-no-date", "canonical-no-title", "bibtex-no-title",
+            "json-no-title"])
     def test_unrenderable_field(self, render, changes, field, message):
         base = pav_record()
         record = CitationRecord(**{**{name: getattr(base, name) for name in base._fields},

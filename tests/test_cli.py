@@ -6,6 +6,7 @@ import subprocess
 import symtable
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     PUBLICATION_REF,
     REFLISTS,
     SAMPLE_CITATIONS,
+    WeakGraph,
 )
 from strategies import mutations
 
@@ -706,6 +708,35 @@ class TestNetwork:
     def test_file_failure_exits_2(self, capsys):
         code, _, _ = run(capsys, "network", str(MISC / "broken.ttl"), "--counts")
         assert code == 2
+
+    def test_reads_one_file_at_a_time(self, capsys, monkeypatch):
+        parse, graphs = cli.parse_turtle, []
+
+        def watched(text):
+            alive = sum(ref() is not None for ref in graphs)
+            assert alive <= 1, f"{alive} graphs alive when file {len(graphs)} is parsed"
+            graph = WeakGraph(parse(text))
+            graphs.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(cli, "parse_turtle", watched)
+        code, out, _ = run(capsys, "network", "--counts", *NET_PATHS)
+        assert (code, len(graphs)) == (0, len(NET_PATHS))
+        manifest = json.loads((NETWORK / "manifest.json").read_text("utf-8"))
+        assert json.loads(out)["counts"] == manifest["counts"]
+
+    @pytest.mark.parametrize("names, message", [
+        (["net_a.ttl", "net_a.ttl", "broken.ttl"],
+         "broken.ttl: line 3, column 5: expected '.' at end of statement"),
+        (["net_a.ttl", "net_a.ttl", "net_b.ttl"],
+         "ontology appears twice in the corpus: <http://example.org/net/a>"),
+    ], ids=["parse-error-first", "duplicate"])
+    def test_error_precedence(self, capsys, names, message):
+        paths = [str((MISC if name == "broken.ttl" else NETWORK) / name) for name in names]
+        code, out, err = run(capsys, "network", "--counts", *paths)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "network", *NET_PATHS, "--dot")

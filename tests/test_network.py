@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from ontocite import (
 from ontocite.network import IMPORTS, REFERENCES, CitationGraph
 from ontocite.vocab import DCTERMS_REFERENCES, OWL_IMPORTS, OWL_ONTOLOGY, RDF_TYPE
 
-from conftest import NETWORK, PAV_CITATION
+from conftest import NETWORK, PAV_CITATION, WeakGraph
 from strategies import iris, json_texts
 
 A = Iri("http://example.org/net/a")
@@ -68,6 +69,33 @@ class TestBuildNetwork:
         g = onto_graph(A)
         with pytest.raises(DuplicateOntologyError):
             build_network([(g, A), (g, A)])
+
+    def test_duplicate_reported_after_the_corpus_and_unparsed_left_empty(self):
+        prose = Triple(B, DCTERMS_REFERENCES, Literal("just some prose"))
+        corpus = [(onto_graph(A), A), (onto_graph(A), A), (onto_graph(B, prose), B),
+                  (onto_graph(B), B)]
+        unparsed = []
+        with pytest.raises(DuplicateOntologyError) as exc:
+            build_network(iter(corpus), unparsed=unparsed)
+        assert str(exc.value) == f"ontology appears twice in the corpus: <{A.value}>"
+        assert unparsed == []
+
+    def test_corpus_read_lazily(self):
+        graphs = []
+
+        def corpus():
+            for k in range(6):
+                if k >= 2:
+                    assert graphs[k - 2]() is None, f"graph {k - 2} alive when pair {k} is read"
+                onto = Iri(f"http://example.org/net/lazy{k}")
+                g = WeakGraph([Triple(onto, RDF_TYPE, OWL_ONTOLOGY), Triple(onto, OWL_IMPORTS, A)])
+                graphs.append(weakref.ref(g))
+                yield g, onto
+
+        network = build_network(corpus())
+        assert len(graphs) == 6
+        assert {edge.dst for edge in network.edges} == {A}
+        assert len(network.edges) == 6
 
     def test_self_import_dropped(self):
         g = onto_graph(A, Triple(A, OWL_IMPORTS, A))
