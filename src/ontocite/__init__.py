@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 # command loads only the modules it runs.
 _EXPORTS = {
     **dict.fromkeys(("Agent", "CitationRecord", "build_record", "draft_fields",
-                     "parse_canonical", "record_from_json", "record_to_dict", "render_bibtex",
-                     "render_canonical", "render_json"), "citation"),
+                     "parse_canonical", "record_from_json", "render_bibtex", "render_canonical",
+                     "render_json"), "citation"),
     **dict.fromkeys(("CitationJsonError", "CitationParseError", "CitationRecordError",
                      "DuplicateOntologyError", "EmptyNameError", "EmptyReferenceError",
                      "MissingFieldError", "NoOntologyNodeError", "NotOntologyNodeError",

@@ -89,7 +89,8 @@ def is_acronym(text: str) -> bool:
 
 
 class CitationRecord(Value):
-    """One instance of the reference template."""
+    """One instance of the reference template. A ``uri`` that is not an
+    :class:`Iri` raises :class:`CitationRecordError`."""
 
     __slots__ = _fields = ("creators", "date", "full_name", "uri", "acronym", "version",
                            "revision", "formats")
@@ -97,6 +98,8 @@ class CitationRecord(Value):
     def __init__(self, creators: Sequence[Agent], date: str, full_name: str, uri: Iri,
                  acronym: str | None = None, version: str | None = None,
                  revision: str | None = None, formats: Sequence[str] = ()):
+        if not isinstance(uri, Iri):
+            raise CitationRecordError("uri", f"is not an Iri: {uri!r}")
         object.__setattr__(self, "creators", tuple(creators))
         object.__setattr__(self, "date", date)
         object.__setattr__(self, "full_name", full_name)
@@ -121,32 +124,20 @@ def build_record(
         raise MissingFieldError("date")
     if not meta.title:
         raise MissingFieldError("title")
-    return CitationRecord(**draft_fields(meta, acronym_split))
+    return draft_fields(meta, acronym_split)
 
 
 def draft_fields(
     meta: OntologyMetadata, acronym_split: tuple[str | None, str] | None
-) -> dict[str, object]:
-    """A partial, validator-ready field mapping: present fields only, no
-    hard failures on missing ones. ``acronym_split`` is
+) -> CitationRecord:
+    """A validator-ready record with no hard failures on missing fields: an
+    absent field is None or empty. ``acronym_split`` is
     ``derive_acronym(meta)``, or None exactly when ``meta.title`` is empty."""
-    fields: dict[str, object] = {}
-    if meta.creators:
-        fields["creators"] = list(meta.creators)
-    if meta.date:
-        fields["date"] = meta.date
-    if acronym_split is not None:
-        acronym, full_name = acronym_split
-        if acronym:
-            fields["acronym"] = acronym
-        fields["full_name"] = full_name
-    if meta.version:
-        fields["version"] = meta.version
-        if meta.revision:
-            fields["revision"] = meta.revision
-    fields["uri"] = meta.ontology_iri
-    fields["formats"] = [meta.format_label] if meta.format_label else []
-    return fields
+    acronym, full_name = acronym_split or (None, None)
+    return CitationRecord(meta.creators, meta.date or None, full_name, meta.ontology_iri,
+                          acronym or None, meta.version or None,
+                          meta.version and meta.revision or None,
+                          (meta.format_label,) if meta.format_label else ())
 
 
 # --- rendering ---------------------------------------------------------------
@@ -211,9 +202,12 @@ def _slug(name: str) -> str:
 
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
-    double-braced so reference managers do not split them. A date that
-    is not a string of three ``-``-separated parts, or a title that is not
-    a string, raises :class:`CitationRecordError`."""
+    double-braced so reference managers do not split them. A record with
+    no creators, a date that is not a string of three ``-``-separated
+    parts, or a title that is not a string raises
+    :class:`CitationRecordError`."""
+    if not record.creators:
+        raise CitationRecordError("creators", "is empty")
     try:
         year, month, day = record.date.split("-")
     except (AttributeError, TypeError, ValueError):
@@ -241,28 +235,6 @@ def render_bibtex(record: CitationRecord) -> str:
     return f"@misc{{{key},\n{body}\n}}\n"
 
 
-def record_to_dict(record: CitationRecord) -> dict[str, object]:
-    """Plain-data view with fixed key order; absent optionals are omitted."""
-    creators = []
-    for agent in record.creators:
-        entry: dict[str, object] = {"surname": agent.surname}
-        if agent.initials:
-            entry["initials"] = agent.initials
-        entry["organization"] = agent.organization
-        creators.append(entry)
-    data: dict[str, object] = {"creators": creators, "date": record.date}
-    if record.acronym:
-        data["acronym"] = record.acronym
-    data["full_name"] = record.full_name
-    if record.version:
-        data["version"] = record.version
-    if record.revision:
-        data["revision"] = record.revision
-    data["uri"] = record.uri.value
-    data["formats"] = list(record.formats)
-    return data
-
-
 def _json_block(items: list[str], indent: str, brackets: str = "[]") -> str:
     """Encoded array items (or ``"key": value`` members, with ``brackets``
     ``"{}"``) laid out as ``json.dumps(..., indent=2)`` lays out a
@@ -277,13 +249,15 @@ def render_json(record: CitationRecord) -> str:
     """Canonical JSON for the record (schema in ``docs/citation.schema.json``);
     bit-identical for equal records, single trailing newline.
 
-    ``record_to_dict`` is the record as plain data, and the bytes are those
-    of ``json.dumps(record_to_dict(record), ensure_ascii=False, indent=2) +
-    "\\n"``, byte for byte, written in the record's fixed layout: with
-    ``indent`` set, ``json.dumps`` never uses its C encoder.
-    Strings are quoted by ``encode_basestring``, as ``ensure_ascii=False``
-    quotes them. A date or title that is not a string raises
-    :class:`CitationRecordError`."""
+    The bytes are those of ``json.dumps(data, ensure_ascii=False, indent=2)
+    + "\\n"``, where ``data`` holds the keys ``creators`` (each a
+    ``surname``, its ``initials`` when set, and ``organization``), ``date``,
+    ``acronym``, ``full_name``, ``version``, ``revision``, ``uri`` (its value)
+    and ``formats`` in that order, the acronym, version and revision only
+    when set. They are written in that fixed layout: with ``indent`` set,
+    ``json.dumps`` never uses its C encoder. Strings are quoted by
+    ``encode_basestring``, as ``ensure_ascii=False`` quotes them. A date or
+    title that is not a string raises :class:`CitationRecordError`."""
     creators = []
     for agent in record.creators:
         initials = (f'"initials": {encode_basestring(agent.initials)},\n      '

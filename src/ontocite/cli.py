@@ -72,12 +72,13 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     parse it; returns (graph, format label)."""
     data = _read_bytes(path)
     head = data[:2048].decode("utf-8", "replace")
-    label = _cli.detect_format_label(os.path.basename(path), head)
+    try:
+        label = _cli.detect_format_label(os.path.basename(path), head)
+    except OntociteError as exc:
+        raise OntociteError(f"{_shown(path)}: {exc}") from None
     if label not in _PARSEABLE:
-        raise OntociteError(
-            f"{_shown(path)}: {label} input is not parsed natively; "
-            "convert to Turtle or N-Triples first"
-        )
+        raise OntociteError(f"{_shown(path)}: {label} input is not parsed natively; "
+                            "convert to Turtle or N-Triples first")
     text = _decode(path, data)
     del data  # not needed while parsing
     try:

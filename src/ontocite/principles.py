@@ -118,13 +118,14 @@ def _name_form_problem(creator: Agent) -> str | None:
 
 
 def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
-    """Check a record, or a mapping of some of its fields as
-    ``citation.draft_fields`` returns it, against the citation completeness
-    and form rules; findings come back sorted by code. The text fields of
-    either are strings or None, ``creators`` a list or tuple of ``Agent``s
-    and ``formats`` one of strings; any other value raises
-    :class:`CitationRecordError`. ``uri`` may be a string, the one way to
-    report a relative URI."""
+    """Check a record, or a mapping of some of its fields, against the
+    citation completeness and form rules; findings come back sorted by
+    code. The text fields of either are strings or None, ``creators`` a
+    list or tuple of ``Agent``s and ``formats`` one of strings; any other
+    value raises :class:`CitationRecordError`. A record's ``uri`` is always
+    an :class:`Iri`, so a mapping is the way to pass a missing URI (None)
+    or a relative one (a string); ``citation.draft_fields`` returns a
+    record."""
     f = _as_fields(record)
     out: list[Diagnostic] = []
 

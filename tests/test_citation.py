@@ -27,7 +27,6 @@ from ontocite import (
     parse_canonical,
     parse_turtle,
     record_from_json,
-    record_to_dict,
     render_bibtex,
     render_canonical,
     render_json,
@@ -36,7 +35,11 @@ from ontocite import (
 from ontocite import citation
 
 from conftest import PAV_CITATION, SAMPLE_CITATIONS, pav_record
+from differential import load_gen
 from strategies import citation_records, json_records, mutations
+
+# perfbench/gen.py, whose renderers share no code with ontocite's: the oracle
+GEN = load_gen()
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "citation.schema.json").read_text("utf-8")
@@ -56,27 +59,30 @@ def _parse_bibtex_fields(entry: str) -> dict:
     return {"type": m.group(1), "key": m.group(2), "fields": fields}
 
 
+def gen_record(record: CitationRecord) -> dict:
+    """``record`` as gen.py's renderers take it: a dict whose creators are
+    ``(surname, initials, organization)`` tuples and whose uri is a string."""
+    return {**{name: getattr(record, name) for name in record._fields},
+            "creators": [(a.surname, a.initials, a.organization) for a in record.creators],
+            "uri": record.uri.value}
+
+
 class TestBuildRecord:
     def test_pav_metadata(self, pav_graph):
         meta = extract_metadata(pav_graph, fmt="rdf/xml")
         record = build_record(meta, derive_acronym(meta))
         assert record == pav_record()
 
-    def test_missing_date(self):
-        meta = OntologyMetadata(
-            ontology_iri=Iri("http://x"),
-            title="T",
-            creators=(Agent(surname="Doe", initials="J."),),
-        )
+    @pytest.mark.parametrize("missing, field", [
+        ("creators", "creator"), ("date", "date"), ("title", "title"),
+    ], ids=["creator", "date", "title"])
+    def test_missing_hard_field(self, missing, field):
+        fields = {"ontology_iri": Iri("http://x"), "title": "T",
+                  "creators": (Agent(surname="Doe", initials="J."),), "date": "2020-01-01"}
+        del fields[missing]
         with pytest.raises(MissingFieldError) as exc:
-            build_record(meta, (None, "T"))
-        assert exc.value.field == "date"
-
-    def test_missing_creator(self):
-        meta = OntologyMetadata(ontology_iri=Iri("http://x"), title="T", date="2020-01-01")
-        with pytest.raises(MissingFieldError) as exc:
-            build_record(meta, (None, "T"))
-        assert exc.value.field == "creator"
+            build_record(OntologyMetadata(**fields), (None, "T"))
+        assert exc.value.field == field
 
     def test_organization_only_creator(self):
         meta = OntologyMetadata(
@@ -193,11 +199,19 @@ ERROR_ORDER = [
 
 
 class TestRecordErrors:
-    """A record that a renderer cannot render raises CitationRecordError,
-    which names the field."""
+    """A record that cannot be built, or that a renderer cannot render,
+    raises CitationRecordError, which names the field."""
+
+    @pytest.mark.parametrize("uri", ["http://ex.org/o", None, b"http://a"])
+    def test_uri_that_is_not_an_iri(self, uri):
+        with pytest.raises(CitationRecordError) as exc:
+            CitationRecord([Agent("Doe", "J.")], "2020-01-01", "T", uri)
+        assert exc.value.field == "uri"
+        assert str(exc.value) == f"citation record 'uri' is not an Iri: {uri!r}"
 
     @pytest.mark.parametrize("render,changes,field,message", [
         (render_canonical, {"creators": ()}, "creators", "citation record 'creators' is empty"),
+        (render_bibtex, {"creators": ()}, "creators", "citation record 'creators' is empty"),
         (render_bibtex, {"date": "2020"}, "date",
          "citation record 'date' is not shaped YYYY-MM-DD: '2020'"),
         (render_bibtex, {"date": None}, "date",
@@ -212,9 +226,9 @@ class TestRecordErrors:
          "citation record 'full_name' is not a string: None"),
         (render_json, {"full_name": None}, "full_name",
          "citation record 'full_name' is not a string: None"),
-    ], ids=["canonical-no-creators", "bibtex-year-only", "bibtex-no-date", "bibtex-bytes-date",
-            "canonical-no-date", "json-no-date", "canonical-no-title", "bibtex-no-title",
-            "json-no-title"])
+    ], ids=["canonical-no-creators", "bibtex-no-creators", "bibtex-year-only", "bibtex-no-date",
+            "bibtex-bytes-date", "canonical-no-date", "json-no-date", "canonical-no-title",
+            "bibtex-no-title", "json-no-title"])
     def test_unrenderable_field(self, render, changes, field, message):
         base = pav_record()
         record = CitationRecord(**{**{name: getattr(base, name) for name in base._fields},
@@ -604,11 +618,21 @@ class TestRenderJson:
     @settings(max_examples=500, deadline=None)
     @example(record=CitationRecord(creators=(), date="", full_name="", uri=Iri("http://a")))
     def test_bytes_equal_json_dumps(self, record):
-        expected = json.dumps(record_to_dict(record), ensure_ascii=False, indent=2) + "\n"
-        assert render_json(record) == expected
+        # gen.py writes its dict with json.dumps(..., ensure_ascii=False, indent=2)
+        assert render_json(record) == GEN.render_json(gen_record(record))
 
 
-_PAV_JSON = record_to_dict(pav_record())
+class TestAgainstGenPy:
+    @given(record=citation_records())
+    @settings(max_examples=300, deadline=None)
+    def test_renderings_equal_gen_py(self, record):
+        rec = gen_record(record)
+        assert render_canonical(record) == GEN.render_canonical(rec)
+        assert render_bibtex(record) == GEN.render_bibtex(rec)
+        assert render_json(record) == GEN.render_json(rec)
+
+
+_PAV_JSON = json.loads(render_json(pav_record()))
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),

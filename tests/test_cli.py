@@ -101,9 +101,10 @@ class TestCite:
         assert "convert" in err.lower()
 
     def test_unknown_format_exits_2(self, capsys):
-        code, _, err = run(capsys, "cite", str(MISC / "mystery.xyz"))
+        path = MISC / "mystery.xyz"
+        code, _, err = run(capsys, "cite", str(path))
         assert code == 2
-        assert "unknown format" in err
+        assert err == f"error: {path}: unknown format: no detection rule matched 'mystery.xyz'\n"
 
     def test_missing_mandatory_field_exits_2(self, capsys):
         code, _, err = run(capsys, "cite", str(HEADERS / "typed.ttl"))
@@ -730,9 +731,11 @@ class TestNetwork:
          "broken.ttl: line 3, column 5: expected '.' at end of statement"),
         (["net_a.ttl", "net_a.ttl", "net_b.ttl"],
          "ontology appears twice in the corpus: <http://example.org/net/a>"),
-    ], ids=["parse-error-first", "duplicate"])
+        (["net_a.ttl", "mystery.xyz", "net_b.ttl"],
+         "misc/mystery.xyz: unknown format: no detection rule matched 'mystery.xyz'"),
+    ], ids=["parse-error-first", "duplicate", "unknown-format-path"])
     def test_error_precedence(self, capsys, names, message):
-        paths = [str((MISC if name == "broken.ttl" else NETWORK) / name) for name in names]
+        paths = [str((NETWORK if name.startswith("net_") else MISC) / name) for name in names]
         code, out, err = run(capsys, "network", "--counts", *paths)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.endswith(message + "\n")

@@ -182,14 +182,14 @@ class TestValidateRecord:
     ])
     def test_a_field_of_the_wrong_type_is_a_record_error(self, key, value, field):
         fields = with_value(base_fields(), key, value)
-        shapes = [fields]
+        shapes = [lambda: fields]
         # the constructor handles these itself: tuple(5) raises TypeError, and
-        # tuple("turtle") is six labels
+        # tuple("turtle") is six labels; it raises the error for a uri
         if (key, value) not in (("creators", 5), ("formats", "turtle")):
-            shapes.append(CitationRecord(**fields))
+            shapes.append(lambda: CitationRecord(**fields))
         for shape in shapes:
             with pytest.raises(CitationRecordError) as exc:
-                validate_record(shape)
+                validate_record(shape())
             assert exc.value.field == field
 
     @pytest.mark.parametrize("name", ["ßtraße Müller", "ﬁona Smith", "小明 王", "Özgür Müller"])
