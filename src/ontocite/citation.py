@@ -167,23 +167,50 @@ def _text(value: object, field: str) -> str:
     raise CitationRecordError(field, f"is not a string: {value!r}")
 
 
+def _renderer(render):
+    """The renderer ``render``, where an AttributeError or TypeError that a
+    creator which is not an :class:`Agent`, or a format label which is not
+    a ``str``, raises becomes a :class:`CitationRecordError` naming the
+    first such field as ``validate_record`` does. The fields are looked at
+    only after such an error, so a well-formed record costs no check."""
+    @functools.wraps(render)
+    def checked(record: CitationRecord) -> str:
+        try:
+            return render(record)
+        except (AttributeError, TypeError):
+            for index, agent in enumerate(record.creators):
+                if not isinstance(agent, Agent):
+                    raise CitationRecordError(f"creators[{index}]",
+                                              f"is not an Agent: {agent!r}") from None
+            for index, label in enumerate(record.formats):
+                if not isinstance(label, str):
+                    raise CitationRecordError(f"formats[{index}]",
+                                              f"is not a string: {label!r}") from None
+            raise
+    return checked
+
+
 def _title_text(record: CitationRecord) -> str:
     full_name = _text(record.full_name, "full_name")
     if record.acronym:
-        return f"{record.acronym}: {full_name}"
+        return f"{_text(record.acronym, 'acronym')}: {full_name}"
     return full_name
 
 
 def _version_text(record: CitationRecord) -> str:
+    """The version element of a record that has a version."""
+    version = _text(record.version, "version")
     if record.revision:
-        return f"{record.version}({record.revision})"
-    return record.version or ""
+        return f"{version}({_text(record.revision, 'revision')})"
+    return version
 
 
+@_renderer
 def render_canonical(record: CitationRecord) -> str:
-    """The canonical plain-text reference for a record; a record with no
-    creators, or whose date or title is not a string, raises
-    :class:`CitationRecordError`."""
+    """The canonical plain-text reference for a record. A record with no
+    creators, a creator that is not an :class:`Agent`, or a text field it
+    prints that is not a string raises :class:`CitationRecordError` naming
+    the field."""
     parts = [
         f"{_render_creators(record.creators)} ({_text(record.date, 'date')}).",
         f"{_title_text(record)}.",
@@ -200,12 +227,14 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-").lower()
 
 
+@_renderer
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
     double-braced so reference managers do not split them. A record with
     no creators, a date that is not a string of three ``-``-separated
-    parts, or a title that is not a string raises
-    :class:`CitationRecordError`."""
+    parts, a creator that is not an :class:`Agent`, or another text field
+    it prints that is not a string raises :class:`CitationRecordError`
+    naming the field."""
     if not record.creators:
         raise CitationRecordError("creators", "is empty")
     try:
@@ -245,6 +274,7 @@ def _json_block(items: list[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
+@_renderer
 def render_json(record: CitationRecord) -> str:
     """Canonical JSON for the record (schema in ``docs/citation.schema.json``);
     bit-identical for equal records, single trailing newline.
@@ -256,8 +286,9 @@ def render_json(record: CitationRecord) -> str:
     and ``formats`` in that order, the acronym, version and revision only
     when set. They are written in that fixed layout: with ``indent`` set,
     ``json.dumps`` never uses its C encoder. Strings are quoted by
-    ``encode_basestring``, as ``ensure_ascii=False`` quotes them. A date or
-    title that is not a string raises :class:`CitationRecordError`."""
+    ``encode_basestring``, as ``ensure_ascii=False`` quotes them. A creator
+    that is not an :class:`Agent`, or a text field it writes that is not a
+    string, raises :class:`CitationRecordError` naming the field."""
     creators = []
     for agent in record.creators:
         initials = (f'"initials": {encode_basestring(agent.initials)},\n      '
@@ -268,12 +299,12 @@ def render_json(record: CitationRecord) -> str:
     members = [f'"creators": {_json_block(creators, "  ")}',
                f'"date": {encode_basestring(_text(record.date, "date"))}']
     if record.acronym:
-        members.append(f'"acronym": {encode_basestring(record.acronym)}')
+        members.append(f'"acronym": {encode_basestring(_text(record.acronym, "acronym"))}')
     members.append(f'"full_name": {encode_basestring(_text(record.full_name, "full_name"))}')
     if record.version:
-        members.append(f'"version": {encode_basestring(record.version)}')
+        members.append(f'"version": {encode_basestring(_text(record.version, "version"))}')
     if record.revision:
-        members.append(f'"revision": {encode_basestring(record.revision)}')
+        members.append(f'"revision": {encode_basestring(_text(record.revision, "revision"))}')
     members.append(f'"uri": {encode_basestring(record.uri.value)}')
     formats = [encode_basestring(label) for label in record.formats]
     members.append(f'"formats": {_json_block(formats, "  ")}')

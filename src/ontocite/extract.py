@@ -2,9 +2,11 @@
 
 Every field is filled from a precedence ladder of properties (see
 :mod:`ontocite.vocab`); the first rung with a usable value wins and later
-rungs never override it. Creator names are normalized to surname plus
-initials, organizations keep their group name. Output is deterministic
-for any permutation of the input triples.
+rungs never override it. Each node that extraction needs, the ontology
+node and each creator node, is read once into a table from predicate to
+objects, and every rung is a lookup in that table. Creator names are
+normalized to surname plus initials, organizations keep their group name.
+Output is deterministic for any permutation of the input triples.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .exceptions import (
     OntociteWarning,
     UnresolvableAgentError,
 )
-from .model import Graph, Iri, Literal, Term, Value
+from .model import Graph, Iri, Literal, Term, Value, nt
 
 _DOTTED_VERSION_RE = re.compile(r"v?[0-9]+(\.[0-9]+)*")
+_ORGANIZATION_TYPES = frozenset(vocab.ORGANIZATION_TYPES)
 
 
 class OntologyMetadata(Value):
@@ -108,39 +111,44 @@ def resolve_agent_name(g: Graph, t: Term) -> Agent:
     """
     if isinstance(t, Literal):
         return normalize_person_name(t.lexical)
-    name = _node_name(g, t)
+    node = _node(g, t)
+    name = _node_name(node)
     if name is None:
         raise UnresolvableAgentError(t)
-    if _is_organization(g, t):
+    if not _ORGANIZATION_TYPES.isdisjoint(node.get(vocab.RDF_TYPE.value, ())):
         return Agent(surname=name, organization=True)
     return normalize_person_name(name)
 
 
-def _node_name(g: Graph, node: Term) -> str | None:
-    _, names = _rung_literals(g, node, vocab.AGENT_NAME_LADDER)
+def _node(g: Graph, subject: Term) -> dict[str, list[Term]]:
+    """The triples of ``subject``, read once, as a table from each
+    predicate's IRI string to its objects, in no order."""
+    node: dict[str, list[Term]] = {}
+    for t in g._about(subject):
+        node.setdefault(t.predicate.value, []).append(t.object)
+    return node
+
+
+def _node_name(node: dict[str, list[Term]]) -> str | None:
+    _, names = _rung(node, vocab.AGENT_NAME_LADDER)
     if names:
         return min(v.lexical for v in names)
-    _, given = _rung_literals(g, node, (vocab.FOAF_GIVEN_NAME,))
-    _, family = _rung_literals(g, node, (vocab.FOAF_FAMILY_NAME,))
+    _, given = _rung(node, (vocab.FOAF_GIVEN_NAME,))
+    _, family = _rung(node, (vocab.FOAF_FAMILY_NAME,))
     if given and family:
         return f"{min(v.lexical for v in given)} {min(v.lexical for v in family)}"
     return None
 
 
-def _is_organization(g: Graph, node: Term) -> bool:
-    return any(
-        g.match(node, vocab.RDF_TYPE, org_type) for org_type in vocab.ORGANIZATION_TYPES
-    )
-
-
-def _rung_literals(
-    g: Graph, subject: Term, ladder: Sequence[Iri]
+def _rung(
+    node: dict[str, list[Term]], ladder: Sequence[Iri]
 ) -> tuple[Iri | None, list[Literal]]:
-    """The first ladder property with a non-blank literal value, and those
-    values; ``(None, [])`` when no rung has any."""
+    """The first ladder property with a non-blank literal value in the
+    table ``node``, and those values, in no order; ``(None, [])`` when no
+    rung has any."""
     for prop in ladder:
-        values = [t.object for t in g.match(subject, prop, None)
-                  if isinstance(t.object, Literal) and t.object.lexical.strip()]
+        values = [o for o in node.get(prop.value, ())
+                  if isinstance(o, Literal) and o.lexical.strip()]
         if values:
             return prop, values
     return None, []
@@ -181,17 +189,21 @@ def extract_metadata(g: Graph, fmt: str | None = None) -> OntologyMetadata:
     that cannot be resolved is skipped with an :class:`OntociteWarning`.
     """
     onto = find_ontology_iri(g)
+    node = _node(g, onto)
 
-    title = _preferred_literal(_rung_literals(g, onto, vocab.TITLE_LADDER)[1])
+    title = _preferred_literal(_rung(node, vocab.TITLE_LADDER)[1])
     if title is not None:
         title = " ".join(title.split())
 
     creators: list[Agent] = []
     for prop in vocab.CREATOR_LADDER:
-        objects = [t.object for t in g.match(onto, prop, None)]
+        objects = node.get(prop.value)
         if not objects:
             continue
-        for obj in objects:
+        # for one subject and predicate, the object's token orders the
+        # objects as the statement does (nt_line), so warnings and creators
+        # that tie on the sort key below come in graph order
+        for obj in sorted(objects, key=nt):
             try:
                 creators.append(resolve_agent_name(g, obj))
             except (UnresolvableAgentError, EmptyNameError) as exc:
@@ -199,16 +211,16 @@ def extract_metadata(g: Graph, fmt: str | None = None) -> OntologyMetadata:
         break
     creators.sort(key=lambda a: (a.surname, a.initials or ""))
 
-    _, date_values = _rung_literals(g, onto, vocab.DATE_LADDER)
+    _, date_values = _rung(node, vocab.DATE_LADDER)
     date = min(filter(None, (_normalize_date(v.lexical) for v in date_values)), default=None)
 
-    version_prop, version_values = _rung_literals(g, onto, vocab.VERSION_LADDER)
+    version_prop, version_values = _rung(node, vocab.VERSION_LADDER)
     version = min((_version_of(version_prop, v.lexical) for v in version_values), default=None)
 
-    _, revisions = _rung_literals(g, onto, vocab.REVISION_LADDER)
+    _, revisions = _rung(node, vocab.REVISION_LADDER)
     revision = min((v.lexical for v in revisions), default=None)
 
-    acronym_prop, acronyms = _rung_literals(g, onto, vocab.ACRONYM_LADDER)
+    acronym_prop, acronyms = _rung(node, vocab.ACRONYM_LADDER)
     acronym = min((v.lexical.strip() for v in acronyms), default=None)
     if acronym is not None and acronym_prop == vocab.VANN_PREFERRED_NAMESPACE_PREFIX:
         acronym = acronym.upper()

@@ -4,15 +4,15 @@ The model is deliberately small: just enough to hold ontology header
 triples. Graphs are value objects; iteration order is deterministic
 (sorted by the N-Triples line of each triple, :func:`nt_line`), so
 everything downstream of a graph is reproducible regardless of source
-file ordering. A graph indexes its triples by subject on its first
-``match`` with a subject.
+file ordering. A graph indexes its triples by subject the first time
+one subject's triples are asked for.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .exceptions import RdfModelError
 
@@ -238,8 +238,9 @@ class Graph:
 
     Duplicate triples collapse silently (set semantics). The triples are
     stored once, unordered; iteration and ``match`` results are sorted
-    by :func:`nt_line` when asked for. The first ``match`` with a subject
-    indexes the triples by subject; a ``match`` without one scans them.
+    by :func:`nt_line` when asked for. The first ``match`` with a subject,
+    or the first read of one node's triples, indexes the triples by
+    subject; a ``match`` without one scans them.
     ``insert`` returns a new graph; for bulk construction pass an
     iterable to the constructor.
     """
@@ -270,17 +271,22 @@ class Graph:
 
         Absent arguments are wildcards; results follow graph iteration order.
         """
-        if s is not None and self._index is None:
-            self._index = {}
-            for t in self._triples:
-                self._index.setdefault(t.subject, []).append(t)
         # a triple listed under a subject equals the pattern there
-        candidates = self._triples if s is None else self._index.get(s, ())
+        candidates = self._triples if s is None else self._about(s)
         hits = [t for t in candidates
                 if (p is None or t.predicate == p) and (o is None or t.object == o)]
         if len(hits) > 1:
             hits.sort(key=nt_line)
         return hits
+
+    def _about(self, s: Term) -> Sequence[Triple]:
+        """The triples whose subject is ``s``, unordered, from the subject
+        index that the first call builds; callers must not change them."""
+        if self._index is None:
+            self._index = {}
+            for t in self._triples:
+                self._index.setdefault(t.subject, []).append(t)
+        return self._index.get(s, ())
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(sorted(self._triples, key=nt_line))

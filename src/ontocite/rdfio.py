@@ -21,7 +21,9 @@ names what broke the term there and builds none; an N-Triples statement
 first builds the terms before its broken part, which the statement's
 parts, nested as optionals, locate. Line and column are worked out only
 then. An ``@prefix`` or ``@base`` declaration, well formed or not, is
-one ``_DIRECTIVE`` match, whose optional parts locate its error.
+one ``_DIRECTIVE`` match, keyword included, which each statement start
+tries before its first token; the match's optional parts locate the
+declaration's error.
 Whitespace and comments are skipped by one rule, ``_SKIP``, everywhere.
 Each distinct IRI is validated once per process while it is among the
 4,096 most recently validated, through ``model._IRI_TABLE``, which the
@@ -103,8 +105,8 @@ _NT_PREFIX = "".join(f"(?:{part}" for part in _NT_PARTS) + ")?" * len(_NT_PARTS)
 # One Turtle token; ``lastgroup`` names its kind. A literal carries its
 # language tag or datatype, and is no token when an '@' or '^^' follows
 # that does not start one. '.' is tried before a number, so that '.5' is
-# a number only where the grammar wants a term. A directive keyword ends
-# where a language tag would: '@prefixfoo' is neither directive.
+# a number only where the grammar wants a term. A directive is no token:
+# see _DIRECTIVE.
 _TOKEN = _SKIP + "(?:" + "|".join([
     rf"(?P<pfx>{_PN_PREFIX}):(?P<local>{_PN_LOCAL})",
     r"(?P<semi>;)",
@@ -119,13 +121,15 @@ _TOKEN = _SKIP + "(?:" + "|".join([
     "(?:(?P<a>a)|(?P<bool>true|false))" + _KEYWORD_END,
     rf"_:(?P<bnode>{_LABEL}+)",
     _NUMBER,
-    r"@(?P<directive>prefix|base)(?![A-Za-z0-9\-])",
 ]) + ")"
-# A directive after its keyword, its parts nested as optionals, as in
-# _NT_PREFIX: group 1 the prefix, which '@prefix' has and '@base' has not,
-# group 2 the IRI body and group 3 the '.'. Where a part is missing, the
-# directive is malformed.
-_DIRECTIVE = rf"{_SKIP}(?:({_PN_PREFIX}):{_SKIP})?(?:<({_IRI})>{_SKIP}(\.)?)?"
+# One '@prefix' or '@base' declaration, tried at each statement start: its
+# keyword, then its parts nested as optionals, as in _NT_PREFIX. Group 1 is
+# the keyword, group 2 the prefix, which '@prefix' has and '@base' has not,
+# group 3 the IRI body and group 4 the '.'. Where a part is missing, the
+# directive is malformed. A keyword ends where a language tag would:
+# '@prefixfoo' is neither directive.
+_DIRECTIVE = (rf"{_SKIP}@(prefix|base)(?![A-Za-z0-9\-])"
+              rf"{_SKIP}(?:({_PN_PREFIX}):{_SKIP})?(?:<({_IRI})>{_SKIP}(\.)?)?")
 
 
 class _Scanner:
@@ -328,13 +332,17 @@ class _Turtle(_Scanner):
         self.base: str | None = None
         self.triples: list[Triple] = []
         # Explicit _:labels anywhere in the document are reserved so that
-        # generated anonymous labels (b1, b2, ...) can never collide.
-        self.reserved: set[str] = set(re.findall(f"_:({_LABEL}+)", text))
+        # generated anonymous labels (b1, b2, ...) can never collide; the
+        # first anonymous node reads them.
+        self.reserved: set[str] | None = None
         self.token = re.compile(_TOKEN).match
+        self.directive = re.compile(_DIRECTIVE).match
         self.anon_counter = 0
         self.depth = 0
 
     def fresh_bnode(self) -> BlankNode:
+        if self.reserved is None:
+            self.reserved = set(re.findall(f"_:({_LABEL}+)", self.text))
         while True:
             self.anon_counter += 1
             label = f"b{self.anon_counter}"
@@ -399,19 +407,18 @@ class _Turtle(_Scanner):
             return Literal(m.group(kind), datatype=XSD_BOOLEAN)
         return None
 
-    def directive(self, name: str, pos: int) -> int:
-        """Read an ``@prefix`` or ``@base`` declaration from ``pos``, after
-        its keyword; return the offset after its '.'."""
-        m = re.compile(_DIRECTIVE).match(self.text, pos)
-        prefix = m.group(1)
+    def declare(self, m: re.Match) -> int:
+        """Read the ``@prefix`` or ``@base`` declaration of the directive
+        match ``m``; return the offset after its '.'."""
+        name, prefix, body, dot = m.groups()
         if (prefix is None) != (name == "base"):
             if name == "base":
-                self.fail(self.skip(pos), "@base")
-            self.error("expected ':' in @prefix declaration", self.skip(pos))
-        if m.group(2) is None:
+                self.fail(self.skip(m.end(1)), "@base")
+            self.error("expected ':' in @prefix declaration", self.skip(m.end(1)))
+        if body is None:
             self.fail(m.end(), "@" + name)
-        value = self.iri(*m.span(2)).value
-        if m.group(3) is None:
+        value = self.iri(*m.span(3)).value
+        if dot is None:
             self.error(f"expected '.' after @{name} declaration", m.end())
         if prefix is None:
             self.base = value
@@ -423,14 +430,15 @@ class _Turtle(_Scanner):
 
     def run(self) -> Graph:
         """Read the document statement by statement."""
-        text, token = self.text, self.token
+        text, token, directive = self.text, self.token, self.directive
         pos = 0
         while True:
+            m = directive(text, pos)
+            if m:
+                pos = self.declare(m)
+                continue
             m = token(text, pos)
             kind = m and m.lastgroup
-            if kind == "directive":
-                pos = self.directive(m.group(kind), m.end())
-                continue
             if kind == "open":
                 subject, pos = self.node(m)
                 m = token(text, pos)

@@ -31,6 +31,7 @@ from ontocite import (
     render_canonical,
     render_json,
     validate_citation_string,
+    validate_record,
 )
 from ontocite import citation
 
@@ -238,6 +239,28 @@ class TestRecordErrors:
         assert exc.value.field == field
         assert str(exc.value) == message
         assert isinstance(exc.value, OntociteError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("render", [render_canonical, render_bibtex, render_json],
+                             ids=["canonical", "bibtex", "json"])
+    @pytest.mark.parametrize("changes,field,message", [
+        ({"creators": (Agent("Doe", "J."), "Roe, R.")}, "creators[1]",
+         "is not an Agent: 'Roe, R.'"),
+        ({"formats": ("turtle", 5)}, "formats[1]", "is not a string: 5"),
+        ({"acronym": 5}, "acronym", "is not a string: 5"),
+        ({"version": 5}, "version", "is not a string: 5"),
+        ({"revision": 5}, "revision", "is not a string: 5"),
+    ], ids=["str-creator", "int-format", "int-acronym", "int-version", "int-revision"])
+    def test_wrongly_typed_field(self, render, changes, field, message):
+        base = pav_record()
+        record = CitationRecord(**{**{name: getattr(base, name) for name in base._fields},
+                                   **changes})
+        with pytest.raises(CitationRecordError) as exc:
+            render(record)
+        assert (exc.value.field, str(exc.value)) == (field, f"citation record {field!r} {message}")
+        # the field that validate_record names
+        with pytest.raises(CitationRecordError) as exc:
+            validate_record(record)
+        assert exc.value.field == field
 
 
 class TestParseCanonical:

@@ -1,10 +1,13 @@
 import datetime
+import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontocite import (
+    Agent,
     BlankNode,
     CitationRecord,
     EmptyNameError,
@@ -22,12 +25,15 @@ from ontocite import (
     find_ontology_iri,
     normalize_person_name,
     parse_canonical,
+    parse_ntriples,
     parse_turtle,
     render_canonical,
     resolve_agent_name,
     validate_record,
 )
 from ontocite.citation import is_acronym, is_calendar_date, is_initials
+from ontocite.cli import main
+from ontocite.model import nt
 from ontocite.vocab import (
     ACRONYM_LADDER,
     AGENT_NAME_LADDER,
@@ -42,6 +48,7 @@ from ontocite.vocab import (
 )
 
 from conftest import HEADERS
+from differential import load_gen
 
 ONTO = Iri("http://example.org/onto")
 _ANY_SCRIPT_WORD = st.text(alphabet=st.characters(categories=("L",)), min_size=1, max_size=8)
@@ -320,6 +327,88 @@ class TestExtractMetadata:
         filled = extract_metadata(g).title
         g2 = g.insert(Triple(ONTO, TITLE_LADDER[1], Literal("Lower Rung")))
         assert extract_metadata(g2).title == filled
+
+
+def _tie_header() -> str:
+    """N-Triples of a header with two creators that tie on (surname,
+    initials), a person and an organisation, and creators that do not
+    resolve: their order in the record and in the warnings is the graph's
+    order."""
+    onto, acme, creator = nt(ONTO), "<http://example.org/acme>", nt(CREATOR_LADDER[0])
+    return "".join(f"{line} .\n" for line in [
+        f"{onto} {nt(RDF_TYPE)} {nt(OWL_ONTOLOGY)}",
+        f'{onto} {nt(TITLE_LADDER[0])} "TIE: Tie Ontology"@en',
+        f'{onto} {nt(DATE_LADDER[0])} "2020-01-01"',
+        f'{onto} {creator} "Acme"',
+        f"{onto} {creator} {acme}",
+        f"{acme} {nt(RDF_TYPE)} {nt(ORGANIZATION_TYPES[0])}",
+        f'{acme} {nt(AGENT_NAME_LADDER[0])} "Acme"',
+        *(f"{onto} {creator} {node}" for node in UNRESOLVED),
+        f"_:ghost {nt(RDF_TYPE)} {nt(ORGANIZATION_TYPES[1])}",
+    ])
+
+
+# Creator nodes without a name. In each pair one token is a prefix of the
+# other, where sorting tokens and sorting statement lines could disagree.
+UNRESOLVED = ["<http://example.org/nobody>", "<http://example.org/nobody2>", "_:ghost",
+              "_:ghost2"]
+
+
+def _gen_headers(missing) -> list[str]:
+    """The N-Triples of one ``make_header`` header per entry of ``missing``,
+    the mandatory field it leaves out (or None)."""
+    gen, rng = load_gen(), random.Random(28)
+    headers = []
+    for k, field in enumerate(missing):
+        h = gen.make_header(rng, f"http://example.org/gen{k}", f"g{k}", missing=field)
+        headers.append("".join(gen.nt_line(t) for t in gen.flatten(gen.header_blocks(h))))
+    return headers
+
+
+ORDER_HEADERS = {
+    **{path.stem: path.read_text("utf-8") for path in sorted(HEADERS.glob("*.nt"))},
+    "tie": _tie_header(),
+    **{f"gen{k}": text
+       for k, text in enumerate(_gen_headers([None, None, None, None, "creator", "date"]))},
+}
+
+
+class TestOrderIndependence:
+    """Any order of a header's N-Triples lines gives the same fields, the
+    same warnings in the same order, and the same ``cite`` and ``validate``
+    output."""
+
+    @staticmethod
+    def outcome(text: str, path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            meta = extract_metadata(parse_ntriples(text), fmt="n-triples")
+        path.write_text(text, "utf-8")
+        commands = []
+        for argv in (["cite", str(path)], ["validate", str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            commands.append((code, captured.out, captured.err))
+        return meta, [str(w.message) for w in caught], commands
+
+    @pytest.mark.parametrize("name", ORDER_HEADERS)
+    def test_any_line_order(self, name, tmp_path, capsys):
+        lines = ORDER_HEADERS[name].splitlines(keepends=True)
+        path = tmp_path / "header.nt"
+        expected = self.outcome("".join(lines), path, capsys)
+        rng = random.Random(name)
+        for _ in range(4):
+            rng.shuffle(lines)
+            assert self.outcome("".join(lines), path, capsys) == expected
+
+    def test_tie_header_fields_and_warnings(self, tmp_path, capsys):
+        meta, caught, _ = self.outcome(ORDER_HEADERS["tie"], tmp_path / "header.nt", capsys)
+        assert meta.creators == (Agent("Acme"), Agent("Acme", organization=True))
+        nodes = [parse_ntriples(f"{node} <http://p> <http://o> .").match()[0].subject
+                 for node in sorted(UNRESOLVED)]
+        # graph order: the statements' lines, here their objects' tokens, sorted
+        assert caught == [f"skipping creator: no name property found on agent node {node!r}"
+                          for node in nodes]
 
 
 class TestIsAcronym:

@@ -35,8 +35,8 @@ from strategies import bnodes, graphs, iris
 A = "<http://a>"
 P = "<http://p>"
 
-# One input per distinct ParseError text, with the (line, column, message)
-# each must keep.
+# One input per distinct ParseError text, and inputs at a directive's seams,
+# with the (line, column, message) each must keep.
 ERROR_TABLE = [
     # N-Triples
     ("nt", '<http://a> <http://p> "x\\', 1, 25, "unterminated escape sequence"),
@@ -104,6 +104,15 @@ ERROR_TABLE = [
     ("ttl", "@prefix 1x: <http://x/> .", 1, 9, "expected ':' in @prefix declaration"),
     ("ttl", '@prefix x: <http://x/> .\n<http://a> <http://p> "v"^^1x:t .', 2, 28,
      "expected prefixed name"),
+    # A directive is tried at each statement start, and only there.
+    ("ttl", "<http://a> <http://p> <http://o> .\n@prefix x <http://x/> .", 2, 9,
+     "expected ':' in @prefix declaration"),
+    ("ttl", "<http://a> <http://p> <http://o> @prefix x: <http://x/> .", 1, 34,
+     "expected '.' at end of statement"),
+    ("ttl", "<http://a> @prefix <http://o> .", 1, 12, "expected predicate"),
+    ("ttl", "<http://a> <http://p> @base .", 1, 23, "expected an RDF term as object"),
+    ("ttl", "@base .", 1, 7, "expected IRI in @base declaration"),
+    ("ttl", '@prefix x: # note\n"http://x/" .', 2, 1, "expected IRI in @prefix declaration"),
 ]
 
 # Inputs with two faults, or a fault inside a term that holds an escape:
@@ -782,6 +791,10 @@ class TestTurtle:
         )
         anon = [t.object for t in g.match(Iri("http://s"), Iri("http://q"), None)]
         assert anon == [BlankNode("b2")]
+
+    def test_generated_labels_avoid_later_explicit_ones(self):
+        g = parse_turtle("<http://s> <http://p> [] .\n<http://s> <http://q> _:b1 .")
+        assert g == parse_ntriples("<http://s> <http://p> _:b2 .\n<http://s> <http://q> _:b1 .")
 
     def test_base_resolution(self):
         g = parse_turtle("@base <http://example.org/dir/> . <name> <http://p> <> .")
