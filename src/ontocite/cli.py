@@ -53,9 +53,11 @@ def _shown(path: str) -> str:
 
 
 def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``, less one leading UTF-8 byte order
+    mark: it marks the encoding and is no character of the text."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            return handle.read().removeprefix(b"\xef\xbb\xbf")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise OntociteError(f"cannot read {_shown(path)}: {exc}") from None
 
@@ -178,10 +180,10 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused by every
-    later ``main`` call in the process (argparse keeps no parse state on
-    the parser)."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each command's parser by name, built on
+    the first call and reused by every later ``main`` call in the process
+    (argparse keeps no parse state on a parser)."""
     parser = argparse.ArgumentParser(
         prog="ontocite",
         description="Extract, render, parse, validate, and link ontology citations.",
@@ -234,11 +236,24 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--counts", action="store_true", help="emit the JSON usage report")
     network.set_defaults(func=_cmd_network)
 
-    return parser
+    return parser, sub.choices
+
+
+def _arguments(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as the full parser reads it, in one pass: that parser hands all
+    that follows a command's name to the command's parser, so this calls that
+    one directly, and the full parser (for its errors) for anything else."""
+    parser, commands = _build_parser()
+    name = argv[0] if argv else None
+    if name in commands:
+        args, extra = commands[name].parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _arguments(sys.argv[1:] if argv is None else argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", OntociteWarning)
         try:

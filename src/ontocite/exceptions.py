@@ -41,11 +41,14 @@ class NotOntologyNodeError(OntociteError):
 
 
 class UnresolvableAgentError(OntociteError):
-    """A creator node carries no usable name property."""
+    """A creator node carries no usable name property; the message names
+    ``node`` by its N-Triples token."""
 
     def __init__(self, node):
+        from .model import nt  # model imports this module
+
         self.node = node
-        super().__init__(f"no name property found on agent node {node!r}")
+        super().__init__(f"no name property found on agent node {nt(node)}")
 
 
 class EmptyNameError(OntociteError, ValueError):

@@ -54,12 +54,13 @@ that depends on earlier inputs shows up as a mismatch.
 fixture command (each command on each fixture file, ``check-mutual``
 against each reference list, ``network`` over each syntax's network files
 and over lists that mix a duplicate ontology, a file that fails and a file
-that warns, each list in both orders, and usage and input errors) and
-every operation of the ``seed`` plans of the three benchmark workloads,
-which ``perfbench/gen.py`` writes to a temporary directory; a plan's
-citation string is the argument of a ``validate`` and of a ``parse``.
-``--count N`` takes the first N commands
-of each of these four sources, and all of them when it is not given. A
+that warns, each list in both orders, the argument lists of
+``usage_commands``, and input errors) and every operation of the ``seed``
+plans of the three benchmark workloads, which ``perfbench/gen.py`` writes to
+a temporary directory; a plan's citation string is the argument of a
+``validate`` and of a ``parse``. ``--count N`` takes the first N commands
+of each plan, and all of them when it is not given; the fixture commands
+always run in full. A
 result is the exit code, standard output and standard error (each in full
 up to 300 characters, else a digest), and the digest of the file an
 ``--out`` option names. The new tree runs each chunk in reverse order.
@@ -294,29 +295,51 @@ def fixture_commands(out):
                 [net_b, str(misc / "pav.rdf"), net_a, net_b],
                 [multi, net_a, multi, str(misc / "broken.ttl")]):
         commands += [["network", "--counts", *mix], ["network", "--dot", *mix[::-1]]]
-    return commands + [
-        [], ["--help"], ["cite"], ["cite", files[0], "--style", "apa"], ["cite", "missing.ttl"],
-        ["validate", "missing.ttl"], ["parse", "no date here"], ["validate", "http://a/o"],
-        ["check-mutual", files[0], reflists[0], "--threshold", "nan"],
+    return commands + usage_commands(files[0], reflists[0]) + [
+        ["cite", "missing.ttl"], ["validate", "missing.ttl"], ["parse", "no date here"],
+        ["validate", "http://a/o"], ["check-mutual", files[0], reflists[0], "--threshold", "nan"],
         ["network", "--dot", files[0], files[0]],
     ]
 
 
+def usage_commands(path, reflist):
+    """Argument lists that reach argparse's help, usage and error paths, or
+    come near them, for one ontology file and one reference list: help
+    before and after a command, abbreviated and ``=``-joined options,
+    repeated options, bad choices and types, missing, extra and unknown
+    arguments, options before the command, an unknown command, ``--`` and
+    negative numbers."""
+    return [
+        [], ["-h"], ["--help"], ["--he"], ["-h", "cite"], ["--style", "json", "cite", path],
+        ["frobnicate", path], ["Cite", path], ["cite"], ["cite", "-h"], ["cite", path, "-h"],
+        ["cite", path, "--he"], ["cite", path, "--sty", "json"], ["cite", path, "--style=json"],
+        ["cite", path, "--style", "apa"], ["cite", path, "--format-label", "nope"],
+        ["cite", path, "extra"], ["cite", path, "--bogus"], ["cite", "--bogus", path],
+        ["cite", path, "--style", "json", "--style", "bibtex"], ["cite", "--", path],
+        ["cite", path, "--"], ["cite", "-5"], ["validate", path, path], ["validate", "--", "-5"],
+        ["parse", "--", "--help"], ["check-mutual", path],
+        ["check-mutual", path, reflist, "--threshold", "x"],
+        ["check-mutual", path, reflist, "--threshold=-1"], ["inject", path, "--reference", "R"],
+        ["network", path], ["network", "--dot"], ["network", "--dot", "--counts", path],
+        ["network", "--counts", path, "--counts"],
+    ]
+
+
 def make_cli_inputs(seed, count, work):
-    """``[directory, argv]`` of each command: the fixture commands, then the
+    """``[directory, argv]`` of each command: every fixture command, then the
     commands of each workload's ``seed`` plan, whose inputs gen.py writes
-    under ``work``; at most ``count`` of each, or all."""
+    under ``work``; at most ``count`` of each plan, or all."""
     gen = load_gen()
-    sources = [[[work, argv] for argv in fixture_commands(os.path.join(work, "out.nt"))]]
+    commands = [[work, argv] for argv in fixture_commands(os.path.join(work, "out.nt"))]
     for workload in gen.WORKLOADS:
         directory = os.path.join(work, workload)
         plan = gen.generate(workload, seed, directory)
-        commands = [plan["setup_argv"]]
+        plan_commands = [plan["setup_argv"]]
         for op in plan["ops"]:
-            commands += [op["argv"]] if "argv" in op else [["validate", op["text"]],
-                                                            ["parse", op["text"]]]
-        sources.append([[directory, argv] for argv in commands])
-    return [command for source in sources for command in source[:count]]
+            plan_commands += [op["argv"]] if "argv" in op else [["validate", op["text"]],
+                                                                ["parse", op["text"]]]
+        commands += [[directory, argv] for argv in plan_commands[:count]]
+    return commands
 
 
 def digest(text):
@@ -493,7 +516,8 @@ def main(argv=None):
                        help="compare cli.main on the fixture and benchmark commands")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=None,
-                        help="inputs (default 1000), or commands per source with --cli (all)")
+                        help="inputs (default 1000), or commands per workload plan with "
+                             "--cli (all; the fixture commands always run in full)")
     parser.add_argument("--show", type=int, default=10, help="mismatches to print")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

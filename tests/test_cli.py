@@ -27,6 +27,7 @@ from conftest import (
     SAMPLE_CITATIONS,
     WeakGraph,
 )
+from differential import usage_commands
 from strategies import mutations
 
 PAV_TTL = str(HEADERS / "pav.ttl")
@@ -814,6 +815,30 @@ class TestCachedParser:
         assert reused[2][1] != reused[4][1]  # the default threshold is back
 
 
+class TestDispatch:
+    """``main`` hands the arguments after a command's name straight to that
+    command's parser, and reads every argument list as the full parser
+    does."""
+
+    @pytest.mark.parametrize("argv", usage_commands(PAV_TTL, REFLIST))
+    def test_reads_as_the_full_parser(self, argv, capsys):
+        def outcome(parse):
+            try:
+                return vars(parse(list(argv))), capsys.readouterr()
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        assert outcome(cli._arguments) == outcome(cli._build_parser()[0].parse_args)
+
+    def test_a_command_skips_the_full_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser read a command's arguments")
+
+        monkeypatch.setattr(cli._build_parser()[0], "parse_args", refuse)
+        assert run(capsys, "cite", PAV_TTL, "--format-label", "rdf/xml") == (
+            0, PAV_CITATION + "\n", "")
+
+
 MULTI_TTL = str(HEADERS / "multi.ttl")
 MULTI_WARNING = (
     "warning: multiple ontology nodes; using <http://example.org/alpha>, "
@@ -821,7 +846,7 @@ MULTI_WARNING = (
 )
 NOBODY_WARNING = (
     "warning: skipping creator: no name property found on agent node "
-    "Iri(value='http://example.org/nobody')\n"
+    "<http://example.org/nobody>\n"
 )
 ONTO_HEADER = """\
 @prefix owl: <http://www.w3.org/2002/07/owl#> .
@@ -931,6 +956,28 @@ class TestInputFiles:
         code, out, err = run(capsys, "cite", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path} is not valid UTF-8: ")
+
+    @pytest.mark.parametrize("name", ["pav.ttl", "pav.nt"])
+    def test_byte_order_mark_is_dropped(self, name, capsys, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (HEADERS / name).read_bytes())
+        for command in ("cite", "parse", "validate"):
+            assert run(capsys, command, str(path)) == run(capsys, command, str(HEADERS / name))
+
+    def test_byte_order_mark_is_dropped_before_detection(self, capsys, tmp_path):
+        path = tmp_path / "onto"
+        path.write_bytes(b"\xef\xbb\xbfformat-version: 1.2\n")
+        assert run(capsys, "cite", str(path)) == (
+            2, "", f"error: {path}: obo input is not parsed natively; "
+                   "convert to Turtle or N-Triples first\n")
+
+    def test_byte_order_mark_is_dropped_from_a_reference_list(self, capsys, tmp_path):
+        path = onto_file(tmp_path, "onto.ttl", '    dcterms:creator "Ann Alpha" ;\n'
+                                                "    dcterms:references \"Ref.\" .\n")
+        refs = tmp_path / "refs.txt"
+        refs.write_bytes(b"\xef\xbb\xbf" + ONTO_CITATION.encode("utf-8"))
+        assert run(capsys, "check-mutual", path, str(refs)) == (
+            0, "ontology-side\ttrue\npublication-side\ttrue\tsimilarity=1.000\n", "")
 
     def test_each_file_is_opened_once(self, capsys, monkeypatch):
         import builtins

@@ -195,8 +195,12 @@ class TestResolveAgentName:
         assert agent.initials is None
 
     def test_nameless_node(self):
-        with pytest.raises(UnresolvableAgentError):
-            resolve_agent_name(Graph(), Iri("http://example.org/nobody"))
+        for node, token in [(Iri("http://example.org/nobody"), "<http://example.org/nobody>"),
+                            (BlankNode("ghost"), "_:ghost")]:
+            with pytest.raises(UnresolvableAgentError) as caught:
+                resolve_agent_name(Graph(), node)
+            assert caught.value.node == node
+            assert str(caught.value) == f"no name property found on agent node {token}"
 
 
 class TestExtractMetadata:
@@ -404,11 +408,9 @@ class TestOrderIndependence:
     def test_tie_header_fields_and_warnings(self, tmp_path, capsys):
         meta, caught, _ = self.outcome(ORDER_HEADERS["tie"], tmp_path / "header.nt", capsys)
         assert meta.creators == (Agent("Acme"), Agent("Acme", organization=True))
-        nodes = [parse_ntriples(f"{node} <http://p> <http://o> .").match()[0].subject
-                 for node in sorted(UNRESOLVED)]
         # graph order: the statements' lines, here their objects' tokens, sorted
-        assert caught == [f"skipping creator: no name property found on agent node {node!r}"
-                          for node in nodes]
+        assert caught == [f"skipping creator: no name property found on agent node {node}"
+                          for node in sorted(UNRESOLVED)]
 
 
 class TestIsAcronym:
