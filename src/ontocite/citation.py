@@ -20,7 +20,7 @@ import functools
 import json
 import re
 from json.encoder import encode_basestring
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .exceptions import (CitationJsonError, CitationParseError, CitationRecordError,
                          MissingFieldError, RdfModelError)
@@ -45,13 +45,17 @@ _INITIALS_SHAPE_RE = re.compile(r"(?s).\.(?: .\.)*")
 
 class Agent(Value):
     """One creator: a person (surname plus optional initials) or an
-    organization (``surname`` holds the full group name).
-    """
+    organization (``surname`` holds the full group name). The surname is a
+    ``str``, the initials a ``str`` or None and ``organization`` a ``bool``;
+    any other value raises :class:`CitationRecordError` naming the field."""
 
     __slots__ = _fields = ("surname", "initials", "organization")
 
     def __init__(self, surname: str, initials: str | None = None,
                  organization: bool = False):
+        if not (isinstance(surname, str) and isinstance(initials, _TEXT)
+                and isinstance(organization, bool)):
+            _check_types(zip(self._fields, (surname, initials, organization)))
         object.__setattr__(self, "surname", surname)
         object.__setattr__(self, "initials", initials)
         object.__setattr__(self, "organization", organization)
@@ -88,9 +92,42 @@ def is_acronym(text: str) -> bool:
 # --- the record --------------------------------------------------------------
 
 
+_TEXT = (str, type(None))
+_SEQUENCE = (list, tuple)
+#: The one statement of the types of an :class:`Agent`'s and a
+#: :class:`CitationRecord`'s fields, and of the items of ``creators`` and
+#: ``formats`` (``name[]``), each with what its error says of another value.
+_FIELD_TYPES = {"surname": (str, "a string"), "initials": (_TEXT, "a string or None"),
+                "organization": (bool, "a boolean"), "uri": (Iri, "an Iri"),
+                **dict.fromkeys(("date", "full_name", "acronym", "version", "revision"),
+                                (_TEXT, "a string or None")),
+                **dict.fromkeys(("creators", "formats"), (_SEQUENCE, "a list or tuple")),
+                "creators[]": (Agent, "an Agent"), "formats[]": (str, "a string")}
+# isinstance of one item, mapped by CitationRecord's test: cheaper than a generator
+_IS_AGENT, _IS_STR = Agent.__instancecheck__, str.__instancecheck__
+
+
+def _check_types(fields: Iterable[tuple[str, object]]) -> None:
+    """Raise :class:`CitationRecordError` for the first (name, value) pair of
+    ``fields`` whose value, or an item ``name[i]`` of it, is not of the types
+    ``_FIELD_TYPES`` states. The constructors call it only when their own
+    test of those types fails; ``validate_record`` calls it for a mapping."""
+    for name, value in fields:
+        types, kind = _FIELD_TYPES[name]
+        if not isinstance(value, types):
+            raise CitationRecordError(name, f"is not {kind}: {value!r}")
+        if types is _SEQUENCE:
+            types, kind = _FIELD_TYPES[name + "[]"]
+            for index, item in enumerate(value):
+                if not isinstance(item, types):
+                    raise CitationRecordError(f"{name}[{index}]", f"is not {kind}: {item!r}")
+
+
 class CitationRecord(Value):
-    """One instance of the reference template. A ``uri`` that is not an
-    :class:`Iri` raises :class:`CitationRecordError`."""
+    """One instance of the reference template: creators a list or tuple of
+    :class:`Agent` values, formats one of ``str`` labels (both kept as
+    tuples), uri an :class:`Iri`, and each other field a ``str`` or None.
+    Any other value raises :class:`CitationRecordError` naming the field."""
 
     __slots__ = _fields = ("creators", "date", "full_name", "uri", "acronym", "version",
                            "revision", "formats")
@@ -98,8 +135,14 @@ class CitationRecord(Value):
     def __init__(self, creators: Sequence[Agent], date: str, full_name: str, uri: Iri,
                  acronym: str | None = None, version: str | None = None,
                  revision: str | None = None, formats: Sequence[str] = ()):
-        if not isinstance(uri, Iri):
-            raise CitationRecordError("uri", f"is not an Iri: {uri!r}")
+        # one test of every field's type; _check_types finds which one failed
+        if not (isinstance(uri, Iri) and isinstance(creators, _SEQUENCE)
+                and isinstance(formats, _SEQUENCE) and all(map(_IS_AGENT, creators))
+                and all(map(_IS_STR, formats)) and isinstance(date, _TEXT)
+                and isinstance(full_name, _TEXT) and isinstance(acronym, _TEXT)
+                and isinstance(version, _TEXT) and isinstance(revision, _TEXT)):
+            _check_types(zip(self._fields, (creators, date, full_name, uri, acronym, version,
+                                            revision, formats)))
         object.__setattr__(self, "creators", tuple(creators))
         object.__setattr__(self, "date", date)
         object.__setattr__(self, "full_name", full_name)
@@ -131,7 +174,8 @@ def draft_fields(
     meta: OntologyMetadata, acronym_split: tuple[str | None, str] | None
 ) -> CitationRecord:
     """A validator-ready record with no hard failures on missing fields: an
-    absent field is None or empty. ``acronym_split`` is
+    absent field is None or empty, as :class:`CitationRecord` accepts; a
+    renderer refuses a None date or full_name. ``acronym_split`` is
     ``derive_acronym(meta)``, or None exactly when ``meta.title`` is empty."""
     acronym, full_name = acronym_split or (None, None)
     return CitationRecord(meta.creators, meta.date or None, full_name, meta.ontology_iri,
@@ -159,58 +203,28 @@ def _render_creators(creators: Sequence[Agent]) -> str:
         raise CitationRecordError("creators", "is empty") from None
 
 
-def _text(value: object, field: str) -> str:
-    """``value``, the record's text field ``field``; any value that is not a
-    ``str`` raises :class:`CitationRecordError` naming the field."""
-    if isinstance(value, str):
-        return value
-    raise CitationRecordError(field, f"is not a string: {value!r}")
-
-
-def _renderer(render):
-    """The renderer ``render``, where an AttributeError or TypeError that a
-    creator which is not an :class:`Agent`, or a format label which is not
-    a ``str``, raises becomes a :class:`CitationRecordError` naming the
-    first such field as ``validate_record`` does. The fields are looked at
-    only after such an error, so a well-formed record costs no check."""
-    @functools.wraps(render)
-    def checked(record: CitationRecord) -> str:
-        try:
-            return render(record)
-        except (AttributeError, TypeError):
-            for index, agent in enumerate(record.creators):
-                if not isinstance(agent, Agent):
-                    raise CitationRecordError(f"creators[{index}]",
-                                              f"is not an Agent: {agent!r}") from None
-            for index, label in enumerate(record.formats):
-                if not isinstance(label, str):
-                    raise CitationRecordError(f"formats[{index}]",
-                                              f"is not a string: {label!r}") from None
-            raise
-    return checked
+def _text(value: str | None, field: str) -> str:
+    """The record's date or full_name ``value``; None, which :func:`draft_fields`
+    leaves for a missing one, raises :class:`CitationRecordError` naming ``field``."""
+    if value is None:
+        raise CitationRecordError(field, "is not a string: None")
+    return value
 
 
 def _title_text(record: CitationRecord) -> str:
     full_name = _text(record.full_name, "full_name")
-    if record.acronym:
-        return f"{_text(record.acronym, 'acronym')}: {full_name}"
-    return full_name
+    return f"{record.acronym}: {full_name}" if record.acronym else full_name
 
 
 def _version_text(record: CitationRecord) -> str:
     """The version element of a record that has a version."""
-    version = _text(record.version, "version")
-    if record.revision:
-        return f"{version}({_text(record.revision, 'revision')})"
-    return version
+    return f"{record.version}({record.revision})" if record.revision else record.version
 
 
-@_renderer
 def render_canonical(record: CitationRecord) -> str:
     """The canonical plain-text reference for a record. A record with no
-    creators, a creator that is not an :class:`Agent`, or a text field it
-    prints that is not a string raises :class:`CitationRecordError` naming
-    the field."""
+    creators, or with no date or full_name, raises
+    :class:`CitationRecordError` naming the field."""
     parts = [
         f"{_render_creators(record.creators)} ({_text(record.date, 'date')}).",
         f"{_title_text(record)}.",
@@ -227,19 +241,17 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-").lower()
 
 
-@_renderer
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
     double-braced so reference managers do not split them. A record with
-    no creators, a date that is not a string of three ``-``-separated
-    parts, a creator that is not an :class:`Agent`, or another text field
-    it prints that is not a string raises :class:`CitationRecordError`
-    naming the field."""
+    no creators, no full_name, or a date that is not a string of three
+    ``-``-separated parts raises :class:`CitationRecordError` naming the
+    field."""
     if not record.creators:
         raise CitationRecordError("creators", "is empty")
     try:
         year, month, day = record.date.split("-")
-    except (AttributeError, TypeError, ValueError):
+    except (AttributeError, ValueError):
         raise CitationRecordError("date", f"is not shaped YYYY-MM-DD: {record.date!r}") from None
     title = _title_text(record)
     key = (record.acronym or _slug(record.full_name)) + year
@@ -274,7 +286,6 @@ def _json_block(items: list[str], indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-@_renderer
 def render_json(record: CitationRecord) -> str:
     """Canonical JSON for the record (schema in ``docs/citation.schema.json``);
     bit-identical for equal records, single trailing newline.
@@ -286,9 +297,9 @@ def render_json(record: CitationRecord) -> str:
     and ``formats`` in that order, the acronym, version and revision only
     when set. They are written in that fixed layout: with ``indent`` set,
     ``json.dumps`` never uses its C encoder. Strings are quoted by
-    ``encode_basestring``, as ``ensure_ascii=False`` quotes them. A creator
-    that is not an :class:`Agent`, or a text field it writes that is not a
-    string, raises :class:`CitationRecordError` naming the field."""
+    ``encode_basestring``, as ``ensure_ascii=False`` quotes them. A record
+    with no date or full_name raises :class:`CitationRecordError` naming
+    the field."""
     creators = []
     for agent in record.creators:
         initials = (f'"initials": {encode_basestring(agent.initials)},\n      '
@@ -299,12 +310,12 @@ def render_json(record: CitationRecord) -> str:
     members = [f'"creators": {_json_block(creators, "  ")}',
                f'"date": {encode_basestring(_text(record.date, "date"))}']
     if record.acronym:
-        members.append(f'"acronym": {encode_basestring(_text(record.acronym, "acronym"))}')
+        members.append(f'"acronym": {encode_basestring(record.acronym)}')
     members.append(f'"full_name": {encode_basestring(_text(record.full_name, "full_name"))}')
     if record.version:
-        members.append(f'"version": {encode_basestring(_text(record.version, "version"))}')
+        members.append(f'"version": {encode_basestring(record.version)}')
     if record.revision:
-        members.append(f'"revision": {encode_basestring(_text(record.revision, "revision"))}')
+        members.append(f'"revision": {encode_basestring(record.revision)}')
     members.append(f'"uri": {encode_basestring(record.uri.value)}')
     formats = [encode_basestring(label) for label in record.formats]
     members.append(f'"formats": {_json_block(formats, "  ")}')

@@ -87,8 +87,9 @@ class CitationJsonError(OntociteError, ValueError):
 
 
 class CitationRecordError(OntociteError, ValueError):
-    """A citation record holds a field that cannot be rendered or read;
-    ``field`` names it."""
+    """A field of a citation record or an ``Agent`` is not of its type (when
+    either is built, or in a mapping given to ``validate_record``), or a
+    renderer cannot render it; ``field`` names it."""
 
     def __init__(self, field: str, message: str):
         self.field = field

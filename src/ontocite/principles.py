@@ -13,9 +13,10 @@ string that does not match the grammar at all.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import attrgetter
 
-from .citation import (Agent, CitationRecord, is_acronym, is_calendar_date, is_initials,
-                        parse_canonical)
+from .citation import (Agent, CitationRecord, _check_types, is_acronym, is_calendar_date,
+                        is_initials, parse_canonical)
 from .exceptions import CitationParseError, CitationRecordError, RdfModelError
 from .model import _IRI_TABLE, Iri, Value
 from .vocab import KNOWN_FORMAT_LABELS
@@ -77,28 +78,23 @@ _URI_ONLY = _error(
 )
 
 
-_TEXT = (str, type(None))
-_SEQUENCE = (list, tuple, type(None))
-#: The types that a record's or a mapping's field may have.
-_FIELD_TYPES = {"date": _TEXT, "full_name": _TEXT, "acronym": _TEXT, "version": _TEXT,
-                "revision": _TEXT, "uri": (Iri, str, type(None)), "creators": _SEQUENCE,
-                "formats": _SEQUENCE}
+_RECORD_FIELDS = attrgetter(*CitationRecord._fields)
 
 
-def _as_fields(record: CitationRecord | Mapping) -> dict[str, object]:
-    """The fields of ``record``; a field of the wrong type raises
-    :class:`CitationRecordError`."""
-    fields = ({name: getattr(record, name) for name in record._fields}
-              if isinstance(record, CitationRecord) else dict(record))
-    for name, types in _FIELD_TYPES.items():
-        value = fields.get(name)
-        if not isinstance(value, types):
-            raise CitationRecordError(name, f"is of type {type(value).__name__}: {value!r}")
-    for index, label in enumerate(fields.get("formats") or ()):
-        if not isinstance(label, str):
-            raise CitationRecordError(f"formats[{index}]",
-                                      f"is of type {type(label).__name__}: {label!r}")
-    return fields
+def _as_fields(record: CitationRecord | Mapping) -> tuple:
+    """The values of ``record``'s fields in ``CitationRecord._fields`` order. A
+    mapping's missing field is None; one that is not None is checked as a
+    record's is, except that its uri may also be a ``str``."""
+    if isinstance(record, CitationRecord):
+        return _RECORD_FIELDS(record)
+    fields = dict(record)
+    values = tuple(fields.get(name) for name in CitationRecord._fields)
+    uri = fields.get("uri")
+    if not isinstance(uri, (Iri, str, type(None))):
+        raise CitationRecordError("uri", f"is not an Iri, a string or None: {uri!r}")
+    _check_types((name, value) for name, value in zip(CitationRecord._fields, values)
+                 if value is not None and name != "uri")
+    return values
 
 
 def _name_form_problem(creator: Agent) -> str | None:
@@ -120,22 +116,14 @@ def _name_form_problem(creator: Agent) -> str | None:
 def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
     """Check a record, or a mapping of some of its fields, against the
     citation completeness and form rules; findings come back sorted by
-    code. The text fields of either are strings or None, ``creators`` a
-    list or tuple of ``Agent``s and ``formats`` one of strings; any other
-    value raises :class:`CitationRecordError`. A record's ``uri`` is always
-    an :class:`Iri`, so a mapping is the way to pass a missing URI (None)
-    or a relative one (a string); ``citation.draft_fields`` returns a
-    record."""
-    f = _as_fields(record)
+    code. A record's field types were checked when it was built (see
+    :class:`CitationRecord`); a mapping's fields are checked by the same
+    finder, where a missing field or None passes, and a mistyped one raises
+    :class:`CitationRecordError` naming it. A record's ``uri`` is always an
+    :class:`Iri`, so a mapping is the way to pass a missing URI (None) or a
+    relative one (a string); ``citation.draft_fields`` returns a record."""
+    creators, date, title, uri, acronym, version, _, formats = _as_fields(record)
     out: list[Diagnostic] = []
-
-    creators = f.get("creators") or ()
-    date = f.get("date")
-    title = f.get("full_name")
-    uri = f.get("uri")
-    acronym = f.get("acronym")
-    version = f.get("version")
-    formats = f.get("formats")
 
     if not creators:
         out.append(_error(E_CREATOR_MISSING, "no creators given", "creators"))
@@ -172,12 +160,8 @@ def validate_record(record: CitationRecord | Mapping) -> list[Diagnostic]:
             "and without whitespace at either end",
             "acronym",
         ))
-    for index, creator in enumerate(creators):
-        try:
-            problem = _name_form_problem(creator)
-        except AttributeError:
-            raise CitationRecordError(f"creators[{index}]",
-                                      f"is not an Agent: {creator!r}") from None
+    for index, creator in enumerate(creators or ()):
+        problem = _name_form_problem(creator)
         if problem:
             out.append(_warning(W_NAME_FORM, problem, f"creators[{index}]"))
 

@@ -182,12 +182,7 @@ class TestValidateRecord:
     ])
     def test_a_field_of_the_wrong_type_is_a_record_error(self, key, value, field):
         fields = with_value(base_fields(), key, value)
-        shapes = [lambda: fields]
-        # the constructor handles these itself: tuple(5) raises TypeError, and
-        # tuple("turtle") is six labels; it raises the error for a uri
-        if (key, value) not in (("creators", 5), ("formats", "turtle")):
-            shapes.append(lambda: CitationRecord(**fields))
-        for shape in shapes:
+        for shape in (lambda: fields, lambda: CitationRecord(**fields)):
             with pytest.raises(CitationRecordError) as exc:
                 validate_record(shape())
             assert exc.value.field == field
