@@ -197,23 +197,23 @@ def _render_creators(creators: Sequence[Agent]) -> str:
     rendered = [_render_agent(a) for a in creators]
     if len(rendered) == 1:
         return rendered[0]
-    try:
-        return ", ".join(rendered[:-1]) + " and " + rendered[-1]
-    except IndexError:
-        raise CitationRecordError("creators", "is empty") from None
+    return ", ".join(rendered[:-1]) + " and " + rendered[-1]
 
 
-def _text(value: str | None, field: str) -> str:
-    """The record's date or full_name ``value``; None, which :func:`draft_fields`
-    leaves for a missing one, raises :class:`CitationRecordError` naming ``field``."""
-    if value is None:
-        raise CitationRecordError(field, "is not a string: None")
-    return value
+def _require_complete(record: CitationRecord) -> None:
+    """Raise :class:`CitationRecordError` naming the first field every form
+    needs and ``record`` lacks: no creators, or the None date or full_name
+    that :func:`draft_fields` leaves; the renderers and the JSON reader ask it."""
+    if not record.creators:
+        raise CitationRecordError("creators", "is empty")
+    if record.date is None:
+        raise CitationRecordError("date", "is not a string: None")
+    if record.full_name is None:
+        raise CitationRecordError("full_name", "is not a string: None")
 
 
 def _title_text(record: CitationRecord) -> str:
-    full_name = _text(record.full_name, "full_name")
-    return f"{record.acronym}: {full_name}" if record.acronym else full_name
+    return f"{record.acronym}: {record.full_name}" if record.acronym else record.full_name
 
 
 def _version_text(record: CitationRecord) -> str:
@@ -225,8 +225,9 @@ def render_canonical(record: CitationRecord) -> str:
     """The canonical plain-text reference for a record. A record with no
     creators, or with no date or full_name, raises
     :class:`CitationRecordError` naming the field."""
+    _require_complete(record)
     parts = [
-        f"{_render_creators(record.creators)} ({_text(record.date, 'date')}).",
+        f"{_render_creators(record.creators)} ({record.date}).",
         f"{_title_text(record)}.",
     ]
     if record.version:
@@ -244,14 +245,12 @@ def _slug(name: str) -> str:
 def render_bibtex(record: CitationRecord) -> str:
     """A ``@misc`` BibTeX entry for the record; group names are
     double-braced so reference managers do not split them. A record with
-    no creators, no full_name, or a date that is not a string of three
-    ``-``-separated parts raises :class:`CitationRecordError` naming the
-    field."""
-    if not record.creators:
-        raise CitationRecordError("creators", "is empty")
+    no creators, date or full_name, or a date not of three ``-``-separated
+    parts, raises :class:`CitationRecordError` naming the field."""
+    _require_complete(record)
     try:
         year, month, day = record.date.split("-")
-    except (AttributeError, ValueError):
+    except ValueError:
         raise CitationRecordError("date", f"is not shaped YYYY-MM-DD: {record.date!r}") from None
     title = _title_text(record)
     key = (record.acronym or _slug(record.full_name)) + year
@@ -298,8 +297,9 @@ def render_json(record: CitationRecord) -> str:
     when set. They are written in that fixed layout: with ``indent`` set,
     ``json.dumps`` never uses its C encoder. Strings are quoted by
     ``encode_basestring``, as ``ensure_ascii=False`` quotes them. A record
-    with no date or full_name raises :class:`CitationRecordError` naming
-    the field."""
+    with no creators, date or full_name raises :class:`CitationRecordError`
+    naming the field, as the other renderers do."""
+    _require_complete(record)
     creators = []
     for agent in record.creators:
         initials = (f'"initials": {encode_basestring(agent.initials)},\n      '
@@ -308,10 +308,10 @@ def render_json(record: CitationRecord) -> str:
         creators.append(f'{{\n      "surname": {encode_basestring(agent.surname)},\n      '
                         f'{initials}"organization": {organization}\n    }}')
     members = [f'"creators": {_json_block(creators, "  ")}',
-               f'"date": {encode_basestring(_text(record.date, "date"))}']
+               f'"date": {encode_basestring(record.date)}']
     if record.acronym:
         members.append(f'"acronym": {encode_basestring(record.acronym)}')
-    members.append(f'"full_name": {encode_basestring(_text(record.full_name, "full_name"))}')
+    members.append(f'"full_name": {encode_basestring(record.full_name)}')
     if record.version:
         members.append(f'"version": {encode_basestring(record.version)}')
     if record.revision:
@@ -322,69 +322,47 @@ def render_json(record: CitationRecord) -> str:
     return _json_block(members, "", "{}") + "\n"
 
 
-_JSON_TYPES = {str: "a string", bool: "a boolean", list: "an array"}
 _DATE_SHAPE_RE = re.compile(DATE_SHAPE)
 _DATE_ELEMENT_RE = re.compile(rf"\({DATE_SHAPE}\)\.")
 
 
-def _json_type_error(data: dict, key: str, kind: type) -> CitationJsonError:
-    """The error for ``data[key]``, which is not a ``kind``."""
-    problem = f"must be {_JSON_TYPES[kind]}" if key in data else "is missing"
-    return CitationJsonError(f"citation JSON {key!r} {problem}")
-
-
 def record_from_json(text: str) -> CitationRecord:
-    """Inverse of :func:`render_json`.
-
-    Malformed JSON, a non-object, a missing key, an empty creator list, a
-    wrongly typed field or a date not shaped ``YYYY-MM-DD`` raise
-    :class:`CitationJsonError`; a bad URI raises :class:`RdfModelError`.
-    The checks run in that order, and a field's type is tested once; an
-    optional field may be null or absent.
-    """
+    """Inverse of :func:`render_json`. It checks only what JSON can get wrong
+    (malformed text, a non-object, ``creators`` not an array of objects, a
+    ``uri`` missing or not a string, a date string not shaped ``YYYY-MM-DD``)
+    and leaves each field's type to :class:`Agent` and :class:`CitationRecord`
+    and presence to the renderers' check. Each defect raises
+    :class:`CitationJsonError` naming the field, in the constructors' words
+    for theirs; a bad URI raises :class:`RdfModelError` before any field's
+    type is tested. An optional field or ``organization`` may be null or absent."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise CitationJsonError(f"citation JSON is malformed: {exc}") from None
     if not isinstance(data, dict):
         raise CitationJsonError("citation JSON must be an object")
-    entries, formats, date = data.get("creators"), data.get("formats"), data.get("date")
-    if not isinstance(entries, list):
-        raise _json_type_error(data, "creators", list)
-    if not entries or not all(isinstance(entry, dict) for entry in entries):
-        raise CitationJsonError("citation JSON 'creators' must be a non-empty array of objects")
-    if formats is None:
-        formats = ()
-    elif not isinstance(formats, list):
-        raise _json_type_error(data, "formats", list)
-    elif not all(isinstance(label, str) for label in formats):
-        raise CitationJsonError("citation JSON 'formats' must hold only strings")
-    if not isinstance(date, str):
-        raise _json_type_error(data, "date", str)
-    if _DATE_SHAPE_RE.fullmatch(date) is None:
+    entries, date, uri = data.get("creators"), data.get("date"), data.get("uri")
+    if not (isinstance(entries, list) and all(isinstance(entry, dict) for entry in entries)):
+        raise CitationJsonError("citation JSON 'creators' must be an array of objects")
+    if isinstance(date, str) and _DATE_SHAPE_RE.fullmatch(date) is None:
         raise CitationJsonError(f"citation JSON 'date' must be YYYY-MM-DD: {date!r}")
-    creators = []
-    for entry in entries:
-        surname, initials, organization = (entry.get("surname"), entry.get("initials"),
-                                           entry.get("organization"))
-        if not isinstance(surname, str):
-            raise _json_type_error(entry, "surname", str)
-        if not (initials is None or isinstance(initials, str)):
-            raise _json_type_error(entry, "initials", str)
-        if not (organization is None or isinstance(organization, bool)):
-            raise _json_type_error(entry, "organization", bool)
-        creators.append(Agent(surname, initials, organization or False))
-    full_name, uri = data.get("full_name"), data.get("uri")
-    if not isinstance(full_name, str):
-        raise _json_type_error(data, "full_name", str)
     if not isinstance(uri, str):
-        raise _json_type_error(data, "uri", str)
-    uri = _IRI_TABLE(uri)
-    optional = data.get("acronym"), data.get("version"), data.get("revision")
-    for key, value in zip(("acronym", "version", "revision"), optional):
-        if not (value is None or isinstance(value, str)):
-            raise _json_type_error(data, key, str)
-    return CitationRecord(creators, date, full_name, uri, *optional, formats)
+        problem = "must be a string" if "uri" in data else "is missing"
+        raise CitationJsonError(f"citation JSON 'uri' {problem}")
+    uri, formats = _IRI_TABLE(uri), data.get("formats")
+    try:
+        creators = []
+        for entry in entries:
+            organization = entry.get("organization")
+            creators.append(Agent(entry.get("surname"), entry.get("initials"),
+                                  False if organization is None else organization))
+        record = CitationRecord(creators, date, data.get("full_name"), uri, data.get("acronym"),
+                                data.get("version"), data.get("revision"),
+                                () if formats is None else formats)
+        _require_complete(record)
+    except CitationRecordError as exc:
+        raise CitationJsonError(f"citation JSON {exc.field!r} {exc.reason}") from None
+    return record
 
 
 # --- parsing -----------------------------------------------------------------

@@ -89,10 +89,10 @@ class CitationJsonError(OntociteError, ValueError):
 class CitationRecordError(OntociteError, ValueError):
     """A field of a citation record or an ``Agent`` is not of its type (when
     either is built, or in a mapping given to ``validate_record``), or a
-    renderer cannot render it; ``field`` names it."""
+    renderer cannot render it; ``field`` names it, ``reason`` says why."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.reason = field, message
         super().__init__(f"citation record {field!r} {message}")
 
 

@@ -11,6 +11,7 @@ one subject's triples are asked for.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -59,29 +60,32 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # self._values(self): the fields as a tuple, or a lone field's bare value
+        cls._values = operator.attrgetter(*cls._fields)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == other._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        values = self._values(self)
+        return self.__class__, values if len(self._fields) > 1 else (values,)
 
 
 class Iri(Value):

@@ -6,7 +6,11 @@
 
 Generates ``count`` inputs from ``seed``; each tree handles every input in
 a subprocess of its own, which imports ontocite from that tree only, and
-the results are compared in a form that does not depend on the tree.
+the results are compared in a form that does not depend on the tree. The
+old tree's subprocesses run under ``PYTHONHASHSEED=0`` and the new tree's
+under ``1``, so that every run, a tree against itself included, compares
+the same two fixed hash seeds, and a result that depends on the hash
+seed shows up as a mismatch on every run.
 Prints the number of mismatches and the first of them; exits 1 when there
 is any.
 
@@ -490,10 +494,12 @@ def citation_worker(src):
     json.dump(out, sys.stdout)
 
 
-def run_tree(src, inputs, mode=None):
+def run_tree(src, inputs, mode, hash_seed):
+    """The results of the ontocite under ``src`` for ``inputs``, from a worker
+    run under ``PYTHONHASHSEED=hash_seed``."""
     argv = [sys.executable, __file__, "--worker", src] + ([f"--{mode}"] if mode else [])
     proc = subprocess.run(argv, input=json.dumps(inputs), capture_output=True, text=True,
-                          check=True)
+                          check=True, env={**os.environ, "PYTHONHASHSEED": str(hash_seed)})
     return json.loads(proc.stdout)
 
 
@@ -543,14 +549,14 @@ def compare(args, inputs):
     compared = mismatches = 0
     for first in range(0, len(inputs), CHUNK):
         chunk = inputs[first:first + CHUNK]
-        old_results = run_tree(args.old_src, chunk, args.mode)
+        old_results = run_tree(args.old_src, chunk, args.mode, 0)
         # the new tree takes the chunk in reverse order, and in citation mode
         # handles each input twice in a row (see the module docstring)
         if args.mode == "citation":
-            twice = run_tree(args.new_src, [x for x in chunk[::-1] for _ in (0, 1)], "citation")
+            twice = run_tree(args.new_src, [x for x in chunk[::-1] for _ in (0, 1)], "citation", 1)
             runs = [(" cold", twice[0::2][::-1]), (" warm", twice[1::2][::-1])]
         else:
-            runs = [("", run_tree(args.new_src, chunk[::-1], args.mode)[::-1])]
+            runs = [("", run_tree(args.new_src, chunk[::-1], args.mode, 1)[::-1])]
         for label, new_results in runs:
             for text, old, new in zip(chunk, old_results, new_results):
                 for part, a, b in results(old, new, args.mode):

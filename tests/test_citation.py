@@ -220,8 +220,7 @@ class TestRecordErrors:
         (render_bibtex, {"creators": ()}, "creators", "citation record 'creators' is empty"),
         (render_bibtex, {"date": "2020"}, "date",
          "citation record 'date' is not shaped YYYY-MM-DD: '2020'"),
-        (render_bibtex, {"date": None}, "date",
-         "citation record 'date' is not shaped YYYY-MM-DD: None"),
+        (render_bibtex, {"date": None}, "date", "citation record 'date' is not a string: None"),
         (render_canonical, {"date": None}, "date", "citation record 'date' is not a string: None"),
         (render_json, {"date": None}, "date", "citation record 'date' is not a string: None"),
         (render_canonical, {"full_name": None}, "full_name",
@@ -709,8 +708,16 @@ class TestRenderJson:
     @given(record=json_records)
     @settings(max_examples=500, deadline=None)
     @example(record=CitationRecord(creators=(), date="", full_name="", uri=Iri("http://a")))
+    @example(record=CitationRecord(creators=(Agent(""),), date="", full_name="",
+                                   uri=Iri("http://a")))
     def test_bytes_equal_json_dumps(self, record):
-        # gen.py writes its dict with json.dumps(..., ensure_ascii=False, indent=2)
+        # gen.py writes its dict with json.dumps(..., ensure_ascii=False, indent=2);
+        # a record with no creators, which the schema refuses, is not written
+        if not record.creators:
+            with pytest.raises(CitationRecordError) as exc:
+                render_json(record)
+            assert exc.value.field == "creators"
+            return
         assert render_json(record) == GEN.render_json(gen_record(record))
 
 
@@ -768,7 +775,7 @@ class TestRecordFromJson:
         ("creators", [], "creators"),
         ("creators", [{"surname": "X", "organization": "no"}], "organization"),
         ("date", "２０１４-０８-２８", "date"),
-        ("creators", [{"surname": "X", "initials": 1}], "'initials' must be a string"),
+        ("creators", [{"surname": "X", "initials": 1}], "'initials' is not a string or None"),
     ])
     def test_wrongly_typed_fields_rejected(self, field, value, named):
         with pytest.raises(CitationJsonError, match=named):
@@ -791,6 +798,80 @@ class TestRecordFromJson:
             return
         render_canonical(record)
         render_bibtex(record)
+
+
+# A wrongly typed value of each key of the PAV record's JSON but uri, with
+# the field that Agent or CitationRecord names for it.
+_WRONG_TYPES = {
+    "creators": ([{"surname": "Doe", "initials": 1}], "initials"),
+    "date": (20140828, "date"),
+    "acronym": (["PAV"], "acronym"),
+    "full_name": (False, "full_name"),
+    "version": (2.3, "version"),
+    "formats": (["rdf/xml", 1], "formats[1]"),
+}
+
+# json_records, some given a None date or full_name, which no writer
+# accepts, or a date shaped YYYY-MM-DD, which record_from_json reads back.
+_written_records = st.builds(
+    lambda record, changes: CitationRecord(
+        **{**{name: getattr(record, name) for name in record._fields}, **changes}),
+    json_records,
+    st.fixed_dictionaries({}, optional={"date": st.none() | st.dates().map(str),
+                                        "full_name": st.none()}),
+)
+
+
+def _refusal(render, record):
+    """None when ``render`` writes ``record``, else the field and reason
+    of the CitationRecordError it raises."""
+    try:
+        render(record)
+    except CitationRecordError as exc:
+        return exc.field, exc.reason
+    return None
+
+
+class TestOneCompletenessCheck:
+    """The three writers and record_from_json refuse a record that lacks
+    creators, a date or a full_name through one check, which names the
+    field; the reader leaves every field's type to the constructors."""
+
+    @given(record=_written_records)
+    @settings(max_examples=300, deadline=None)
+    def test_the_writers_refuse_the_same_records(self, record):
+        refusal = _refusal(render_canonical, record)
+        assert _refusal(render_json, record) == refusal
+        if refusal is None and len(record.date.split("-")) != 3:
+            refusal = "date", f"is not shaped YYYY-MM-DD: {record.date!r}"
+        assert _refusal(render_bibtex, record) == refusal
+
+    @given(record=_written_records)
+    @settings(max_examples=300, deadline=None)
+    def test_what_render_json_writes_reads_back(self, record):
+        try:
+            text = render_json(record)
+        except CitationRecordError:
+            return
+        try:
+            back = record_from_json(text)
+        except CitationJsonError as exc:
+            assert str(exc) == f"citation JSON 'date' must be YYYY-MM-DD: {record.date!r}"
+            return
+        assert render_json(back) == text
+
+    @pytest.mark.parametrize("key", sorted(set(_PAV_JSON) - {"uri"}))
+    def test_a_wrongly_typed_field_is_named_as_the_constructors_name_it(self, key):
+        value, field = _WRONG_TYPES[key]
+        with pytest.raises(CitationRecordError) as built:
+            if key == "creators":
+                Agent(**value[0])
+            else:
+                _pav_with(**{key: value})
+        with pytest.raises(CitationJsonError) as read:
+            record_from_json(_pav_json(**{key: value}))
+        assert built.value.field == field
+        assert str(read.value) == f"citation JSON {field!r} {built.value.reason}"
 
 
 class TestDifferential:
